@@ -47,6 +47,19 @@ cargo run --release --example concurrent_serving >/dev/null
 echo "==> network serving run (framed TCP front-end, both modes -> bitwise equivalence gate)"
 cargo run --release --example network_serving >/dev/null
 
+# The end-to-end benchmark (bwbench/, its own workspace) checks the
+# program's outputs as it measures: bitwise TCP-vs-in-process streams,
+# repeatable quality figures, matched reply IDs. Its self-test and a smoke
+# run of each workload make a codec or engine change that breaks those
+# checks fail CI.
+echo "==> bwbench self-test (every workload at smoke size, correctness checks)"
+cargo test --release --offline --manifest-path bwbench/Cargo.toml
+for workload in paper-tenants wide-frames; do
+    echo "==> bwbench --smoke ($workload)"
+    cargo run --release --quiet --offline --manifest-path bwbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 --smoke >/dev/null
+done
+
 echo "==> cargo build --benches --release (criterion benches compile)"
 cargo build --benches --release
 

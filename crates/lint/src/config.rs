@@ -20,6 +20,7 @@ pub const NO_PANIC_PATHS: &[&str] = &[
     "crates/core/src/arm.rs",
     "crates/serve/src/engine.rs",
     "crates/serve/src/wal.rs",
+    "crates/net/src/batch.rs",
     "crates/net/src/conn.rs",
     "crates/net/src/reactor.rs",
     "crates/net/src/server.rs",

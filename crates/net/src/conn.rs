@@ -11,10 +11,7 @@
 //! [`TX_RESUME`], so one slow consumer cannot pin unbounded response bytes
 //! in server memory while other connections keep their full cadence.
 
-use crate::error::ErrorCode;
-use crate::frame::{parse_frame, FrameEvent};
-use crate::protocol::{Response, UNKNOWN_REQUEST_ID};
-use crate::server::{parse_payload, Inbound};
+use crate::batch::{drain_frames, Inbox};
 use crate::sys_epoll::{EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -58,6 +55,9 @@ pub(crate) struct Conn {
     pub closing: bool,
     /// Reads suspended by write-queue backpressure.
     pub paused: bool,
+    /// Requests of this connection waiting in the reactor's inbox for the
+    /// next batch (reset when the batch runs).
+    pub queued: usize,
 }
 
 impl Conn {
@@ -74,6 +74,7 @@ impl Conn {
             interest: EPOLLIN | EPOLLRDHUP,
             closing: false,
             paused: false,
+            queued: 0,
         })
     }
 
@@ -82,13 +83,13 @@ impl Conn {
         self.stream.as_raw_fd()
     }
 
-    /// Drain everything the kernel has buffered, parse out every complete
-    /// frame, and hand each decoded inbound item to `sink` in stream order.
-    /// Damage policy matches the threaded server byte for byte: CRC failure
-    /// → typed `Malformed` reject, keep going; oversized header → typed
-    /// `Oversized` reject and [`Conn::closing`] (no trustworthy next
-    /// boundary); torn frame at EOF → whatever was complete still serves.
-    pub fn read_ready(&mut self, chunk: &mut [u8], mut sink: impl FnMut(Inbound)) -> ReadOutcome {
+    /// Drain everything the kernel has buffered, then decode every complete
+    /// frame into `inbox`, tagged with `slot`, in stream order (the shared
+    /// [`drain_frames`], so the damage policy matches the threaded server
+    /// byte for byte). An oversized header also sets [`Conn::closing`] (no
+    /// trustworthy next boundary); at a torn frame at EOF whatever was
+    /// complete still serves.
+    pub fn read_ready(&mut self, chunk: &mut [u8], slot: usize, inbox: &mut Inbox) -> ReadOutcome {
         let mut outcome = ReadOutcome::Open;
         loop {
             match self.stream.read(chunk) {
@@ -111,39 +112,11 @@ impl Conn {
                 Err(_) => return ReadOutcome::Dead,
             }
         }
-        loop {
-            match parse_frame(&self.rx) {
-                Ok(FrameEvent::Incomplete) => break,
-                Ok(FrameEvent::Payload { start, end, consumed }) => {
-                    sink(parse_payload(&self.rx[start..end]));
-                    self.rx.drain(..consumed);
-                }
-                Ok(FrameEvent::CorruptPayload { consumed }) => {
-                    self.rx.drain(..consumed);
-                    sink(Inbound::Reject(
-                        UNKNOWN_REQUEST_ID,
-                        Response::Error {
-                            code: ErrorCode::Malformed,
-                            message: "frame CRC mismatch; payload discarded".into(),
-                        },
-                    ));
-                }
-                Err(_) => {
-                    sink(Inbound::Reject(
-                        UNKNOWN_REQUEST_ID,
-                        Response::Error {
-                            code: ErrorCode::Oversized,
-                            message: format!(
-                                "frame exceeds the {} byte payload ceiling",
-                                crate::frame::MAX_PAYLOAD
-                            ),
-                        },
-                    ));
-                    self.closing = true;
-                    break;
-                }
-            }
+        let before = inbox.len();
+        if !drain_frames(&mut self.rx, slot, inbox) {
+            self.closing = true;
         }
+        self.queued += inbox.len() - before;
         if outcome == ReadOutcome::Eof {
             self.closing = true;
         }

@@ -7,8 +7,8 @@
 //! **bitwise-identical** recommendation stream to calling the in-process
 //! [`banditware_serve::Engine`] with the same seed and schedule, because
 //! floats travel as raw IEEE-754 bits and the server feeds coalesced bursts
-//! to the same `recommend_batch`/`record_batch` entry points the in-process
-//! path uses.
+//! to the same `recommend_batch_frame`/`record_batch_frame` entry points
+//! the in-process path uses.
 //!
 //! ```text
 //!  client                    server (thread-per-conn or epoll reactor)
@@ -16,7 +16,7 @@
 //!  [len|payload|crc] ───────▶ accumulate → parse frames
 //!  [len|payload|crc] ───────▶ coalesce per (key, op) within the window
 //!                             (the reactor coalesces ACROSS connections)
-//!                             └─▶ Engine::recommend_batch / record_batch
+//!                             └─▶ Engine::recommend_batch_frame / record_batch_frame
 //!  ◀─────── [len|payload|crc] one write for the whole batch,
 //!                             responses matched by request ID
 //! ```
@@ -25,8 +25,10 @@
 //!   with the serve crate's WAL).
 //! * [`protocol`] — opcodes, request/response bodies, bounds-checked
 //!   decoding.
-//! * [`server`] — [`NetServer`]: acceptor + the shared batching core, in
-//!   either [`ServerMode`] (thread-per-connection or epoll reactor).
+//! * [`server`] — [`NetServer`]: the acceptor, in either [`ServerMode`]
+//!   (thread-per-connection or epoll reactor), over the batching core
+//!   both modes share (frame draining, the request arena and coalesced
+//!   execution).
 //! * [`client`] — [`NetClient`]: sync calls and explicit pipelining.
 //!
 //! `std::net` only — consistent with the workspace's zero-registry-deps
@@ -35,6 +37,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+pub(crate) mod batch;
 pub mod client;
 pub(crate) mod conn;
 pub mod error;

@@ -74,6 +74,28 @@ pub enum Request {
     Ping,
 }
 
+/// A request decoded in place: keys borrow the payload and a recommend's
+/// features stay as their raw little-endian bytes, so decoding copies and
+/// allocates nothing. [`decode_request`] is the owned form.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RequestRef<'a> {
+    /// See [`Request::Recommend`]; `features` holds `n × 8` bytes.
+    Recommend { key: &'a str, features: &'a [u8] },
+    /// See [`Request::Record`].
+    Record { key: &'a str, ticket: u64, runtime: f64 },
+    /// See [`Request::Checkpoint`].
+    Checkpoint { key: &'a str },
+    /// See [`Request::Ping`].
+    Ping,
+}
+
+/// The values of a recommend's raw feature bytes (see [`RequestRef`]).
+pub(crate) fn features(raw: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    raw.chunks_exact(8).map(|b| {
+        f64::from_bits(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+    })
+}
+
 /// A decoded server response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -152,19 +174,55 @@ pub fn encode_request(id: u64, req: &Request, out: &mut Vec<u8>) {
     }
 }
 
+/// Encode a recommend response from borrowed parts into `out` (cleared
+/// first): the server encodes straight from the engine's recommendation,
+/// with no owned name.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn encode_recommend(
+    id: u64,
+    ticket: u64,
+    arm: u32,
+    explored: bool,
+    predicted_runtime: f64,
+    resource_cost: f64,
+    name: &str,
+    out: &mut Vec<u8>,
+) {
+    out.clear();
+    out.push(RESP_RECOMMEND);
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&ticket.to_le_bytes());
+    out.extend_from_slice(&arm.to_le_bytes());
+    out.push(u8::from(explored));
+    out.extend_from_slice(&predicted_runtime.to_bits().to_le_bytes());
+    out.extend_from_slice(&resource_cost.to_bits().to_le_bytes());
+    put_str(name, out);
+}
+
+/// Encode an error response from borrowed parts into `out` (cleared first).
+pub(crate) fn encode_error(id: u64, code: ErrorCode, message: &str, out: &mut Vec<u8>) {
+    out.clear();
+    out.push(RESP_ERROR);
+    out.extend_from_slice(&id.to_le_bytes());
+    out.push(code as u8);
+    put_str(message, out);
+}
+
 /// Encode `(id, response)` into `out` (cleared first).
 pub fn encode_response(id: u64, resp: &Response, out: &mut Vec<u8>) {
     out.clear();
     match resp {
         Response::Recommend { ticket, arm, explored, predicted_runtime, resource_cost, name } => {
-            out.push(RESP_RECOMMEND);
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&ticket.to_le_bytes());
-            out.extend_from_slice(&arm.to_le_bytes());
-            out.push(u8::from(*explored));
-            out.extend_from_slice(&predicted_runtime.to_bits().to_le_bytes());
-            out.extend_from_slice(&resource_cost.to_bits().to_le_bytes());
-            put_str(name, out);
+            encode_recommend(
+                id,
+                *ticket,
+                *arm,
+                *explored,
+                *predicted_runtime,
+                *resource_cost,
+                name,
+                out,
+            );
         }
         Response::RecordOk => {
             out.push(RESP_RECORD);
@@ -180,12 +238,7 @@ pub fn encode_response(id: u64, resp: &Response, out: &mut Vec<u8>) {
             out.push(RESP_PONG);
             out.extend_from_slice(&id.to_le_bytes());
         }
-        Response::Error { code, message } => {
-            out.push(RESP_ERROR);
-            out.extend_from_slice(&id.to_le_bytes());
-            out.push(*code as u8);
-            put_str(message, out);
-        }
+        Response::Error { code, message } => encode_error(id, *code, message, out),
     }
 }
 
@@ -238,10 +291,10 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn str(&mut self) -> NetResult<String> {
+    fn str(&mut self) -> NetResult<&'a str> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| NetError::Protocol("string field is not UTF-8".into()))
     }
 
@@ -263,6 +316,24 @@ impl<'a> Cursor<'a> {
 /// [`NetError::Protocol`] on an unknown opcode, a truncated body, trailing
 /// garbage, or a non-UTF-8 key.
 pub fn decode_request(payload: &[u8]) -> NetResult<(u64, Request)> {
+    let (id, req) = decode_request_ref(payload)?;
+    let req = match req {
+        RequestRef::Recommend { key, features: raw } => {
+            Request::Recommend { key: key.to_owned(), features: features(raw).collect() }
+        }
+        RequestRef::Record { key, ticket, runtime } => {
+            Request::Record { key: key.to_owned(), ticket, runtime }
+        }
+        RequestRef::Checkpoint { key } => Request::Checkpoint { key: key.to_owned() },
+        RequestRef::Ping => Request::Ping,
+    };
+    Ok((id, req))
+}
+
+/// Decode a request payload into `(id, request)` in place (see
+/// [`RequestRef`]); accepts and rejects exactly what [`decode_request`]
+/// does, with the same error messages.
+pub(crate) fn decode_request_ref(payload: &[u8]) -> NetResult<(u64, RequestRef<'_>)> {
     let mut c = Cursor::new(payload);
     let op = c.u8()?;
     let id = c.u64()?;
@@ -270,20 +341,22 @@ pub fn decode_request(payload: &[u8]) -> NetResult<(u64, Request)> {
         REQ_RECOMMEND => {
             let key = c.str()?;
             let n = c.u16()? as usize;
-            let mut features = Vec::with_capacity(n);
+            let start = c.pos;
+            // One float at a time, so a truncated body reports the same
+            // offset the owned decoder always has.
             for _ in 0..n {
-                features.push(c.f64()?);
+                c.take(8)?;
             }
-            Request::Recommend { key, features }
+            RequestRef::Recommend { key, features: &payload[start..c.pos] }
         }
         REQ_RECORD => {
             let key = c.str()?;
             let ticket = c.u64()?;
             let runtime = c.f64()?;
-            Request::Record { key, ticket, runtime }
+            RequestRef::Record { key, ticket, runtime }
         }
-        REQ_CHECKPOINT => Request::Checkpoint { key: c.str()? },
-        REQ_PING => Request::Ping,
+        REQ_CHECKPOINT => RequestRef::Checkpoint { key: c.str()? },
+        REQ_PING => RequestRef::Ping,
         other => return Err(NetError::Protocol(format!("unknown request opcode {other:#04x}"))),
     };
     c.finish()?;
@@ -306,7 +379,7 @@ pub fn decode_response(payload: &[u8]) -> NetResult<(u64, Response)> {
             explored: c.u8()? != 0,
             predicted_runtime: c.f64()?,
             resource_cost: c.f64()?,
-            name: c.str()?,
+            name: c.str()?.to_owned(),
         },
         RESP_RECORD => Response::RecordOk,
         RESP_CHECKPOINT => {
@@ -317,7 +390,7 @@ pub fn decode_response(payload: &[u8]) -> NetResult<(u64, Response)> {
         RESP_ERROR => {
             let code = ErrorCode::from_u8(c.u8()?)
                 .ok_or_else(|| NetError::Protocol("unknown error code".into()))?;
-            Response::Error { code, message: c.str()? }
+            Response::Error { code, message: c.str()?.to_owned() }
         }
         other => return Err(NetError::Protocol(format!("unknown response opcode {other:#04x}"))),
     };

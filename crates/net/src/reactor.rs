@@ -24,8 +24,9 @@
 //! deliberately slow-loris ones dribbling single bytes — cost nothing
 //! between their own readiness events.
 
+use crate::batch::{execute_batch, BatchScratch, Inbox};
 use crate::conn::{Conn, ReadOutcome, TX_CAP, TX_RESUME};
-use crate::server::{execute_batch, BatchScratch, Inbound, POLL};
+use crate::server::POLL;
 use crate::sys_epoll::{
     Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -98,8 +99,8 @@ fn run(
     let mut free: Vec<usize> = Vec::new();
     let mut events = vec![EpollEvent::default(); 512];
     let mut chunk = vec![0u8; 64 * 1024];
-    let mut pending: Vec<(usize, Inbound)> = Vec::new();
-    let mut scratch = BatchScratch::new();
+    let mut inbox = Inbox::default();
+    let mut scratch = BatchScratch::default();
     // Slots needing a post-batch flush / interest refresh this wake.
     let mut touched: Vec<usize> = Vec::new();
     let mut adopted: Vec<TcpStream> = Vec::new();
@@ -174,7 +175,7 @@ fn run(
                     // deliver them to.
                     dead = ready & (EPOLLHUP | EPOLLERR) != 0;
                 } else {
-                    let outcome = conn.read_ready(&mut chunk, |inb| pending.push((slot, inb)));
+                    let outcome = conn.read_ready(&mut chunk, slot, &mut inbox);
                     dead = outcome == ReadOutcome::Dead;
                 }
             }
@@ -182,8 +183,7 @@ fn run(
                 dead = true;
             }
             if dead {
-                pending.retain(|(s, _)| *s != slot);
-                close(&ep, &mut conns, &mut free, live, slot);
+                close(&ep, &mut conns, &mut free, &mut inbox, live, slot);
             } else {
                 touched.push(slot);
             }
@@ -192,14 +192,17 @@ fn run(
         // Cross-connection batch: everything decoded this wake (plus
         // anything accumulated under a non-zero window) executes as one
         // coalesced set once the window expires.
-        if !pending.is_empty() {
+        if !inbox.is_empty() {
             let now = Instant::now();
             let open = *deadline.get_or_insert(now + window);
             if now >= open {
                 let conns_ref = &mut conns;
                 let touched_ref = &mut touched;
-                execute_batch(engine, &mut pending, &mut scratch, &mut |slot, bytes| {
+                // Every request gets exactly one response, so zeroing
+                // `queued` on each response leaves no stale count.
+                execute_batch(engine, &mut inbox, &mut scratch, &mut |slot, bytes| {
                     if let Some(conn) = conns_ref.get_mut(slot).and_then(Option::as_mut) {
+                        conn.queued = 0;
                         conn.queue(bytes);
                         touched_ref.push(slot);
                     }
@@ -215,8 +218,7 @@ fn run(
         for slot in touched.drain(..) {
             let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else { continue };
             if conn.pending_tx() > 0 && conn.flush().is_err() {
-                pending.retain(|(s, _)| *s != slot);
-                close(&ep, &mut conns, &mut free, live, slot);
+                close(&ep, &mut conns, &mut free, &mut inbox, live, slot);
                 continue;
             }
             conn.paused = if conn.paused {
@@ -228,9 +230,9 @@ fn run(
             // AND no decoded requests of its own still sit in the open
             // batch window — closing earlier would drop its completed
             // requests (the EOF contract serves them) and free the slot
-            // for reuse while `pending` still routes responses to it.
-            if conn.closing && conn.pending_tx() == 0 && !pending.iter().any(|(s, _)| *s == slot) {
-                close(&ep, &mut conns, &mut free, live, slot);
+            // for reuse while the inbox still routes responses to it.
+            if conn.closing && conn.pending_tx() == 0 && conn.queued == 0 {
+                close(&ep, &mut conns, &mut free, &mut inbox, live, slot);
                 continue;
             }
             let want = conn.desired_interest();
@@ -264,17 +266,23 @@ fn adopt(
     }
 }
 
-/// Retire a connection: deregister, drop (closing the socket), free the
-/// slot, release its seat under the accept ceiling.
+/// Retire a connection: deregister, drop (closing the socket), drop any
+/// requests of its own still waiting in the inbox (so none can answer the
+/// slot's next tenant), free the slot, release its seat under the accept
+/// ceiling.
 fn close(
     ep: &Epoll,
     conns: &mut [Option<Conn>],
     free: &mut Vec<usize>,
+    inbox: &mut Inbox,
     live: &AtomicUsize,
     slot: usize,
 ) {
     if let Some(conn) = conns[slot].take() {
         let _ = ep.delete(conn.raw_fd());
+        if conn.queued > 0 {
+            inbox.retain_slots(|s| s != slot);
+        }
         free.push(slot);
         live.fetch_sub(1, Ordering::AcqRel);
     }

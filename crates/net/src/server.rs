@@ -9,7 +9,8 @@
 //! connection count stops costing threads, and each reactor wake coalesces
 //! requests **across every ready connection**, so batch efficiency grows
 //! with concurrency instead of being capped per socket. Byte-level protocol
-//! behavior is identical in both modes; they share the batching core below.
+//! behavior is identical in both modes; they share one batching core
+//! (`crate::batch`).
 //!
 //! ## Batching at the socket boundary
 //!
@@ -41,13 +42,12 @@
 //!
 //! The handlers never panic on input bytes; every decode is bounds-checked.
 
+use crate::batch::{drain_frames, execute_batch, BatchScratch, Inbox};
 use crate::error::{ErrorCode, NetError, NetResult};
-use crate::frame::{encode_frame, parse_frame, FrameEvent};
-use crate::protocol::{decode_request, encode_response, Request, Response, UNKNOWN_REQUEST_ID};
+use crate::frame::encode_frame;
+use crate::protocol::{encode_response, Response, UNKNOWN_REQUEST_ID};
 use crate::reactor::{self, ReactorHandle};
-use banditware_core::{CoreError, FeatureFrame, Ticket};
 use banditware_serve::Engine;
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -325,41 +325,6 @@ fn reject_busy(mut stream: TcpStream) {
     }
 }
 
-/// One parsed inbound item, in arrival order.
-pub(crate) enum Inbound {
-    /// A decoded request, tagged with its wire request ID.
-    Request(u64, Request),
-    /// Already answered at parse time (CRC failure, undecodable payload).
-    Reject(u64, Response),
-}
-
-/// Requests grouped for batched execution, in creation order. Each entry in
-/// `ids` pairs the originating connection slot with the wire request ID, so
-/// responses route back across connections.
-enum Group {
-    Recommend { key: String, ids: Vec<(usize, u64)>, contexts: Vec<Vec<f64>> },
-    Record { key: String, ids: Vec<(usize, u64)>, outcomes: Vec<(Ticket, f64)> },
-    Checkpoint { slot: usize, id: u64, key: String },
-    Ping { slot: usize, id: u64 },
-    Reject { slot: usize, id: u64, resp: Response },
-}
-
-/// Reusable buffers for [`execute_batch`], so steady-state batching
-/// allocates nothing per wake.
-pub(crate) struct BatchScratch {
-    /// Columnar staging for recommend bursts: each coalesced burst is
-    /// transposed once here, outside the stripe lock.
-    burst: FeatureFrame,
-    payload: Vec<u8>,
-    frame: Vec<u8>,
-}
-
-impl BatchScratch {
-    pub(crate) fn new() -> BatchScratch {
-        BatchScratch { burst: FeatureFrame::new(), payload: Vec::new(), frame: Vec::new() }
-    }
-}
-
 fn handle_connection(
     engine: &Engine,
     stream: TcpStream,
@@ -371,10 +336,9 @@ fn handle_connection(
     stream.set_read_timeout(Some(POLL))?;
     let mut rx: Vec<u8> = Vec::with_capacity(16 * 1024);
     let mut tx: Vec<u8> = Vec::with_capacity(16 * 1024);
-    let mut payload_scratch: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 64 * 1024];
-    let mut pending: Vec<(usize, Inbound)> = Vec::new();
-    let mut scratch = BatchScratch::new();
+    let mut inbox = Inbox::default();
+    let mut scratch = BatchScratch::default();
     // `None` = no batch open; `Some(deadline)` = accumulate until then.
     let mut deadline: Option<Instant> = None;
 
@@ -395,8 +359,8 @@ fn handle_connection(
         let read = match stream.read(&mut chunk) {
             Ok(0) => {
                 // Peer closed. Serve what was already complete, then stop.
-                if !pending.is_empty() {
-                    process_batch(engine, &mut stream, &mut pending, &mut scratch, &mut tx)?;
+                if !inbox.is_empty() {
+                    process_batch(engine, &mut stream, &mut inbox, &mut scratch, &mut tx)?;
                 }
                 return Ok(());
             }
@@ -412,57 +376,14 @@ fn handle_connection(
         };
         rx.extend_from_slice(&chunk[..read]);
 
-        // Parse every complete frame currently buffered.
-        let mut fatal_oversize = false;
-        loop {
-            match parse_frame(&rx) {
-                Ok(FrameEvent::Incomplete) => break,
-                Ok(FrameEvent::Payload { start, end, consumed }) => {
-                    payload_scratch.clear();
-                    payload_scratch.extend_from_slice(&rx[start..end]);
-                    rx.drain(..consumed);
-                    pending.push((0, parse_payload(&payload_scratch)));
-                }
-                Ok(FrameEvent::CorruptPayload { consumed }) => {
-                    rx.drain(..consumed);
-                    pending.push((
-                        0,
-                        Inbound::Reject(
-                            UNKNOWN_REQUEST_ID,
-                            Response::Error {
-                                code: ErrorCode::Malformed,
-                                message: "frame CRC mismatch; payload discarded".into(),
-                            },
-                        ),
-                    ));
-                }
-                Err(_) => {
-                    // Length header past the ceiling: answer, then close —
-                    // the stream has no trustworthy next boundary.
-                    pending.push((
-                        0,
-                        Inbound::Reject(
-                            UNKNOWN_REQUEST_ID,
-                            Response::Error {
-                                code: ErrorCode::Oversized,
-                                message: format!(
-                                    "frame exceeds the {} byte payload ceiling",
-                                    crate::frame::MAX_PAYLOAD
-                                ),
-                            },
-                        ),
-                    ));
-                    fatal_oversize = true;
-                    break;
-                }
-            }
-        }
-
-        if fatal_oversize {
-            process_batch(engine, &mut stream, &mut pending, &mut scratch, &mut tx)?;
+        // Parse every complete frame currently buffered. An oversized
+        // length header leaves no trustworthy next boundary: answer, then
+        // close.
+        if !drain_frames(&mut rx, 0, &mut inbox) {
+            process_batch(engine, &mut stream, &mut inbox, &mut scratch, &mut tx)?;
             return Ok(());
         }
-        if pending.is_empty() {
+        if inbox.is_empty() {
             continue;
         }
         // Open the accumulation window at the first buffered request; flush
@@ -470,218 +391,23 @@ fn handle_connection(
         // one socket read delivered still coalesces).
         let open = *deadline.get_or_insert_with(|| Instant::now() + window);
         if Instant::now() >= open {
-            process_batch(engine, &mut stream, &mut pending, &mut scratch, &mut tx)?;
+            process_batch(engine, &mut stream, &mut inbox, &mut scratch, &mut tx)?;
             deadline = None;
         }
     }
 }
 
-/// Decode one CRC-clean payload, salvaging the request ID from the fixed
-/// header position on decode failure so the error response routes back to
-/// the right caller.
-pub(crate) fn parse_payload(payload: &[u8]) -> Inbound {
-    match decode_request(payload) {
-        Ok((id, req)) => Inbound::Request(id, req),
-        Err(e) => {
-            let id = if payload.len() >= 9 {
-                // lint: allow(no-panic) -- length >= 9 checked by the enclosing if
-                u64::from_le_bytes(payload[1..9].try_into().expect("9-byte header"))
-            } else {
-                UNKNOWN_REQUEST_ID
-            };
-            Inbound::Reject(
-                id,
-                Response::Error { code: ErrorCode::Malformed, message: e.to_string() },
-            )
-        }
-    }
-}
-
-/// The thread-per-connection wrapper over [`execute_batch`]: every inbound
-/// item carries slot 0, responses accumulate in `tx`, and the whole batch
-/// ships in one write syscall.
+/// The thread-per-connection wrapper over [`execute_batch`]: every request
+/// carries slot 0, responses accumulate in `tx`, and the whole batch ships
+/// in one write syscall.
 fn process_batch(
     engine: &Engine,
     stream: &mut TcpStream,
-    pending: &mut Vec<(usize, Inbound)>,
+    inbox: &mut Inbox,
     scratch: &mut BatchScratch,
     tx: &mut Vec<u8>,
 ) -> NetResult<()> {
     tx.clear();
-    execute_batch(engine, pending, scratch, &mut |_slot, bytes| tx.extend_from_slice(bytes));
+    execute_batch(engine, inbox, scratch, &mut |_slot, bytes| tx.extend_from_slice(bytes));
     stream.write_all(tx).map_err(NetError::Io)
-}
-
-/// The batching core shared by both serving modes: coalesce the pending
-/// requests — **across connections** — into per-(key, operation) groups,
-/// execute each group through the engine's columnar batch entry points, and
-/// hand every encoded response frame to `sink` tagged with the connection
-/// slot it belongs to.
-pub(crate) fn execute_batch(
-    engine: &Engine,
-    pending: &mut Vec<(usize, Inbound)>,
-    scratch: &mut BatchScratch,
-    sink: &mut dyn FnMut(usize, &[u8]),
-) {
-    let mut groups: Vec<Group> = Vec::new();
-    // Per key: the index of its most recent group. A same-key same-op
-    // request appends there (coalescing across interleaved other-key — and
-    // other-connection — traffic); a same-key *different*-op request starts
-    // a fresh group, so one key's recommend/record order is never
-    // reordered.
-    let mut last_group: HashMap<String, usize> = HashMap::new();
-    for (slot, inbound) in pending.drain(..) {
-        match inbound {
-            Inbound::Reject(id, resp) => groups.push(Group::Reject { slot, id, resp }),
-            Inbound::Request(id, Request::Ping) => groups.push(Group::Ping { slot, id }),
-            Inbound::Request(id, Request::Checkpoint { key }) => {
-                last_group.remove(&key);
-                groups.push(Group::Checkpoint { slot, id, key });
-            }
-            Inbound::Request(id, Request::Recommend { key, features }) => {
-                if let Some(&gi) = last_group.get(&key) {
-                    if let Group::Recommend { ids, contexts, .. } = &mut groups[gi] {
-                        ids.push((slot, id));
-                        contexts.push(features);
-                        continue;
-                    }
-                }
-                last_group.insert(key.clone(), groups.len());
-                groups.push(Group::Recommend {
-                    key,
-                    ids: vec![(slot, id)],
-                    contexts: vec![features],
-                });
-            }
-            Inbound::Request(id, Request::Record { key, ticket, runtime }) => {
-                if let Some(&gi) = last_group.get(&key) {
-                    if let Group::Record { ids, outcomes, .. } = &mut groups[gi] {
-                        ids.push((slot, id));
-                        outcomes.push((Ticket::from_id(ticket), runtime));
-                        continue;
-                    }
-                }
-                last_group.insert(key.clone(), groups.len());
-                groups.push(Group::Record {
-                    key,
-                    ids: vec![(slot, id)],
-                    outcomes: vec![(Ticket::from_id(ticket), runtime)],
-                });
-            }
-        }
-    }
-
-    let BatchScratch { burst, payload, frame } = scratch;
-    let mut push = |slot: usize, id: u64, resp: &Response, sink: &mut dyn FnMut(usize, &[u8])| {
-        encode_response(id, resp, payload);
-        frame.clear();
-        encode_frame(payload, frame);
-        sink(slot, frame);
-    };
-
-    for group in groups {
-        match group {
-            Group::Reject { slot, id, resp } => push(slot, id, &resp, sink),
-            Group::Ping { slot, id } => push(slot, id, &Response::Pong, sink),
-            Group::Checkpoint { slot, id, key } => {
-                let mut bytes = Vec::new();
-                match engine.save_shard_checkpoint(&key, &mut bytes) {
-                    Ok(()) => push(slot, id, &Response::Checkpoint { bytes }, sink),
-                    Err(e) => {
-                        let code = match &e {
-                            CoreError::InvalidParameter { .. } => ErrorCode::Unsupported,
-                            _ => ErrorCode::Engine,
-                        };
-                        push(slot, id, &Response::Error { code, message: e.to_string() }, sink);
-                    }
-                }
-            }
-            Group::Recommend { key, ids, contexts } => {
-                // Build the frame once per coalesced burst and drive the
-                // columnar engine path; a ragged burst (or any batch
-                // validation failure) falls through to the per-request
-                // retry below.
-                let batched = burst
-                    .fill_from_rows(&contexts)
-                    .and_then(|()| engine.recommend_batch_frame(&key, burst));
-                match batched {
-                    Ok(results) => {
-                        for ((slot, id), (ticket, rec)) in ids.iter().zip(results) {
-                            push(
-                                *slot,
-                                *id,
-                                &Response::Recommend {
-                                    ticket: ticket.id(),
-                                    arm: rec.arm as u32,
-                                    explored: rec.explored,
-                                    predicted_runtime: rec.predicted_runtime,
-                                    resource_cost: rec.resource_cost,
-                                    name: rec.name.to_string(),
-                                },
-                                sink,
-                            );
-                        }
-                    }
-                    Err(_) => {
-                        // Batch validation is atomic; retry individually so
-                        // each request gets its own verdict.
-                        for ((slot, id), x) in ids.iter().zip(&contexts) {
-                            match engine.recommend(&key, x) {
-                                Ok((ticket, rec)) => push(
-                                    *slot,
-                                    *id,
-                                    &Response::Recommend {
-                                        ticket: ticket.id(),
-                                        arm: rec.arm as u32,
-                                        explored: rec.explored,
-                                        predicted_runtime: rec.predicted_runtime,
-                                        resource_cost: rec.resource_cost,
-                                        name: rec.name.to_string(),
-                                    },
-                                    sink,
-                                ),
-                                Err(e) => push(
-                                    *slot,
-                                    *id,
-                                    &Response::Error {
-                                        code: ErrorCode::Engine,
-                                        message: e.to_string(),
-                                    },
-                                    sink,
-                                ),
-                            }
-                        }
-                    }
-                }
-            }
-            Group::Record { key, ids, outcomes } => {
-                // Columnar frame absorption for the coalesced burst (one
-                // WAL group commit, per-arm rank-k folds); bitwise
-                // identical to per-request recording.
-                match engine.record_batch_frame(&key, &outcomes) {
-                    Ok(()) => {
-                        for (slot, id) in ids {
-                            push(slot, id, &Response::RecordOk, sink);
-                        }
-                    }
-                    Err(_) => {
-                        for ((slot, id), (ticket, runtime)) in ids.iter().zip(&outcomes) {
-                            match engine.record(&key, *ticket, *runtime) {
-                                Ok(()) => push(*slot, *id, &Response::RecordOk, sink),
-                                Err(e) => push(
-                                    *slot,
-                                    *id,
-                                    &Response::Error {
-                                        code: ErrorCode::Engine,
-                                        message: e.to_string(),
-                                    },
-                                    sink,
-                                ),
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
 }

@@ -331,6 +331,43 @@ fn eof_during_open_batch_window_still_serves_and_never_misroutes() {
     assert_eq!(resp, Response::Pong);
 }
 
+/// A connection **reset** while a request of its own waits in an open
+/// batch window: the request is dropped, and the slot is reused only after
+/// that, so a connection adopted into it never receives the dead client's
+/// response.
+#[test]
+fn reset_during_open_batch_window_drops_its_requests_and_never_misroutes() {
+    let window = Duration::from_millis(300);
+    let addr = start_server(
+        ServerConfig::default()
+            .with_mode(ServerMode::Reactor)
+            .with_reactor_threads(1)
+            .with_batch_window(window),
+    );
+
+    // Client A leaves its pong unread, so closing the socket sends a reset.
+    let mut a = TcpStream::connect(addr).expect("connect a");
+    a.set_nodelay(true).expect("nodelay");
+    a.write_all(&request_frame(1, &Request::Ping)).expect("write a");
+    std::thread::sleep(window + Duration::from_millis(100));
+    // A new window opens on A's recommend; A resets inside it.
+    let recommend = Request::Recommend { key: "wf".into(), features: vec![1.0, 2.0] };
+    a.write_all(&request_frame(2, &recommend)).expect("write a");
+    std::thread::sleep(Duration::from_millis(50));
+    drop(a);
+    std::thread::sleep(Duration::from_millis(50));
+
+    // Were A's slot freed with its recommend still queued, the single
+    // reactor would adopt B into it and route that response here.
+    let mut b = TcpStream::connect(addr).expect("connect b");
+    b.set_nodelay(true).expect("nodelay");
+    b.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    b.write_all(&request_frame(42, &Request::Ping)).expect("write b");
+    let (got, resp) = read_response(&mut b);
+    assert_eq!(got, 42, "b receives only its own response, got {resp:?}");
+    assert_eq!(resp, Response::Pong);
+}
+
 /// Slow-loris: many connections dribbling one byte per write must not
 /// stall anyone else. Run against a **single** reactor thread — the
 /// hardest case, since that one event loop owns every connection — with a

@@ -150,12 +150,13 @@ impl Engine {
     pub fn with_shard_mut<R>(&self, key: &str, f: impl FnOnce(&mut Shard) -> R) -> Result<R> {
         // lint: allow(no-panic) -- poisoned only by a panicked writer; crash over corrupt state
         let mut map = self.stripe(key).write().expect("stripe lock poisoned");
-        if !map.contains_key(key) {
-            let shard = self.make_shard(key)?;
-            map.insert(key.to_string(), shard);
+        // One hash lookup on the hot path (the shard exists); a miss pays
+        // for the insert.
+        if let Some(shard) = map.get_mut(key) {
+            return Ok(f(shard));
         }
-        // lint: allow(no-panic) -- inserted on the branch above
-        Ok(f(map.get_mut(key).expect("just inserted")))
+        let shard = self.make_shard(key)?;
+        Ok(f(map.entry(key.to_string()).or_insert(shard)))
     }
 
     /// Run `f` against the key's shard under the stripe **read** lock.
