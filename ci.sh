@@ -87,8 +87,9 @@ cargo bench -p banditware-bench --bench bench_serve
 # thread-per-connection fan-out throughput at 8 connections and doubles it
 # at 256 — calibrated down to 1.2x on single-core hosts where the reactor
 # loops cannot run in parallel — a 1024-connection run is served to
-# completion, and the staged rank-64 Gram fold is no slower than
-# sequential pushes).
+# completion, and the rank-64 block absorption — `push_block`, the one
+# block record path: panel cholupdate plus tiled Gram fold — is no slower
+# than 64 sequential pushes).
 # While iterating on one group locally, `BENCH_ONLY=<comma-separated PR
 # numbers>` (e.g. `BENCH_ONLY=7,8`) restricts the binary to those groups;
 # CI leaves it unset so every gate runs.

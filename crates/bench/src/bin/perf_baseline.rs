@@ -41,13 +41,13 @@
 //! (every connection sends one request per wave, driven by a single bench
 //! thread so the numbers hold at 1024 connections on small hosts) through
 //! both server modes at N ∈ {1, 8, 64, 256, 1024} reactor /
-//! {8, 256} thread-per-connection, plus the staged rank-64 Gram fold
-//! (`push_block_staged`, row-major cholupdate sweep) against the strided
-//! fold and 64 sequential pushes — with the PR-9 acceptance gates: reactor
+//! {8, 256} thread-per-connection, plus the rank-64 block absorption
+//! (`push_block`: panel cholupdate and tiled Gram fold) against 64
+//! sequential pushes — with the PR-9 acceptance gates: reactor
 //! ≥ 1× thread-per-conn at 8 connections, ≥ 2× at 256 (calibrated down to
 //! ≥ 1.2× when the host has a single core and the reactor loops cannot run
 //! in parallel), the 1024-connection run served to completion, and the
-//! staged fold no slower than sequential pushes. `ci.sh` runs this on every pass so future PRs extend the
+//! block absorption no slower than sequential pushes. `ci.sh` runs this on every pass so future PRs extend the
 //! trajectory instead of re-asserting complexity claims.
 //!
 //! Usage: `cargo run --release -p banditware-bench --bin perf_baseline
@@ -259,7 +259,7 @@ fn bench_engine_record(batch: usize, frame_record: bool) -> f64 {
     median_ns_per_op(15, 30, move || run(&engine, &frame)) / batch as f64
 }
 
-/// The tentpole kernel pair: one rank-`k` columnar Gram fold
+/// The block kernel pair: one `k`-row block absorption
 /// ([`NormalEquations::push_block`]) vs `k` sequential
 /// [`NormalEquations::push`] calls, on a warmed accumulator with a live
 /// LDLᵀ factor (the serving configuration: every absorbed row also
@@ -290,37 +290,6 @@ fn bench_push(m: usize, k: usize, block: bool) -> f64 {
                 acc.push(row, y).unwrap();
             }
         }
-    })
-}
-
-/// The PR-9 staging variant of [`bench_push`]: the same warmed accumulator
-/// and live factor, but the block is absorbed through
-/// [`NormalEquations::push_block_staged`] with a row-major copy of the
-/// block alongside the feature-major one, so the per-row cholupdate sweep
-/// reads contiguous rows instead of stride-`k` gathers. Reported per
-/// *block*, like `bench_push`.
-fn bench_push_staged(m: usize, k: usize) -> f64 {
-    let mut rng = StdRng::seed_from_u64(54);
-    let mut acc = NormalEquations::new(m);
-    for _ in 0..200 {
-        let x = context(m, &mut rng);
-        acc.push(&x, rng.gen_range(1.0..100.0)).unwrap();
-    }
-    let mut scratch = SolveScratch::new();
-    let mut fit = LinearFit::zeros(m);
-    acc.solve_into(1e-3, &mut scratch, &mut fit).unwrap(); // factor goes live
-    let rows: Vec<Vec<f64>> = (0..k).map(|_| context(m, &mut rng)).collect();
-    let ys: Vec<f64> = (0..k).map(|_| rng.gen_range(1.0..100.0)).collect();
-    let mut xcols = vec![0.0; m * k];
-    let mut xrows = vec![0.0; m * k];
-    for (r, row) in rows.iter().enumerate() {
-        for (f, &v) in row.iter().enumerate() {
-            xcols[f * k + r] = v;
-            xrows[r * m + f] = v;
-        }
-    }
-    median_ns_per_op(15, 200, move || {
-        acc.push_block_staged(&xcols, &xrows, &ys).unwrap();
     })
 }
 
@@ -1018,8 +987,8 @@ fn main() {
     // --- PR 9: the epoll-reactor group — single-request-per-wave fan-out
     // rounds through both server modes (the shape where one epoll wake sees
     // every connection at once and cross-connection coalescing turns N tiny
-    // requests into one columnar burst), plus the staged rank-64 Gram fold
-    // (row-major cholupdate sweep vs the PR-8 stride-k gather). ---
+    // requests into one columnar burst), plus the rank-64 block absorption
+    // against 64 sequential pushes. ---
     use banditware_net::ServerMode;
     // The cross-mode gates compare two separate server processes, and both
     // numerator and denominator move under host steal — thread-per-conn
@@ -1081,13 +1050,9 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",\n")
     };
-    let push_block_staged_m64_k64 =
-        best_of_3(bench_push_staged(64, 64), &|| bench_push_staged(64, 64));
-    let push_block_strided_m64_k64 =
-        best_of_3(bench_push(64, 64, true), &|| bench_push(64, 64, true));
+    let push_block_m64_k64_pr9 = best_of_3(bench_push(64, 64, true), &|| bench_push(64, 64, true));
     let push_seq_m64_k64_pr9 = best_of_3(bench_push(64, 64, false), &|| bench_push(64, 64, false));
-    let staged_over_strided = push_block_strided_m64_k64 / push_block_staged_m64_k64;
-    let staged_block_speedup = push_seq_m64_k64_pr9 / push_block_staged_m64_k64;
+    let block_speedup = push_seq_m64_k64_pr9 / push_block_m64_k64_pr9;
 
     let json = format!(
         "{{\n  \"schema\": \"banditware-bench-v1\",\n  \"pr\": 9,\n  \"unit\": \"mixed\",\n  \
@@ -1097,11 +1062,9 @@ fn main() {
          \"reactor_over_thread_at_256_conns\": {reactor_over_thread_256:.2},\n  \
          \"conns_1024_served_to_completion\": true,\n  \
          \"kernels\": {{\n    \
-         \"push_block_staged_m64_k64\": {push_block_staged_m64_k64:.1},\n    \
-         \"push_block_strided_m64_k64\": {push_block_strided_m64_k64:.1},\n    \
+         \"push_block_m64_k64\": {push_block_m64_k64_pr9:.1},\n    \
          \"push_seq_m64_k64\": {push_seq_m64_k64_pr9:.1}\n  }},\n  \
-         \"staged_over_strided\": {staged_over_strided:.2},\n  \
-         \"staged_block_speedup\": {staged_block_speedup:.2}\n}}\n",
+         \"block_speedup\": {block_speedup:.2}\n}}\n",
         fmt_net(&reactor_points),
         fmt_net(&thread_points),
     );
@@ -1120,11 +1083,11 @@ fn main() {
          in parallel), got {reactor_over_thread_256:.2}x"
     );
     // "No slower" with the same 5% noise allowance as the PR-7 columnar
-    // gate; the committed snapshot records the achieved ≥ 1.0x flip.
+    // gate, on the one block path (panel cholupdate + tiled Gram fold).
     assert!(
-        staged_block_speedup >= 0.95,
-        "PR-9 acceptance: the staged rank-64 fold must be no slower than 64 sequential \
-         pushes, got {push_block_staged_m64_k64:.1} ns vs {push_seq_m64_k64_pr9:.1} ns \
-         ({staged_block_speedup:.2}x)"
+        block_speedup >= 0.95,
+        "PR-9 acceptance: the rank-64 block absorption (push_block) must be no slower than \
+         64 sequential pushes, got {push_block_m64_k64_pr9:.1} ns vs \
+         {push_seq_m64_k64_pr9:.1} ns ({block_speedup:.2}x)"
     );
 }

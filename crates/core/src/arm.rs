@@ -18,7 +18,7 @@ use crate::error::CoreError;
 use crate::snapshot::ArmState;
 use crate::Result;
 use banditware_linalg::lstsq::{fit_ols, fit_ridge, LinearFit};
-use banditware_linalg::online::{NormalEquations, SolveScratch};
+use banditware_linalg::online::{augmented_rows, NormalEquations, SolveScratch};
 use banditware_linalg::Matrix;
 
 /// A runtime estimator for one hardware arm.
@@ -73,9 +73,11 @@ pub trait ArmEstimator: Send + Sync + std::fmt::Debug {
     /// [`CoreError::FeatureDimMismatch`] / [`CoreError::InvalidRuntime`].
     fn update(&mut self, x: &[f64], runtime: f64) -> Result<()>;
 
-    /// Absorb a columnar block of `k = ys.len()` observations. `xcols` is
-    /// feature-major: feature `f` of the block occupies
-    /// `xcols[f·k .. (f+1)·k]`, one value per row in row order.
+    /// Absorb a block of `k = ys.len()` observations staged as augmented
+    /// rows: row `r` is `zrows[r·(nf+1) .. (r+1)·(nf+1)] = [1, x_r]`, the
+    /// layout [`NormalEquations::push_rows`] folds (the leading entry must
+    /// be exactly `1.0`). `panel` is caller-owned scratch for the block
+    /// kernels; a warm buffer keeps the call allocation-free.
     ///
     /// **Bitwise contract:** the resulting estimator state is identical —
     /// bit for bit — to `k` sequential [`ArmEstimator::update`] calls in
@@ -83,55 +85,44 @@ pub trait ArmEstimator: Send + Sync + std::fmt::Debug {
     /// error is returned (`absorbed` reports how many leading rows were
     /// fully taken, so callers can account for partial absorption).
     ///
-    /// The default gathers rows one at a time and delegates to `update`;
-    /// linear-family estimators override it with columnar kernels (a rank-k
-    /// Gram fold for [`RecursiveArm`], a single deferred refit for
-    /// [`LinearArm`]).
+    /// The default delegates row by row to `update`; linear-family
+    /// estimators override it (the panel cholupdate and tiled Gram fold
+    /// for [`RecursiveArm`], a single deferred refit for [`LinearArm`]).
+    ///
+    /// # Errors
+    /// [`CoreError::FeatureDimMismatch`] when `zrows.len()` is not
+    /// `(n_features + 1)·k`, plus everything `update` can return.
+    fn absorb_rows(
+        &mut self,
+        zrows: &[f64],
+        ys: &[f64],
+        _panel: &mut Vec<f64>,
+        absorbed: &mut usize,
+    ) -> Result<()> {
+        update_rows(self, zrows, ys, absorbed)
+    }
+
+    /// Feature-major adapter over [`ArmEstimator::absorb_rows`]: feature
+    /// `f` of the block occupies `xcols[f·k .. (f+1)·k]`, one value per
+    /// row in row order. The block is transposed into augmented rows
+    /// (allocating) and absorbed under the same contract.
     ///
     /// # Errors
     /// [`CoreError::FeatureDimMismatch`] when `xcols.len()` is not
-    /// `n_features·k`, plus everything `update` can return.
+    /// `n_features·k`, plus everything `absorb_rows` can return.
     fn absorb_block(&mut self, xcols: &[f64], ys: &[f64], absorbed: &mut usize) -> Result<()> {
         *absorbed = 0;
         let k = ys.len();
         let nf = self.n_features();
         if xcols.len() != nf * k {
             return Err(CoreError::FeatureDimMismatch {
-                got: if k == 0 { xcols.len() } else { xcols.len() / k },
+                got: xcols.len().checked_div(k).unwrap_or(xcols.len()),
                 expected: nf,
             });
         }
-        let mut row = vec![0.0; nf];
-        for (r, &y) in ys.iter().enumerate() {
-            for (f, dst) in row.iter_mut().enumerate() {
-                *dst = xcols[f * k + r];
-            }
-            self.update(&row, y)?;
-            *absorbed = r + 1;
-        }
-        Ok(())
-    }
-
-    /// [`ArmEstimator::absorb_block`] with an additional caller-staged
-    /// **row-major** copy of the same block (`xrows[r·nf .. (r+1)·nf]` is
-    /// row `r`). Estimators whose per-row kernels walk whole rows — the
-    /// recursive arm's cholupdate sweep — read the contiguous staging
-    /// instead of a stride-`k` gather; everything else ignores `xrows`.
-    /// Same values, same arithmetic: the bitwise contract of
-    /// `absorb_block` is unchanged.
-    ///
-    /// # Errors
-    /// As [`ArmEstimator::absorb_block`].
-    fn absorb_block_staged(
-        &mut self,
-        xcols: &[f64],
-        xrows: &[f64],
-        ys: &[f64],
-        absorbed: &mut usize,
-    ) -> Result<()> {
-        debug_assert_eq!(xrows.len(), xcols.len());
-        let _ = xrows;
-        self.absorb_block(xcols, ys, absorbed)
+        let mut zrows = Vec::new();
+        augmented_rows(xcols, k, &mut zrows);
+        self.absorb_rows(&zrows, ys, &mut Vec::new(), absorbed)
     }
 
     /// Current fitted coefficients.
@@ -147,6 +138,35 @@ fn validate(x: &[f64], n_features: usize, runtime: f64) -> Result<()> {
     }
     if !runtime.is_finite() || runtime <= 0.0 {
         return Err(CoreError::InvalidRuntime(runtime));
+    }
+    Ok(())
+}
+
+/// Shape check of an augmented row block: `(n_features + 1)·k` values.
+fn check_rows(zrows: &[f64], k: usize, n_features: usize) -> Result<()> {
+    if zrows.len() != (n_features + 1) * k {
+        return Err(CoreError::FeatureDimMismatch {
+            got: zrows.len().checked_div(k).map_or(zrows.len(), |w| w.saturating_sub(1)),
+            expected: n_features,
+        });
+    }
+    Ok(())
+}
+
+/// The reference semantics of [`ArmEstimator::absorb_rows`]: one `update`
+/// per row, in row order, counting the rows taken.
+fn update_rows<A: ArmEstimator + ?Sized>(
+    arm: &mut A,
+    zrows: &[f64],
+    ys: &[f64],
+    absorbed: &mut usize,
+) -> Result<()> {
+    *absorbed = 0;
+    let nf = arm.n_features();
+    check_rows(zrows, ys.len(), nf)?;
+    for (r, (z, &y)) in zrows.chunks_exact(nf + 1).zip(ys).enumerate() {
+        arm.update(&z[1..], y)?;
+        *absorbed = r + 1;
     }
     Ok(())
 }
@@ -229,7 +249,13 @@ impl ArmEstimator for LinearArm {
         Ok(())
     }
 
-    fn absorb_block(&mut self, xcols: &[f64], ys: &[f64], absorbed: &mut usize) -> Result<()> {
+    fn absorb_rows(
+        &mut self,
+        zrows: &[f64],
+        ys: &[f64],
+        _panel: &mut Vec<f64>,
+        absorbed: &mut usize,
+    ) -> Result<()> {
         // `fit_ols` is a pure function of the stored data, so the k−1
         // intermediate refits of the sequential path only ever overwrite
         // `current` — appending every valid row first and fitting once
@@ -237,25 +263,16 @@ impl ArmEstimator for LinearArm {
         // cost. Validation still runs per row in row order so a bad row
         // absorbs exactly the sequential prefix before erroring.
         *absorbed = 0;
-        let k = ys.len();
-        if xcols.len() != self.n_features * k {
-            return Err(CoreError::FeatureDimMismatch {
-                got: if k == 0 { xcols.len() } else { xcols.len() / k },
-                expected: self.n_features,
-            });
-        }
-        let mut row = vec![0.0; self.n_features];
+        check_rows(zrows, ys.len(), self.n_features)?;
         let mut failure = None;
-        for (r, &y) in ys.iter().enumerate() {
-            for (f, dst) in row.iter_mut().enumerate() {
-                *dst = xcols[f * k + r];
-            }
-            if let Err(e) = validate(&row, self.n_features, y) {
+        for (r, (z, &y)) in zrows.chunks_exact(self.n_features + 1).zip(ys).enumerate() {
+            let row = &z[1..];
+            if let Err(e) = validate(row, self.n_features, y) {
                 failure = Some(e);
                 break;
             }
             // lint: allow(no-panic) -- every row arity-checked before any push
-            self.design.push_row(&row).expect("validated arity");
+            self.design.push_row(row).expect("validated arity");
             self.ys.push(y);
             *absorbed = r + 1;
         }
@@ -366,11 +383,17 @@ impl ArmEstimator for RecursiveArm {
         Ok(())
     }
 
-    fn absorb_block(&mut self, xcols: &[f64], ys: &[f64], absorbed: &mut usize) -> Result<()> {
-        // The columnar fast path: one rank-k Gram fold + one refit. Bitwise
-        // equal to k sequential updates because (a) `push_block` pins the
-        // per-entry accumulation order and runs the identical per-row
-        // cholupdate sweep, and (b) the k−1 intermediate
+    fn absorb_rows(
+        &mut self,
+        zrows: &[f64],
+        ys: &[f64],
+        panel: &mut Vec<f64>,
+        absorbed: &mut usize,
+    ) -> Result<()> {
+        // The block fast path: panel cholupdates + tiled Gram fold + one
+        // refit. Bitwise equal to k sequential updates because (a)
+        // `push_rows` pins the per-entry accumulation order and the
+        // per-element factor operations, and (b) the k−1 intermediate
         // `solve_from_factor` calls the sequential path performs are pure
         // reads of the accumulator (they write only the scratch and
         // `current`, both fully overwritten by the final solve) — skipping
@@ -383,88 +406,24 @@ impl ArmEstimator for RecursiveArm {
         // sequential loop is the reference for which prefix lands before
         // the error.
         *absorbed = 0;
-        let k = ys.len();
         let nf = self.acc.n_features();
-        if xcols.len() != nf * k {
-            return Err(CoreError::FeatureDimMismatch {
-                got: if k == 0 { xcols.len() } else { xcols.len() / k },
-                expected: nf,
-            });
-        }
-        if k == 0 {
+        check_rows(zrows, ys.len(), nf)?;
+        if ys.is_empty() {
             return Ok(());
         }
         let fast =
             self.acc.factor_is_live(self.ridge) && ys.iter().all(|&y| y.is_finite() && y > 0.0);
         if !fast {
-            // Cold / invalid-input path (never the steady-state loop): row
-            // gathers through `update`, the reference semantics.
-            let mut row = vec![0.0; nf];
-            for (r, &y) in ys.iter().enumerate() {
-                for (f, dst) in row.iter_mut().enumerate() {
-                    *dst = xcols[f * k + r];
-                }
-                self.update(&row, y)?;
-                *absorbed = r + 1;
-            }
-            return Ok(());
+            return update_rows(self, zrows, ys, absorbed);
         }
-        let folded = self.acc.push_block(xcols, ys)?;
+        let folded = self.acc.push_rows(zrows, ys, panel)?;
         *absorbed = folded;
         self.acc.solve_into(self.ridge, &mut self.scratch, &mut self.current)?;
-        // A mid-block cholupdate failure (not reachable for rank-1 adds,
-        // but contractually handled): the solve above re-factorized exactly
-        // where the sequential path would have; finish the remainder row by
-        // row.
-        for r in folded..k {
-            let mut row = vec![0.0; nf];
-            for (f, dst) in row.iter_mut().enumerate() {
-                *dst = xcols[f * k + r];
-            }
-            self.update(&row, ys[r])?;
-            *absorbed = r + 1;
-        }
-        Ok(())
-    }
-
-    fn absorb_block_staged(
-        &mut self,
-        xcols: &[f64],
-        xrows: &[f64],
-        ys: &[f64],
-        absorbed: &mut usize,
-    ) -> Result<()> {
-        // Same structure as `absorb_block` above, but every per-row access
-        // — the cholupdate sweep inside `push_block_staged`, the cold
-        // path, the post-failure remainder — reads the contiguous row
-        // staging instead of gathering at stride k. Identical values in
-        // identical order, so the bitwise contract carries over.
-        *absorbed = 0;
-        let k = ys.len();
-        let nf = self.acc.n_features();
-        if xcols.len() != nf * k || xrows.len() != nf * k {
-            return Err(CoreError::FeatureDimMismatch {
-                got: if k == 0 { xcols.len() } else { xcols.len() / k },
-                expected: nf,
-            });
-        }
-        if k == 0 {
-            return Ok(());
-        }
-        let fast =
-            self.acc.factor_is_live(self.ridge) && ys.iter().all(|&y| y.is_finite() && y > 0.0);
-        if !fast {
-            for (r, &y) in ys.iter().enumerate() {
-                self.update(&xrows[r * nf..(r + 1) * nf], y)?;
-                *absorbed = r + 1;
-            }
-            return Ok(());
-        }
-        let folded = self.acc.push_block_staged(xcols, xrows, ys)?;
-        *absorbed = folded;
-        self.acc.solve_into(self.ridge, &mut self.scratch, &mut self.current)?;
-        for r in folded..k {
-            self.update(&xrows[r * nf..(r + 1) * nf], ys[r])?;
+        // A mid-block factor failure (a pivot driven to +inf): the solve
+        // above re-factorized exactly where the sequential path would have;
+        // finish the remainder row by row.
+        for (r, z) in zrows.chunks_exact(nf + 1).enumerate().skip(folded) {
+            self.update(&z[1..], ys[r])?;
             *absorbed = r + 1;
         }
         Ok(())
@@ -603,18 +562,14 @@ impl ArmEstimator for Box<dyn ArmEstimator> {
         self.as_mut().update(x, runtime)
     }
 
-    fn absorb_block(&mut self, xcols: &[f64], ys: &[f64], absorbed: &mut usize) -> Result<()> {
-        self.as_mut().absorb_block(xcols, ys, absorbed)
-    }
-
-    fn absorb_block_staged(
+    fn absorb_rows(
         &mut self,
-        xcols: &[f64],
-        xrows: &[f64],
+        zrows: &[f64],
         ys: &[f64],
+        panel: &mut Vec<f64>,
         absorbed: &mut usize,
     ) -> Result<()> {
-        self.as_mut().absorb_block_staged(xcols, xrows, ys, absorbed)
+        self.as_mut().absorb_rows(zrows, ys, panel, absorbed)
     }
 
     fn fit(&self) -> LinearFit {

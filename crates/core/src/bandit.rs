@@ -335,8 +335,11 @@ impl<P: Policy> BanditWare<P> {
     /// via [`BanditWare::record_ticket`].
     ///
     /// # Errors
-    /// Propagates policy validation (feature arity).
+    /// [`crate::CoreError::NonFiniteFeature`] for an `inf`/`NaN` feature
+    /// (nothing is selected and no ticket is issued); propagates policy
+    /// validation (feature arity).
     pub fn recommend_ticketed(&mut self, features: &[f64]) -> Result<(Ticket, Recommendation)> {
+        check_finite_row(features)?;
         let sel = self.policy.select(features)?;
         let rec = self.recommendation_for(sel.arm, sel.explored, features);
         let ticket = self.issue_ticket(sel.arm, features.to_vec(), sel.explored);
@@ -376,7 +379,9 @@ impl<P: Policy> BanditWare<P> {
     /// API on the same contexts.
     ///
     /// # Errors
-    /// Propagates policy validation; on error no tickets are issued.
+    /// [`crate::CoreError::NonFiniteFeature`] when any row holds an
+    /// `inf`/`NaN` feature; propagates policy validation. On error no
+    /// tickets are issued.
     pub fn recommend_batch_frame(
         &mut self,
         frame: &FeatureFrame,
@@ -385,6 +390,11 @@ impl<P: Policy> BanditWare<P> {
         // scratch buffer. The per-round work below is ticket bookkeeping
         // only (the remembered features and the recommendation's display
         // name are the two owned values the API hands out).
+        for f in 0..frame.n_features() {
+            if let Some((_, value)) = first_non_finite(frame.column(f)) {
+                return Err(CoreError::NonFiniteFeature { feature: f, value });
+            }
+        }
         let BanditWare { policy, batch_sels, .. } = self;
         policy.select_frame_into(frame, batch_sels)?;
         let mut out = Vec::with_capacity(self.batch_sels.len());
@@ -695,8 +705,10 @@ impl<P: Policy> BanditWare<P> {
     /// (the feature scaler) absorb the context they never selected on.
     ///
     /// # Errors
-    /// Propagates policy validation.
+    /// [`crate::CoreError::NonFiniteFeature`] for an `inf`/`NaN` feature
+    /// (nothing is absorbed); propagates policy validation.
     pub fn record_external(&mut self, arm: usize, features: &[f64], runtime: f64) -> Result<()> {
+        check_finite_row(features)?;
         self.policy.warm_start(arm, features, runtime)?;
         self.push_history(arm, features.to_vec(), runtime, false);
         Ok(())
@@ -705,7 +717,8 @@ impl<P: Policy> BanditWare<P> {
     /// Replay one logged observation — the WAL/checkpoint tail-replay path.
     /// Like [`BanditWare::record_external`] (the policy absorbs it through
     /// [`Policy::warm_start`]) but the original exploration flag survives
-    /// into the retained history.
+    /// into the retained history. It takes what the log holds without the
+    /// ingress finiteness check, so an existing log always recovers.
     ///
     /// # Errors
     /// Propagates policy validation.
@@ -765,6 +778,33 @@ impl<P: Policy> BanditWare<P> {
     }
 }
 
+/// Position and value of the first `inf`/`NaN` in `values`, if any. The
+/// all-finite pass keeps four lanes of `acc += v·0`, which stay 0 for
+/// finite values and turn NaN for good at the first `inf`/`NaN`: a
+/// branch-free loop that vectorizes (a whole-frame scan costs well under
+/// 1 ns per value). The position is searched only on failure.
+fn first_non_finite(values: &[f64]) -> Option<(usize, f64)> {
+    let mut lanes = [0.0f64; 4];
+    let mut blocks = values.chunks_exact(4);
+    for block in &mut blocks {
+        for (acc, v) in lanes.iter_mut().zip(block) {
+            *acc += v * 0.0;
+        }
+    }
+    if lanes.iter().chain(blocks.remainder()).all(|v| v.is_finite()) {
+        return None;
+    }
+    values.iter().copied().enumerate().find(|(_, v)| !v.is_finite())
+}
+
+/// The ingress check for one context (see [`CoreError::NonFiniteFeature`]).
+fn check_finite_row(features: &[f64]) -> Result<()> {
+    match first_non_finite(features) {
+        Some((feature, value)) => Err(CoreError::NonFiniteFeature { feature, value }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,6 +817,72 @@ mod tests {
         let policy =
             EpsilonGreedy::new(specs.clone(), 1, BanditConfig::paper().with_seed(1)).unwrap();
         BanditWare::new(policy, specs)
+    }
+
+    /// Non-finite features are refused where contexts enter. Before the
+    /// check, one `+inf` recorded into an arm made it predict NaN from then
+    /// on, and a NaN context surfaced as a misleading `NoArms`.
+    #[test]
+    fn non_finite_features_are_rejected_at_ingress() {
+        let mk = || {
+            let specs = vec![ArmSpec::new(0, "H0", 4.0), ArmSpec::new(1, "H1", 6.0)];
+            let config = BanditConfig::paper().with_epsilon0(0.3).with_seed(5);
+            BanditWare::new(EpsilonGreedy::new(specs.clone(), 3, config).unwrap(), specs)
+        };
+        let (mut bw, mut twin) = (mk(), mk());
+        for i in 0..8 {
+            let x = [i as f64 + 1.0, (i % 3) as f64, 0.5 * i as f64];
+            for b in [&mut bw, &mut twin] {
+                let (t, _) = b.recommend_ticketed(&x).unwrap();
+                b.record_ticket(t, 10.0 + x[0] + (t.id() % 2) as f64).unwrap();
+            }
+        }
+        let probe = [3.5, 1.0, -2.0];
+        let bits = |b: &BanditWare<EpsilonGreedy>| -> Vec<u64> {
+            (0..2).map(|a| b.policy().predict(a, &probe).unwrap().to_bits()).collect()
+        };
+        let (preds, next, rounds) = (bits(&bw), bw.next_ticket_id(), bw.rounds());
+        let rejected_at = |e: CoreError| match e {
+            CoreError::NonFiniteFeature { feature, .. } => Some(feature),
+            _ => None,
+        };
+
+        let inf = [1.0, f64::INFINITY, 2.0];
+        let nan = [1.0, 2.0, f64::NAN];
+        assert_eq!(rejected_at(bw.recommend_ticketed(&inf).unwrap_err()), Some(1));
+        assert_eq!(rejected_at(bw.recommend_ticketed(&nan).unwrap_err()), Some(2));
+        assert_eq!(rejected_at(bw.recommend(&nan).unwrap_err()), Some(2));
+        let burst = vec![vec![1.0, 2.0, 3.0], nan.to_vec(), vec![4.0, 5.0, 6.0]];
+        assert_eq!(rejected_at(bw.recommend_batch(&burst).unwrap_err()), Some(2));
+        let one_row = FeatureFrame::from_rows(&[inf.to_vec()]).unwrap();
+        assert_eq!(rejected_at(bw.recommend_batch_frame(&one_row).unwrap_err()), Some(1));
+        assert_eq!(rejected_at(bw.record_external(0, &inf, 5.0).unwrap_err()), Some(1));
+
+        // No ticket, no absorbed round, no model change, no RNG draw: the
+        // next round matches a twin that never saw the bad calls.
+        assert_eq!((bw.next_ticket_id(), bw.in_flight(), bw.rounds()), (next, 0, rounds));
+        assert_eq!(bits(&bw), preds);
+        let x = [2.0, 2.0, 2.0];
+        let (ta, ra) = bw.recommend(&x).map(|r| (bw.next_ticket_id(), r)).unwrap();
+        let (tb, rb) = twin.recommend(&x).map(|r| (twin.next_ticket_id(), r)).unwrap();
+        assert_eq!((ta, ra.arm, ra.explored), (tb, rb.arm, rb.explored));
+        assert_eq!(ra.predicted_runtime.to_bits(), rb.predicted_runtime.to_bits());
+    }
+
+    #[test]
+    fn first_non_finite_finds_every_position() {
+        for n in 0..11 {
+            let clean: Vec<f64> = (0..n).map(|i| i as f64 * 1e300 - 3.0).collect();
+            assert_eq!(first_non_finite(&clean), None);
+            for pos in 0..n {
+                for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                    let mut v = clean.clone();
+                    v[pos] = bad;
+                    let (at, value) = first_non_finite(&v).unwrap();
+                    assert_eq!((at, value.to_bits()), (pos, bad.to_bits()), "n={n}");
+                }
+            }
+        }
     }
 
     #[test]

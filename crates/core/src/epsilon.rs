@@ -70,18 +70,16 @@ pub struct DecayingEpsilonGreedy<A: ArmEstimator> {
     /// Lane accumulators for the columnar predict kernel.
     frame_scratch: PredictScratch,
     /// Record-path scratches for [`Policy::observe_frame`]'s per-arm
-    /// grouping (counting-sort offsets/cursors, row permutation, and the
-    /// gathered per-arm column block) — all reused, so batched absorption
+    /// grouping (counting-sort offsets/cursors, row permutation, the
+    /// per-arm block staged as augmented rows `[1, x]`, and the block
+    /// kernels' panel buffer) — all reused, so batched absorption
     /// allocates nothing once warm.
     group_offsets: Vec<usize>,
     group_cursor: Vec<usize>,
     group_rows: Vec<u32>,
-    block_cols: Vec<f64>,
-    /// Row-major staging of the same per-arm block: the cholupdate sweep
-    /// walks whole rows, so it reads these contiguously instead of
-    /// gathering `block_cols` at stride k.
     block_rows: Vec<f64>,
     block_ys: Vec<f64>,
+    block_panel: Vec<f64>,
 }
 
 /// The default instantiation (incremental arms).
@@ -143,9 +141,9 @@ impl<A: ArmEstimator> DecayingEpsilonGreedy<A> {
             group_offsets: Vec::new(),
             group_cursor: Vec::new(),
             group_rows: Vec::new(),
-            block_cols: Vec::new(),
             block_rows: Vec::new(),
             block_ys: Vec::new(),
+            block_panel: Vec::new(),
         })
     }
 
@@ -323,9 +321,9 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             group_offsets,
             group_cursor,
             group_rows,
-            block_cols,
             block_rows,
             block_ys,
+            block_panel,
             ..
         } = self;
         // Group rows by arm with a stable counting sort: per-arm row order
@@ -356,28 +354,22 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             if grp.is_empty() {
                 continue;
             }
-            // Gather this arm's rows into contiguous feature-major AND
-            // row-major blocks in one pass per feature column, streaming
-            // the frame's contiguous column storage. The Gram fold streams
-            // the columns; the cholupdate sweep reads unstrided rows from
-            // the staging — both layouts for one gather's worth of reads.
+            // Stage this arm's rows once, as augmented rows `[1, x]`,
+            // streaming the frame's contiguous column storage.
             let k = grp.len();
-            block_cols.clear();
-            block_cols.resize(nf * k, 0.0);
+            let dim = nf + 1;
             block_rows.clear();
-            block_rows.resize(nf * k, 0.0);
+            block_rows.resize(dim * k, 1.0);
             for f in 0..nf {
                 let col = frame.features().column(f);
-                for (i, &r) in grp.iter().enumerate() {
-                    let v = col[r as usize];
-                    block_cols[f * k + i] = v;
-                    block_rows[i * nf + f] = v;
+                for (dst, &r) in block_rows[f + 1..].iter_mut().step_by(dim).zip(grp) {
+                    *dst = col[r as usize];
                 }
             }
             block_ys.clear();
             block_ys.extend(grp.iter().map(|&r| frame.outcome(r as usize)));
             let mut sub = 0;
-            let res = arm.absorb_block_staged(block_cols, block_rows, block_ys, &mut sub);
+            let res = arm.absorb_rows(block_rows, block_ys, block_panel, &mut sub);
             for &r in &grp[..sub] {
                 absorbed[r as usize] = true;
             }

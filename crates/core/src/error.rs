@@ -31,6 +31,15 @@ pub enum CoreError {
     },
     /// An observed runtime was not a positive finite number.
     InvalidRuntime(f64),
+    /// A context feature was `inf` or `NaN`. Rejected where contexts enter
+    /// the recommender: absorbed into an arm's statistics, one non-finite
+    /// feature poisons every later prediction of that arm.
+    NonFiniteFeature {
+        /// Index of the offending feature.
+        feature: usize,
+        /// Its value.
+        value: f64,
+    },
     /// Numerical failure bubbling up from the linear-algebra layer.
     Linalg(LinalgError),
     /// An IO failure while saving or loading persistent state. Carries the
@@ -74,6 +83,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::InvalidRuntime(v) => {
                 write!(f, "observed runtime must be positive and finite, got {v}")
+            }
+            CoreError::NonFiniteFeature { feature, value } => {
+                write!(f, "context feature {feature} is {value}; features must be finite")
             }
             CoreError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
             CoreError::Io { op, kind, message } => {
@@ -127,6 +139,8 @@ mod tests {
         assert!(CoreError::NoArms.to_string().contains("at least one"));
         let e = CoreError::InvalidRuntime(-1.0);
         assert!(e.to_string().contains("-1"));
+        let e = CoreError::NonFiniteFeature { feature: 3, value: f64::INFINITY };
+        assert!(e.to_string().contains('3') && e.to_string().contains("inf"));
         let e = CoreError::Io {
             op: "save",
             kind: std::io::ErrorKind::WriteZero,

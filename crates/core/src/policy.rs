@@ -159,7 +159,7 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
     /// randomness). The default gathers each row and delegates to
     /// `observe`, flagging a strict prefix on failure; policies with
     /// columnar absorb kernels ([`crate::DecayingEpsilonGreedy`] groups
-    /// rows per arm into one [`crate::ArmEstimator::absorb_block`] each)
+    /// rows per arm into one [`crate::ArmEstimator::absorb_rows`] each)
     /// and transforming wrappers ([`crate::ScaledPolicy`] standardizes the
     /// whole frame in one columnar pass) override it. Overrides may absorb
     /// a non-prefix subset when a mid-batch failure interrupts per-arm

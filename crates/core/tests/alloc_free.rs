@@ -357,12 +357,12 @@ fn batched_select_path_is_allocation_free() {
     assert_eq!(n, 0, "scaled frame path allocated {n} times in 100 warm bursts");
 }
 
-/// The PR-8 columnar record pin: staging a burst into a reused
+/// The columnar record pin: staging a burst into a reused
 /// [`ObservationFrame`] and absorbing it through `observe_frame` — the
-/// per-arm counting sort, the feature-major block gather, the rank-k Gram
-/// fold (`push_block` + live-factor cholupdates), and the scaled wrapper's
-/// column transform — performs zero heap allocations once warm. The select
-/// path got this pin in PR 7; the record path never had one.
+/// per-arm counting sort, the augmented row staging, the block kernels
+/// (`push_rows`: panel cholupdates into the policy's warm panel scratch and
+/// the tiled Gram fold), and the scaled wrapper's column transform —
+/// performs zero heap allocations once warm.
 fn batched_record_path_is_allocation_free() {
     const M: usize = 16;
     const B: usize = 32;

@@ -454,6 +454,97 @@ impl UpdatableCholesky {
         Ok(())
     }
 
+    /// Four rank-1 updates `A ← A + Σ_q w_q w_qᵀ` in one column sweep — the
+    /// block record path's factor kernel. `rows` holds the four vectors
+    /// row-major (`w_q = rows[q·n .. (q+1)·n]`); `work` is caller-owned
+    /// scratch of at least `4·n` values and is overwritten.
+    ///
+    /// For each column the four pivots are taken in update order, then one
+    /// pass over the column's tail applies all four updates to each `Lᵀ`
+    /// element in turn. Every element receives exactly the operations of
+    /// four sequential [`UpdatableCholesky::update`] calls, in the same
+    /// order, so the factor is bitwise identical; `Lᵀ` is just loaded and
+    /// stored once per panel instead of four times.
+    ///
+    /// Returns how many leading updates were applied: 4, or the index of
+    /// the first update that the pivot floor rejects *in sequential order*
+    /// (after which the factor is invalid, as after a failed `update`).
+    /// Update `q` never reads what a later update writes, so when update
+    /// `q` fails the sweep carries on with updates `0..q` alone; a failure
+    /// among those further down lowers the count again.
+    ///
+    /// # Errors
+    /// [`LinalgError::ShapeMismatch`] if `rows.len() != 4·dim` or `work`
+    /// is shorter (the factor is untouched in that case).
+    pub(crate) fn update_panel(&mut self, rows: &[f64], work: &mut [f64]) -> Result<usize> {
+        let n = self.lt.rows();
+        if rows.len() != 4 * n || work.len() < 4 * n {
+            return Err(LinalgError::ShapeMismatch(format!(
+                "panel factor update: {} values (work {}) against 4 rows of a {n}x{n} factor",
+                rows.len(),
+                work.len()
+            )));
+        }
+        let work = &mut work[..4 * n];
+        work.copy_from_slice(rows);
+        let (w0, rest) = work.split_at_mut(n);
+        let (w1, rest) = rest.split_at_mut(n);
+        let (w2, w3) = rest.split_at_mut(n);
+        let mut a = [1.0f64; 4];
+        let mut live = 4;
+        for j in 0..n {
+            let p = [w0[j], w1[j], w2[j], w3[j]];
+            let mut b = [0.0f64; 4];
+            for q in 0..live {
+                let d_old = self.d[j];
+                let d_new = d_old + a[q] * p[q] * p[q];
+                if d_new <= d_old * 1e-13 {
+                    live = q;
+                    break;
+                }
+                let inv_new = 1.0 / d_new;
+                b[q] = p[q] * a[q] * inv_new;
+                a[q] *= d_old * inv_new;
+                self.d[j] = d_new;
+                self.dinv[j] = inv_new;
+            }
+            if live == 0 {
+                return Ok(0);
+            }
+            let row = &mut self.lt.row_mut(j)[j + 1..];
+            if live == 4 {
+                for ((((l, x0), x1), x2), x3) in row
+                    .iter_mut()
+                    .zip(&mut w0[j + 1..])
+                    .zip(&mut w1[j + 1..])
+                    .zip(&mut w2[j + 1..])
+                    .zip(&mut w3[j + 1..])
+                {
+                    let mut v = *l;
+                    *x0 -= p[0] * v;
+                    v += b[0] * *x0;
+                    *x1 -= p[1] * v;
+                    v += b[1] * *x1;
+                    *x2 -= p[2] * v;
+                    v += b[2] * *x2;
+                    *x3 -= p[3] * v;
+                    v += b[3] * *x3;
+                    *l = v;
+                }
+            } else {
+                // A failure left updates `0..live`: apply them one after
+                // another (per element still in update order).
+                for (q, w) in [&mut *w0, &mut *w1, &mut *w2].into_iter().enumerate().take(live) {
+                    for (l, x) in row.iter_mut().zip(&mut w[j + 1..]) {
+                        *x -= p[q] * *l;
+                        *l += b[q] * *x;
+                    }
+                }
+            }
+        }
+        Ok(live)
+    }
+
     /// Scale the represented matrix: `A ← γA`. In the root-free form only
     /// the diagonal moves (`D ← γD`), so this is exact and O(m) — the
     /// exponential-discount path costs less than one axpy.
@@ -745,5 +836,88 @@ mod tests {
         assert!(up.update(&[1.0]).is_err());
         assert!(up.downdate(&[1.0]).is_err());
         assert!(up.solve_in_place(&mut [1.0]).is_err());
+    }
+
+    /// A well-conditioned SPD factor of dimension `n` and four update rows.
+    fn panel_case(n: usize) -> (UpdatableCholesky, Vec<f64>) {
+        let a = Matrix::from_fn(n, n, |i, j| {
+            if i == j {
+                n as f64 + 1.0
+            } else {
+                1.0 / (1.0 + (i as f64 - j as f64).abs())
+            }
+        });
+        let rows = (0..4 * n).map(|t| ((t * 37 % 23) as f64 - 11.0) * 0.31).collect();
+        (UpdatableCholesky::decompose(&a).unwrap(), rows)
+    }
+
+    fn assert_factor_bits(a: &UpdatableCholesky, b: &UpdatableCholesky, what: &str) {
+        let (pa, pb) = (a.to_parts(), b.to_parts());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pa.lt), bits(&pb.lt), "{what}: Lᵀ diverged");
+        assert_eq!(bits(&pa.d), bits(&pb.d), "{what}: d diverged");
+        assert_eq!(bits(&pa.dinv), bits(&pb.dinv), "{what}: dinv diverged");
+    }
+
+    #[test]
+    fn update_panel_is_bitwise_four_sequential_updates() {
+        for n in (1..=9).chain([65]) {
+            let (mut panel, rows) = panel_case(n);
+            let mut seq = panel.clone();
+            let mut work = vec![7.0; 4 * n + 3]; // dirty, oversized scratch
+            for round in 0..3 {
+                assert_eq!(panel.update_panel(&rows, &mut work).unwrap(), 4);
+                for w in rows.chunks_exact(n) {
+                    seq.update(w).unwrap();
+                }
+                assert_factor_bits(&panel, &seq, &format!("n={n} round {round}"));
+            }
+        }
+        // Shape errors leave the factor untouched.
+        let (mut f, rows) = panel_case(3);
+        let before = f.to_parts();
+        assert!(f.update_panel(&rows[..8], &mut [0.0; 12]).is_err());
+        assert!(f.update_panel(&rows, &mut [0.0; 11]).is_err());
+        assert_eq!(f.to_parts(), before);
+    }
+
+    /// Index of the first of `rows` whose sequential `update` fails (4 if
+    /// none does).
+    fn first_sequential_failure(f: &mut UpdatableCholesky, rows: &[f64], n: usize) -> usize {
+        rows.chunks_exact(n).position(|w| f.update(w).is_err()).unwrap_or(4)
+    }
+
+    #[test]
+    fn update_panel_reports_the_first_failure_in_sequential_order() {
+        // A 1e200 entry turns its column's pivot into +inf; the next update
+        // then fails the pivot floor there.
+        for n in [1, 2, 5] {
+            for pos in 0..4 {
+                let (mut panel, mut rows) = panel_case(n);
+                rows[pos * n + n - 1] = 1e200;
+                let mut seq = panel.clone();
+                let want = first_sequential_failure(&mut seq, &rows, n);
+                assert_eq!(want, (pos + 1).min(4), "n={n} pos={pos}");
+                let got = panel.update_panel(&rows, &mut vec![0.0; 4 * n]).unwrap();
+                assert_eq!(got, want, "n={n} pos={pos}");
+                if want == 4 {
+                    assert_factor_bits(&panel, &seq, &format!("n={n} pos={pos}"));
+                }
+            }
+        }
+        // Detected out of order: update 2 fails first in the sweep (at
+        // column 1, after update 1 made that pivot +inf), but update 1
+        // fails later in the sweep (at column 3, made +inf by update 0), and
+        // that is the first failure in sequential order.
+        let n = 5;
+        let mut rows = vec![0.0; 4 * n];
+        rows[3] = 1e200;
+        rows[n + 1] = 1e200;
+        rows[2 * n] = 0.5;
+        rows[3 * n] = 0.25;
+        let id = UpdatableCholesky::decompose(&Matrix::identity(n)).unwrap();
+        let want = first_sequential_failure(&mut id.clone(), &rows, n);
+        assert_eq!(want, 1);
+        assert_eq!(id.clone().update_panel(&rows, &mut vec![0.0; 4 * n]).unwrap(), want);
     }
 }

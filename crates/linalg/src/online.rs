@@ -76,6 +76,120 @@ fn gram_rank_one(ztz: &mut Matrix, z: &[f64], sign: f64) {
     }
 }
 
+/// Blocks of fewer rows than this fold their Gram contribution row by row
+/// with [`gram_rank_one`]; longer blocks use [`gram_fold_tiled`]. Both are
+/// bitwise equal, so this is only a size rule. Measured per row (min of
+/// 150 interleaved trials, README "Block record path"): a tile pass loads
+/// and stores the whole upper triangle once per block, which one row cannot
+/// amortize — at k=1 the tiles lose at m=64 (≈790 vs ≈550 ns) and tie at
+/// m=7 — while from k=2 on they win at both widths (m=7: 12.7 vs 20.3 ns;
+/// m=64: ≈530 vs ≈550 ns, widening to 373 vs 546 ns at k=64).
+const TILE_MIN_ROWS: usize = 2;
+
+/// `ZᵀZ += BᵀB` over augmented rows `zrows` (row `r` is
+/// `zrows[r·n .. (r+1)·n]`), maintaining only the upper triangle, in 4×4
+/// register tiles: a tile's entries stay in registers while every row
+/// streams past, so the Gram matrix is loaded and stored once per block
+/// instead of once per row. Every entry accumulates its products `zᵢ·zⱼ` in
+/// row order — the sequence that one [`gram_rank_one`] per row applies (its
+/// `1.0·zᵢ` factor is bitwise `zᵢ`) — so the result is bit for bit the
+/// same.
+fn gram_fold_tiled(ztz: &mut Matrix, zrows: &[f64]) {
+    let n = ztz.rows();
+    let data = ztz.as_mut_slice();
+    let full = n - n % 4;
+    for i in (0..full).step_by(4) {
+        gram_tile::<true>(data, zrows, n, i, i);
+        for j in (i + 4..full).step_by(4) {
+            gram_tile::<false>(data, zrows, n, i, j);
+        }
+    }
+    // The last `n mod 4` columns, row by row (each entry still sums in row
+    // order).
+    if full < n {
+        for z in zrows.chunks_exact(n) {
+            for j in full..n {
+                let zj = z[j];
+                for (i, &zi) in z[..=j].iter().enumerate() {
+                    data[i * n + j] += zi * zj;
+                }
+            }
+        }
+    }
+}
+
+/// One 4×4 tile of [`gram_fold_tiled`] at Gram rows `i..i+4`, columns
+/// `j..j+4`; a diagonal tile (`DIAG`, `i == j`) keeps only its upper
+/// triangle.
+#[inline(always)]
+fn gram_tile<const DIAG: bool>(data: &mut [f64], zrows: &[f64], n: usize, i: usize, j: usize) {
+    let mut acc = [[0.0f64; 4]; 4];
+    for (a, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&data[(i + a) * n + j..(i + a) * n + j + 4]);
+    }
+    for z in zrows.chunks_exact(n) {
+        let (zi, zj) = (&z[i..i + 4], &z[j..j + 4]);
+        for (a, row) in acc.iter_mut().enumerate() {
+            for b in if DIAG { a } else { 0 }..4 {
+                row[b] += zi[a] * zj[b];
+            }
+        }
+    }
+    for (a, row) in acc.iter().enumerate() {
+        let lo = if DIAG { a } else { 0 };
+        data[(i + a) * n + j + lo..(i + a) * n + j + 4].copy_from_slice(&row[lo..]);
+    }
+}
+
+/// Apply `zrows` (augmented rows of width `dim`) to a live factor in row
+/// order: four at a time through [`UpdatableCholesky::update_panel`], the
+/// remainder through `update`. Returns the first row whose update failed
+/// (the factor is invalid from there), or `None`.
+fn factor_rows(
+    chol: &mut UpdatableCholesky,
+    zrows: &[f64],
+    dim: usize,
+    panel: &mut Vec<f64>,
+) -> Result<Option<usize>> {
+    let mut panels = zrows.chunks_exact(4 * dim);
+    if panels.len() > 0 && panel.len() < 4 * dim {
+        panel.resize(4 * dim, 0.0);
+    }
+    for (p, rows) in (&mut panels).enumerate() {
+        let done = chol.update_panel(rows, panel)?;
+        if done < 4 {
+            return Ok(Some(4 * p + done));
+        }
+    }
+    let base = (zrows.len() - panels.remainder().len()) / dim;
+    for (r, z) in panels.remainder().chunks_exact(dim).enumerate() {
+        if chol.update(z).is_err() {
+            return Ok(Some(base + r));
+        }
+    }
+    Ok(None)
+}
+
+/// Transpose a feature-major block — feature `f` of `k` rows at
+/// `xcols[f·k .. (f+1)·k]` — into the augmented rows `[1, x_r]` that
+/// [`NormalEquations::push_rows`] takes. `zrows` is cleared and refilled.
+pub fn augmented_rows(xcols: &[f64], k: usize, zrows: &mut Vec<f64>) {
+    zrows.clear();
+    if k == 0 {
+        return;
+    }
+    let dim = xcols.len() / k + 1;
+    zrows.resize(dim * k, 0.0);
+    for z in zrows.chunks_exact_mut(dim) {
+        z[0] = 1.0;
+    }
+    for (f, col) in xcols.chunks_exact(k).enumerate() {
+        for (z, &v) in zrows[f + 1..].iter_mut().step_by(dim).zip(col) {
+            *z = v;
+        }
+    }
+}
+
 /// The serialized form of a live incremental factor: the ridge it was
 /// built for, its exact `LDLᵀ` buffers, and the baked diagonal regularizer
 /// (see [`NormalEqState::factor`]).
@@ -277,39 +391,84 @@ impl NormalEquations {
         Ok(())
     }
 
-    /// Absorb a columnar block of `k` observations in one rank-k Gram fold:
-    /// `ZᵀZ += BᵀB` (upper triangle only), `Zᵀy += Bᵀy`, `Σy²`, and the
-    /// count, where `B` is the augmented `k × dim` design block. `xcols` is
-    /// **feature-major** (column-striding): feature `f` occupies
-    /// `xcols[f·k .. (f+1)·k]`, one value per row in row order — exactly the
-    /// layout a struct-of-arrays frame hands over without a transpose.
+    /// Absorb `k = ys.len()` observations staged as **augmented rows**:
+    /// `zrows[r·dim .. (r+1)·dim]` is `[1, x_r]` with `dim = n_features + 1`
+    /// (the leading intercept entry must be exactly `1.0`; see
+    /// [`augmented_rows`]). This is the one block entry point of the record
+    /// path.
     ///
-    /// **Bitwise contract:** for every Gram entry `(i, j)`, the moment
-    /// vector, and `Σy²`, rows are accumulated sequentially in row order
-    /// with the same per-row float ops `push` performs — so the resulting
-    /// statistics are bit-for-bit identical to `k` sequential
-    /// [`NormalEquations::push`] calls (same trick the `vector` block
-    /// kernels pin in `proptest_kernels.rs`). Vectorization happens *across*
-    /// four adjacent Gram columns (independent accumulators), never across
-    /// rows of one entry. The live LDLᵀ factor is refreshed by the same
-    /// per-row `cholupdate` sweep `push` runs — a fold-then-refactor variant
-    /// (invalidate the factor, one O(m³) re-factorization at the next solve)
-    /// was measured at m=64 (`BENCH_PR8.json`): one re-factorization ≈ 34 µs
-    /// vs ≈ 1.2 µs per cholupdate, so refactoring would win raw time for
-    /// k ≳ 28 — but its factor differs from the row path's in the low bits
-    /// (a fresh decomposition is not the same arithmetic as k incremental
-    /// rank-1 updates), which breaks the bitwise-identity contract, and at
-    /// serving burst sizes (k ≤ 64, usually far less) the cholupdate sweep
-    /// also wins every k < ~28 case. The per-row sweep stays.
+    /// **Bitwise contract:** the statistics and the live LDLᵀ factor end
+    /// bit for bit where `k` sequential [`NormalEquations::push`] calls
+    /// leave them. The factor takes the rows four at a time through
+    /// `UpdatableCholesky::update_panel` (the `k mod 4` remainder through
+    /// `update`); the Gram matrix folds in 4×4 register tiles whose entries
+    /// each accumulate in row order, and a one-row block folds with
+    /// `push`'s own kernel (the tiles cannot amortize a single row).
+    /// Refactorizing once per block instead was measured at m=64
+    /// (`BENCH_PR8.json`) and rejected: a fresh decomposition is not the
+    /// same arithmetic as `k` rank-1 updates, so its low bits differ.
+    ///
+    /// `panel` is caller-owned scratch for the panel kernel, grown to
+    /// `4·dim` values on use; a warm buffer (one can serve every
+    /// accumulator of a dimension) keeps the call allocation-free.
     ///
     /// Returns the number of rows fully absorbed. This is `k` unless a
-    /// cholupdate fails on some row `r` (not reachable for `+zzᵀ` with the
-    /// current pivot floor, but handled exactly like `push`): the factor is
-    /// invalidated, statistics for rows `0..=r` are folded (matching the
-    /// sequential path, where row `r`'s statistics land before its factor
-    /// update fails), and `r + 1` is returned — the caller re-solves (which
-    /// re-factorizes, exactly as the row path would at row `r`) and pushes
-    /// the remaining rows one at a time.
+    /// factor update fails on some row `r` — reachable: a feature near
+    /// 1e200 makes a pivot `+inf`, and the next row then hits the pivot
+    /// floor at that column. As on the sequential path, where row `r`'s
+    /// statistics land before its factor update fails, the factor is then
+    /// invalidated, statistics for rows `0..=r` are folded, and `r + 1` is
+    /// returned; the caller re-solves (re-factorizing exactly where the row
+    /// path would) and pushes the remaining rows one at a time.
+    ///
+    /// # Errors
+    /// [`LinalgError::ShapeMismatch`] if `zrows.len() != dim·k` (the
+    /// accumulator is untouched in that case).
+    pub fn push_rows(&mut self, zrows: &[f64], ys: &[f64], panel: &mut Vec<f64>) -> Result<usize> {
+        let k = ys.len();
+        let dim = self.dim;
+        if zrows.len() != dim * k {
+            return Err(LinalgError::ShapeMismatch(format!(
+                "push_rows: {} values for {k} augmented rows of width {dim}",
+                zrows.len()
+            )));
+        }
+        debug_assert!(zrows.chunks_exact(dim).all(|z| z[0] == 1.0), "rows must be [1, x]");
+        // Factor first, then statistics: the factor depends only on the
+        // rows and its own prior state, the statistics only on the rows and
+        // theirs, so the two per-row phases commute bit for bit.
+        let failed = match &mut self.factor {
+            Some(f) => factor_rows(&mut f.chol, zrows, dim, panel)?,
+            None => None,
+        };
+        let rows = match failed {
+            Some(r) => {
+                self.factor = None;
+                r + 1
+            }
+            None => k,
+        };
+        let (zrows, ys) = (&zrows[..rows * dim], &ys[..rows]);
+        if rows >= TILE_MIN_ROWS {
+            gram_fold_tiled(&mut self.ztz, zrows);
+        } else {
+            for z in zrows.chunks_exact(dim) {
+                gram_rank_one(&mut self.ztz, z, 1.0);
+            }
+        }
+        for (z, &y) in zrows.chunks_exact(dim).zip(ys) {
+            vector::axpy(y, z, &mut self.zty);
+            self.yty += y * y;
+        }
+        self.n += rows;
+        Ok(rows)
+    }
+
+    /// Feature-major adapter over [`NormalEquations::push_rows`]: feature
+    /// `f` of the `k`-row block occupies `xcols[f·k .. (f+1)·k]`, one value
+    /// per row in row order. The block is transposed into augmented rows
+    /// (allocating — the serving path stages rows itself) and absorbed
+    /// with the same bitwise contract and return value.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] if `xcols.len() != n_features·k`
@@ -319,197 +478,13 @@ impl NormalEquations {
         let nf = self.dim - 1;
         if xcols.len() != nf * k {
             return Err(LinalgError::ShapeMismatch(format!(
-                "push_block: {} column values for {} rows of {} features",
-                xcols.len(),
-                k,
-                nf
+                "push_block: {} column values for {k} rows of {nf} features",
+                xcols.len()
             )));
         }
-        if k == 0 {
-            return Ok(0);
-        }
-        // Phase 1 — factor maintenance, per row (see the bitwise contract
-        // above). Runs before the statistics fold, which is safe: the factor
-        // state depends only on the row vectors and prior factor state, the
-        // statistics only on the rows and prior statistics, so the two
-        // interleaved-per-row phases commute bit-for-bit.
-        let mut rows = k;
-        if self.factor.is_some() {
-            for r in 0..k {
-                self.aug[0] = 1.0;
-                for (f, dst) in self.aug[1..].iter_mut().enumerate() {
-                    *dst = xcols[f * k + r];
-                }
-                // lint: allow(no-panic) -- factor live until a failed update breaks the loop
-                let fac = self.factor.as_mut().expect("live until a failed update breaks");
-                if fac.chol.update(&self.aug).is_err() {
-                    self.factor = None;
-                    rows = r + 1;
-                    break;
-                }
-            }
-        }
-        // Phase 2 — fold statistics for rows 0..rows.
-        self.fold_stats_block(xcols, ys, k, rows);
-        Ok(rows)
-    }
-
-    /// [`NormalEquations::push_block`] with a caller-staged **row-major**
-    /// copy of the same block: `xrows[r·nf .. (r+1)·nf]` is row `r`. The
-    /// Gram fold still streams the feature-major `xcols` (its kernels are
-    /// column-striped), but the per-row cholupdate sweep — which touches
-    /// every feature of one row at a time — fills its augmented row with a
-    /// single contiguous `copy_from_slice` instead of a stride-`k` gather.
-    /// Same values, same arithmetic, same order: the result is bit-for-bit
-    /// identical to [`NormalEquations::push_block`]; only the memory access
-    /// pattern of the factor sweep changes.
-    ///
-    /// # Errors
-    /// [`LinalgError::ShapeMismatch`] if either layout's length is not
-    /// `n_features·k` (the accumulator is untouched in that case).
-    pub fn push_block_staged(&mut self, xcols: &[f64], xrows: &[f64], ys: &[f64]) -> Result<usize> {
-        let k = ys.len();
-        let nf = self.dim - 1;
-        if xcols.len() != nf * k || xrows.len() != nf * k {
-            return Err(LinalgError::ShapeMismatch(format!(
-                "push_block_staged: {} column / {} row values for {} rows of {} features",
-                xcols.len(),
-                xrows.len(),
-                k,
-                nf
-            )));
-        }
-        if k == 0 {
-            return Ok(0);
-        }
-        // Phase 1 — factor maintenance, per row, reading unstrided rows.
-        let mut rows = k;
-        if self.factor.is_some() {
-            for r in 0..k {
-                self.aug[0] = 1.0;
-                self.aug[1..].copy_from_slice(&xrows[r * nf..(r + 1) * nf]);
-                // lint: allow(no-panic) -- factor live until a failed update breaks the loop
-                let fac = self.factor.as_mut().expect("live until a failed update breaks");
-                if fac.chol.update(&self.aug).is_err() {
-                    self.factor = None;
-                    rows = r + 1;
-                    break;
-                }
-            }
-        }
-        // Phase 2 — fold statistics for rows 0..rows.
-        self.fold_stats_block(xcols, ys, k, rows);
-        Ok(rows)
-    }
-
-    /// The statistics half of [`NormalEquations::push_block`]: fold the
-    /// first `rows` of a `k`-row feature-major block into `ZᵀZ` (upper
-    /// triangle), `Zᵀy`, `Σy²`, and the count, preserving `push`'s per-entry
-    /// accumulation order bit for bit.
-    fn fold_stats_block(&mut self, xcols: &[f64], ys: &[f64], k: usize, rows: usize) {
-        let dim = self.dim;
-        let data = self.ztz.as_mut_slice();
-        // Gram row 0 — the implicit all-ones intercept column z₀ ≡ 1.
-        // Entry (0,0) takes one `+= 1.0·1.0` per row; entry (0,j) takes
-        // `+= 1.0·zⱼ`, and `1.0·x` is bitwise `x` under IEEE-754, so the
-        // fold adds the column values directly.
-        {
-            let row0 = &mut data[..dim];
-            let mut d = row0[0];
-            for _ in 0..rows {
-                d += 1.0;
-            }
-            row0[0] = d;
-            let mut j = 1;
-            while j + 4 <= dim {
-                let c0 = &xcols[(j - 1) * k..(j - 1) * k + rows];
-                let c1 = &xcols[j * k..j * k + rows];
-                let c2 = &xcols[(j + 1) * k..(j + 1) * k + rows];
-                let c3 = &xcols[(j + 2) * k..(j + 2) * k + rows];
-                let (mut a0, mut a1, mut a2, mut a3) =
-                    (row0[j], row0[j + 1], row0[j + 2], row0[j + 3]);
-                for r in 0..rows {
-                    a0 += c0[r];
-                    a1 += c1[r];
-                    a2 += c2[r];
-                    a3 += c3[r];
-                }
-                row0[j] = a0;
-                row0[j + 1] = a1;
-                row0[j + 2] = a2;
-                row0[j + 3] = a3;
-                j += 4;
-            }
-            while j < dim {
-                let c = &xcols[(j - 1) * k..(j - 1) * k + rows];
-                let mut a = row0[j];
-                for r in 0..rows {
-                    a += c[r];
-                }
-                row0[j] = a;
-                j += 1;
-            }
-        }
-        // Gram rows i ≥ 1: entry (i, j) accumulates `zᵢ·zⱼ` over rows in
-        // row order, vectorized across four adjacent j entries (independent
-        // accumulators — each entry's own sum stays strictly sequential).
-        for i in 1..dim {
-            let zi = &xcols[(i - 1) * k..(i - 1) * k + rows];
-            let row = &mut data[i * dim..(i + 1) * dim];
-            let mut j = i;
-            while j + 4 <= dim {
-                let c0 = &xcols[(j - 1) * k..(j - 1) * k + rows];
-                let c1 = &xcols[j * k..j * k + rows];
-                let c2 = &xcols[(j + 1) * k..(j + 1) * k + rows];
-                let c3 = &xcols[(j + 2) * k..(j + 2) * k + rows];
-                let (mut a0, mut a1, mut a2, mut a3) = (row[j], row[j + 1], row[j + 2], row[j + 3]);
-                for r in 0..rows {
-                    let z = zi[r];
-                    a0 += z * c0[r];
-                    a1 += z * c1[r];
-                    a2 += z * c2[r];
-                    a3 += z * c3[r];
-                }
-                row[j] = a0;
-                row[j + 1] = a1;
-                row[j + 2] = a2;
-                row[j + 3] = a3;
-                j += 4;
-            }
-            while j < dim {
-                let c = &xcols[(j - 1) * k..(j - 1) * k + rows];
-                let mut a = row[j];
-                for r in 0..rows {
-                    a += zi[r] * c[r];
-                }
-                row[j] = a;
-                j += 1;
-            }
-        }
-        // Moment vector: `push` runs `axpy(y, z, zty)`, i.e. `zty[i] += y·zᵢ`
-        // per row — same operand order here. Entry 0 sees `y·1.0`, bitwise
-        // `y`.
-        {
-            let mut d = self.zty[0];
-            for r in 0..rows {
-                d += ys[r];
-            }
-            self.zty[0] = d;
-        }
-        for i in 1..dim {
-            let zi = &xcols[(i - 1) * k..(i - 1) * k + rows];
-            let mut a = self.zty[i];
-            for r in 0..rows {
-                a += ys[r] * zi[r];
-            }
-            self.zty[i] = a;
-        }
-        let mut yy = self.yty;
-        for r in 0..rows {
-            yy += ys[r] * ys[r];
-        }
-        self.yty = yy;
-        self.n += rows;
+        let mut zrows = Vec::new();
+        augmented_rows(xcols, k, &mut zrows);
+        self.push_rows(&zrows, ys, &mut Vec::new())
     }
 
     /// Remove one previously absorbed `(x, y)` observation — the
@@ -1175,44 +1150,38 @@ mod tests {
     }
 
     #[test]
-    fn push_block_staged_bitwise_matches_push_block() {
+    fn push_rows_bitwise_matches_push_block() {
         let data = sample_data();
         let nf = 2;
         let (cols, ys) = to_cols(&data, nf);
-        let mut rows = vec![0.0; nf * data.len()];
-        for (r, (x, _)) in data.iter().enumerate() {
-            rows[r * nf..(r + 1) * nf].copy_from_slice(x);
+        let mut zrows = vec![9.0; 3]; // stale contents are replaced
+        augmented_rows(&cols, ys.len(), &mut zrows);
+        for (z, (x, _)) in zrows.chunks_exact(nf + 1).zip(&data) {
+            assert_eq!(z[0], 1.0);
+            assert_eq!(&z[1..], x.as_slice());
         }
 
-        // Cold, then warm with a live factor — the staged sweep must leave
-        // both statistics and factor bitwise where the strided sweep does.
-        let mut strided = NormalEquations::new(nf);
-        let mut staged = NormalEquations::new(nf);
-        assert_eq!(strided.push_block(&cols, &ys).unwrap(), data.len());
-        assert_eq!(staged.push_block_staged(&cols, &rows, &ys).unwrap(), data.len());
-        assert_eq!(strided.to_state(), staged.to_state());
-
+        // Cold, then warm with a live factor; the panel scratch is shared
+        // and arrives oversized and dirty.
+        let mut cols_path = NormalEquations::new(nf);
+        let mut rows_path = NormalEquations::new(nf);
+        let mut panel = vec![-5.0; 64];
+        assert_eq!(cols_path.push_block(&cols, &ys).unwrap(), data.len());
+        assert_eq!(rows_path.push_rows(&zrows, &ys, &mut panel).unwrap(), data.len());
+        assert_eq!(cols_path.to_state(), rows_path.to_state());
         let mut scratch = SolveScratch::new();
-        let mut out_a = LinearFit::zeros(nf);
-        let mut out_b = LinearFit::zeros(nf);
-        strided.solve_into(0.25, &mut scratch, &mut out_a).unwrap();
-        staged.solve_into(0.25, &mut scratch, &mut out_b).unwrap();
-        assert!(staged.factor_is_live(0.25));
-        assert_eq!(strided.push_block(&cols, &ys).unwrap(), data.len());
-        assert_eq!(staged.push_block_staged(&cols, &rows, &ys).unwrap(), data.len());
-        assert_eq!(strided.to_state(), staged.to_state());
-        // The factor-backed solve is the factor's observable output.
-        strided.solve_into(0.25, &mut scratch, &mut out_a).unwrap();
-        staged.solve_into(0.25, &mut scratch, &mut out_b).unwrap();
-        for (a, b) in out_a.weights.iter().zip(&out_b.weights) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(out_a.intercept.to_bits(), out_b.intercept.to_bits());
+        let mut out = LinearFit::zeros(nf);
+        cols_path.solve_into(0.25, &mut scratch, &mut out).unwrap();
+        rows_path.solve_into(0.25, &mut scratch, &mut out).unwrap();
+        assert_eq!(cols_path.push_block(&cols, &ys).unwrap(), data.len());
+        assert_eq!(rows_path.push_rows(&zrows, &ys, &mut panel).unwrap(), data.len());
+        assert!(rows_path.factor_is_live(0.25));
+        assert_eq!(cols_path.to_state(), rows_path.to_state());
 
-        // Mismatched row staging is rejected untouched.
-        let before = staged.to_state();
-        assert!(staged.push_block_staged(&cols, &rows[..3], &ys).is_err());
-        assert_eq!(staged.to_state(), before);
+        // A row staging of the wrong width is rejected untouched.
+        let before = rows_path.to_state();
+        assert!(rows_path.push_rows(&zrows[1..], &ys, &mut panel).is_err());
+        assert_eq!(rows_path.to_state(), before);
     }
 
     #[test]

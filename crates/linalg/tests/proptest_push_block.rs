@@ -1,14 +1,17 @@
-//! Bitwise pin for the rank-k Gram fold.
+//! Bitwise pin for the block record path.
 //!
-//! [`NormalEquations::push_block`] promises that folding a k-row columnar
-//! block is bit-for-bit identical to k sequential
-//! [`NormalEquations::push`] calls — Gram matrix (upper triangle), moment
-//! vector, `Σy²`, count, *and* the live LDLᵀ factor. These tests drive both
-//! paths over random blocks (cold and warm accumulators, every width 0..=9
-//! and block size 0..=16) and compare the exported state with `to_bits`
-//! equality, the same contract `proptest_kernels.rs` pins for the vector
-//! block kernels.
+//! [`NormalEquations::push_rows`] (and its feature-major adapter
+//! [`NormalEquations::push_block`]) promises that folding a k-row block is
+//! bit-for-bit identical to k sequential [`NormalEquations::push`] calls —
+//! Gram matrix (upper triangle), moment vector, `Σy²`, count, *and* the
+//! live LDLᵀ factor. These tests drive both paths over random blocks (cold
+//! and warm accumulators, every width 0..=9 and block size 0..=16), over
+//! the serving width m=64 with block sizes that cross the 4-row panel and
+//! tile edges, and through the factor-failure path, comparing the exported
+//! state with `to_bits` equality — the same contract `proptest_kernels.rs`
+//! pins for the vector block kernels.
 
+use banditware_linalg::online::augmented_rows;
 use banditware_linalg::{NormalEqState, NormalEquations, SolveScratch};
 use proptest::prelude::*;
 
@@ -156,5 +159,106 @@ fn push_block_bitwise_all_shapes_0_to_9_by_0_to_16() {
             }
             assert_state_bitwise(&blk.to_state(), &seq.to_state());
         }
+    }
+}
+
+/// Deterministic feature-major block of `k` rows of `nf` features.
+fn fixed_block(nf: usize, k: usize) -> (Vec<f64>, Vec<f64>) {
+    let xcols = (0..nf * k).map(|i| ((i * 53 % 97) as f64) * 0.071 - 3.3).collect();
+    let ys = (0..k).map(|r| 0.5 + (r % 13) as f64 * 1.37).collect();
+    (xcols, ys)
+}
+
+/// Give every accumulator the same `n` rows and a solve, so a live factor
+/// for `lambda` exists.
+fn prime(accs: &mut [&mut NormalEquations], nf: usize, n: usize, lambda: f64) {
+    let (xcols, ys) = fixed_block(nf, n);
+    let mut row = vec![0.0; nf];
+    let mut scratch = SolveScratch::new();
+    for acc in accs.iter_mut() {
+        for r in 0..n {
+            for f in 0..nf {
+                row[f] = xcols[f * n + n - 1 - r];
+            }
+            acc.push(&row, ys[r] + 1.0).unwrap();
+        }
+        acc.solve_with(lambda, &mut scratch).unwrap();
+        assert!(acc.factor_is_live(lambda));
+    }
+}
+
+/// The serving width: m=64 (augmented dimension 65, so one ragged Gram
+/// column) with block sizes crossing the panel and tile edges, cold and
+/// warm, through both the feature-major adapter and the row path with a
+/// reused panel scratch.
+#[test]
+fn push_rows_bitwise_at_m64_across_panel_and_tile_edges() {
+    let nf = 64;
+    let mut panel = Vec::new();
+    let mut zrows = Vec::new();
+    for warm in [false, true] {
+        for k in [1usize, 3, 4, 5, 16, 64, 67] {
+            let (xcols, ys) = fixed_block(nf, k);
+            let mut blk = NormalEquations::new(nf);
+            let mut rows = NormalEquations::new(nf);
+            let mut seq = NormalEquations::new(nf);
+            if warm {
+                prime(&mut [&mut blk, &mut rows, &mut seq], nf, 80, 0.5);
+            }
+            absorb_block(&mut blk, nf, &xcols, &ys);
+            augmented_rows(&xcols, k, &mut zrows);
+            assert_eq!(rows.push_rows(&zrows, &ys, &mut panel).unwrap(), k);
+            let mut row = vec![0.0; nf];
+            for r in 0..k {
+                for f in 0..nf {
+                    row[f] = xcols[f * k + r];
+                }
+                seq.push(&row, ys[r]).unwrap();
+            }
+            assert_state_bitwise(&blk.to_state(), &seq.to_state());
+            assert_state_bitwise(&rows.to_state(), &seq.to_state());
+            assert_eq!(rows.factor_is_live(0.5), warm, "k={k}");
+        }
+    }
+}
+
+/// A feature of 1e200 makes its pivot `+inf`, and the next row's factor
+/// update then fails the pivot floor. Wherever the huge row sits in a
+/// 4-row panel (and when it is the block's last row), the block path must
+/// report the same absorbed count as the row at which the sequential push
+/// loop loses its factor, and end with the same statistics and factor
+/// liveness.
+#[test]
+fn factor_failure_matches_sequential_pushes_at_every_panel_position() {
+    let (nf, k) = (7, 12);
+    for pos in [0, 1, 2, 3, k - 1] {
+        let (mut xcols, ys) = fixed_block(nf, k);
+        xcols[3 * k + pos] = 1e200;
+        let mut blk = NormalEquations::new(nf);
+        let mut seq = NormalEquations::new(nf);
+        prime(&mut [&mut blk, &mut seq], nf, 20, 0.0);
+
+        let mut dies_at = None;
+        let mut row = vec![0.0; nf];
+        for r in 0..k {
+            for f in 0..nf {
+                row[f] = xcols[f * k + r];
+            }
+            seq.push(&row, ys[r]).unwrap();
+            if dies_at.is_none() && !seq.factor_is_live(0.0) {
+                dies_at = Some(r);
+            }
+        }
+        let done = blk.push_block(&xcols, &ys).unwrap();
+        assert_eq!(done, dies_at.map_or(k, |r| r + 1), "huge row at {pos}");
+        assert_eq!(dies_at, (pos + 1 < k).then_some(pos + 1), "huge row at {pos}");
+        for r in done..k {
+            for f in 0..nf {
+                row[f] = xcols[f * k + r];
+            }
+            blk.push(&row, ys[r]).unwrap();
+        }
+        assert_eq!(blk.factor_is_live(0.0), seq.factor_is_live(0.0), "huge row at {pos}");
+        assert_state_bitwise(&blk.to_state(), &seq.to_state());
     }
 }

@@ -162,37 +162,38 @@ fn record_frame_matches_rows_across_feature_widths() {
     }
 }
 
-/// PR 9 kernel follow-up: the row-major staging variant of the grouped
-/// absorption (`absorb_block_staged`, whose cholupdate sweep reads
-/// contiguous rows) leaves the estimator bit-for-bit where the original
-/// stride-k gather (`absorb_block`) does — cold, warm-with-live-factor,
-/// and across block tails.
+/// The policy's row-major absorption (`absorb_rows` over augmented rows
+/// `[1, x]`, the panel cholupdate and tiled Gram fold, with one panel
+/// scratch shared across calls) leaves the estimator bit-for-bit where the
+/// feature-major adapter (`absorb_block`) does — cold,
+/// warm-with-live-factor, and across panel and tile tails.
 #[test]
-fn staged_absorption_bitwise_matches_strided_gather() {
+fn row_major_absorption_bitwise_matches_feature_major_adapter() {
+    let mut panel = Vec::new();
     for m in [1usize, 3, 4, 7, 8] {
-        let mut strided = RecursiveArm::new(m);
-        let mut staged = RecursiveArm::new(m);
+        let mut feature_major = RecursiveArm::new(m);
+        let mut row_major = RecursiveArm::new(m);
         let probe: Vec<f64> = (0..m).map(|j| 0.75 * j as f64 - 1.0).collect();
         for (round, &k) in BURSTS.iter().enumerate() {
             let block: Vec<Vec<f64>> = (0..k).map(|r| context(round, r, m)).collect();
             let ys: Vec<f64> = block.iter().map(|x| runtime(round % 3, x)).collect();
             let mut cols = vec![0.0; m * k];
-            let mut rows = vec![0.0; m * k];
+            let mut zrows = vec![1.0; (m + 1) * k];
             for (r, x) in block.iter().enumerate() {
-                rows[r * m..(r + 1) * m].copy_from_slice(x);
+                zrows[r * (m + 1) + 1..(r + 1) * (m + 1)].copy_from_slice(x);
                 for (f, &v) in x.iter().enumerate() {
                     cols[f * k + r] = v;
                 }
             }
             let (mut a, mut b) = (0, 0);
-            strided.absorb_block(&cols, &ys, &mut a).unwrap();
-            staged.absorb_block_staged(&cols, &rows, &ys, &mut b).unwrap();
+            feature_major.absorb_block(&cols, &ys, &mut a).unwrap();
+            row_major.absorb_rows(&zrows, &ys, &mut panel, &mut b).unwrap();
             assert_eq!(a, b, "m={m} round {round}: absorbed counts");
-            assert_eq!(strided.state(), staged.state(), "m={m} round {round}: arm state");
+            assert_eq!(feature_major.state(), row_major.state(), "m={m} round {round}: arm state");
             if k > 0 {
                 assert_eq!(
-                    strided.predict(&probe).to_bits(),
-                    staged.predict(&probe).to_bits(),
+                    feature_major.predict(&probe).to_bits(),
+                    row_major.predict(&probe).to_bits(),
                     "m={m} round {round}: prediction bits"
                 );
             }
