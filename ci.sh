@@ -66,6 +66,17 @@ cargo build --benches --release
 echo "==> bench_serve (batched vs per-call throughput, tracked number)"
 cargo bench -p banditware-bench --bench bench_serve
 
+# The correctness gates run before the perf trajectory: a timing gate that
+# a slow host fails must not stop CI (under `set -e`) before they run.
+echo "==> crash-recovery smoke run (WAL + v3 snapshot example)"
+cargo run --release --example crash_recovery >/dev/null
+
+# The replication acceptance gate: kill the primary mid-stream, promote the
+# follower, and the post-promotion recommendation fingerprint must equal a
+# never-crashed same-seed twin's (the example asserts it).
+echo "==> replication failover run (ship -> crash -> promote -> bitwise fingerprint gate)"
+cargo run --release --example replication_failover >/dev/null
+
 # The perf trajectory writes to target/ (untracked) so a CI run never
 # dirties the committed BENCH_PR{3..9}.json snapshots with machine-local
 # timing noise; refresh them deliberately when the hot path, the recovery
@@ -97,14 +108,5 @@ echo "==> perf trajectory (record/select/engine + kernels + recovery + catch-up 
 cargo run --release -p banditware-bench --bin perf_baseline \
     target/BENCH_PR3.json target/BENCH_PR4.json target/BENCH_PR5.json target/BENCH_PR6.json \
     target/BENCH_PR7.json target/BENCH_PR8.json target/BENCH_PR9.json
-
-echo "==> crash-recovery smoke run (WAL + v3 snapshot example)"
-cargo run --release --example crash_recovery >/dev/null
-
-# The replication acceptance gate: kill the primary mid-stream, promote the
-# follower, and the post-promotion recommendation fingerprint must equal a
-# never-crashed same-seed twin's (the example asserts it).
-echo "==> replication failover run (ship -> crash -> promote -> bitwise fingerprint gate)"
-cargo run --release --example replication_failover >/dev/null
 
 echo "==> all green"

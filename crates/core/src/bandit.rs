@@ -24,8 +24,14 @@
 
 use crate::frame::{FeatureFrame, ObservationFrame};
 use crate::policy::{ArmSpec, Policy, Selection};
+use crate::tickets::TicketTable;
 use crate::{CoreError, Result};
-use std::collections::BTreeMap;
+
+/// The largest feature magnitude the recommender accepts at ingress. At
+/// this bound even 2⁵³ rows of `x²` sum to a finite Gram entry, so no
+/// accepted context can overflow an arm's statistics (see
+/// [`CoreError::FeatureTooLarge`]).
+pub const MAX_FEATURE_MAGNITUDE: f64 = 1e100;
 
 /// One remembered round.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,15 +117,90 @@ impl std::fmt::Display for Ticket {
     }
 }
 
-/// The remembered half of an unfinished round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InFlightRound {
+/// The remembered half of an unfinished round: a view into the
+/// recommender's ticket table ([`crate::persist::OpenRound`] is the owned
+/// form).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InFlightRound<'a> {
     /// Chosen arm.
     pub arm: usize,
     /// Context the recommendation was made for.
-    pub features: Vec<f64>,
+    pub features: &'a [f64],
     /// Whether the selection was an exploration draw.
     pub explored: bool,
+}
+
+/// The retained observation log and the lifetime round counter.
+#[derive(Debug, Clone)]
+struct History {
+    rows: Vec<Observation>,
+    /// Rounds recorded but no longer retained in `rows` (dropped by the
+    /// retention policy or elided by a stats-only restore). The absolute
+    /// round counter is `base + rows.len()`.
+    base: usize,
+    retention: Retention,
+    /// Oldest row while a full tail is being overwritten in place; 0
+    /// outside a [`History::push`]…[`History::settle`] run.
+    head: usize,
+}
+
+impl History {
+    fn rounds(&self) -> usize {
+        self.base + self.rows.len()
+    }
+
+    fn keep(&self) -> usize {
+        match self.retention {
+            Retention::Full => usize::MAX,
+            Retention::Tail(n) => n,
+            Retention::None => 0,
+        }
+    }
+
+    /// Append one round with the next absolute round number. Once a tail
+    /// is full the oldest row is overwritten in place (its feature `Vec`
+    /// reused), so a warm `Tail(n)` log appends without allocating; call
+    /// [`History::settle`] before the rows are read.
+    fn push(&mut self, arm: usize, features: &[f64], runtime: f64, explored: bool) {
+        let round = self.rounds();
+        if self.rows.len() < self.keep() {
+            self.rows.push(Observation {
+                round,
+                arm,
+                features: features.to_vec(),
+                runtime,
+                explored,
+            });
+            return;
+        }
+        self.base += 1;
+        let len = self.rows.len();
+        if let Some(o) = self.rows.get_mut(self.head) {
+            o.round = round;
+            o.arm = arm;
+            o.features.clear();
+            o.features.extend_from_slice(features);
+            o.runtime = runtime;
+            o.explored = explored;
+            self.head = (self.head + 1) % len;
+        }
+    }
+
+    /// Put the rows back in round order: one rotation per burst.
+    fn settle(&mut self) {
+        self.rows.rotate_left(self.head);
+        self.head = 0;
+    }
+
+    /// Drop rows beyond the retention bound, oldest first.
+    fn trim(&mut self) {
+        let keep = self.keep();
+        if self.rows.len() > keep {
+            let drop = self.rows.len() - keep;
+            self.rows.drain(..drop);
+            self.base += drop;
+        }
+    }
 }
 
 /// The BanditWare recommender: policy + hardware metadata + history +
@@ -128,32 +209,22 @@ pub struct InFlightRound {
 pub struct BanditWare<P: Policy> {
     policy: P,
     specs: Vec<ArmSpec>,
-    history: Vec<Observation>,
-    /// Rounds recorded but no longer retained in `history` (dropped by the
-    /// retention policy or elided by a stats-only restore). The absolute
-    /// round counter is `base_rounds + history.len()`.
-    base_rounds: usize,
-    retention: Retention,
-    // BTreeMap keeps iteration (and therefore checkpoint serialization)
-    // deterministic in ticket order.
-    in_flight: BTreeMap<u64, InFlightRound>,
+    history: History,
+    tickets: TicketTable,
     next_ticket: u64,
     legacy_pending: Option<Ticket>,
-    /// Scratch: batched selections ([`BanditWare::recommend_batch`] reuses
-    /// this across bursts so the batched select path allocates nothing in
-    /// steady state).
+    /// Scratch: batched selections, reused across bursts.
     batch_sels: Vec<Selection>,
     /// Scratch: the columnar frame the row-slice shim
     /// ([`BanditWare::recommend_batch`]) builds once per burst, reused
     /// across bursts.
     batch_frame: FeatureFrame,
-    /// Scratch: sorted ticket ids for duplicate detection in
-    /// [`BanditWare::validate_record_batch`] (replaces a per-call
-    /// `HashSet`, so batch validation allocates nothing in steady state).
-    batch_ids: Vec<u64>,
-    /// Scratch: the rounds closed by an in-progress
-    /// [`BanditWare::record_batch_frame`], staged out of the ticket table.
-    batch_rounds: Vec<InFlightRound>,
+    /// Scratch: index positions of a record batch's tickets, in input
+    /// order, filled by [`BanditWare::validate_record_batch`].
+    batch_pos: Vec<usize>,
+    /// Scratch: the same positions sorted, for duplicate detection
+    /// (replaces a per-call `HashSet`).
+    batch_sorted: Vec<usize>,
     /// Scratch: the columnar observation batch
     /// ([`BanditWare::record_batch_frame`] stages each burst here, reused
     /// across bursts).
@@ -172,16 +243,14 @@ impl<P: Policy> BanditWare<P> {
         BanditWare {
             policy,
             specs,
-            history: Vec::new(),
-            base_rounds: 0,
-            retention: Retention::Full,
-            in_flight: BTreeMap::new(),
+            history: History { rows: Vec::new(), base: 0, retention: Retention::Full, head: 0 },
+            tickets: TicketTable::default(),
             next_ticket: 0,
             legacy_pending: None,
             batch_sels: Vec::new(),
             batch_frame: FeatureFrame::new(),
-            batch_ids: Vec::new(),
-            batch_rounds: Vec::new(),
+            batch_pos: Vec::new(),
+            batch_sorted: Vec::new(),
             batch_obs: ObservationFrame::new(),
             batch_absorbed: Vec::new(),
         }
@@ -196,38 +265,13 @@ impl<P: Policy> BanditWare<P> {
     /// Change the retention policy. Tightening it trims the stored history
     /// immediately; the absolute round counter is unaffected.
     pub fn set_retention(&mut self, retention: Retention) {
-        self.retention = retention;
-        self.apply_retention();
+        self.history.retention = retention;
+        self.history.trim();
     }
 
     /// The active retention policy.
     pub fn retention(&self) -> Retention {
-        self.retention
-    }
-
-    fn apply_retention(&mut self) {
-        let keep = match self.retention {
-            Retention::Full => return,
-            Retention::Tail(n) => n,
-            Retention::None => 0,
-        };
-        if self.history.len() > keep {
-            let drop = self.history.len() - keep;
-            self.history.drain(..drop);
-            self.base_rounds += drop;
-        }
-    }
-
-    /// Append one completed round, stamping the absolute round number and
-    /// applying the retention policy.
-    fn push_history(&mut self, arm: usize, features: Vec<f64>, runtime: f64, explored: bool) {
-        let round = self.rounds();
-        if matches!(self.retention, Retention::None) {
-            self.base_rounds += 1;
-            return;
-        }
-        self.history.push(Observation { round, arm, features, runtime, explored });
-        self.apply_retention();
+        self.history.retention
     }
 
     /// The wrapped policy (read access, e.g. for reporting fitted models).
@@ -247,9 +291,9 @@ impl<P: Policy> BanditWare<P> {
     /// contains every observation's effect, the tail is retained context).
     pub(crate) fn install_history(&mut self, total_rounds: usize, tail: Vec<Observation>) {
         debug_assert!(tail.len() <= total_rounds);
-        self.base_rounds = total_rounds - tail.len();
-        self.history = tail;
-        self.apply_retention();
+        self.history.base = total_rounds - tail.len();
+        self.history.rows = tail;
+        self.history.trim();
     }
 
     /// Arm metadata.
@@ -262,38 +306,38 @@ impl<P: Policy> BanditWare<P> {
     /// `Observation::round` carries the absolute round number even when
     /// earlier rounds have been dropped.
     pub fn history(&self) -> &[Observation] {
-        &self.history
+        &self.history.rows
     }
 
     /// Rounds recorded over the recommender's lifetime — counts retained
     /// *and* dropped observations.
     pub fn rounds(&self) -> usize {
-        self.base_rounds + self.history.len()
+        self.history.rounds()
     }
 
     /// Tickets currently awaiting their runtime, in ascending id order.
     pub fn open_tickets(&self) -> Vec<Ticket> {
-        self.in_flight.keys().map(|&id| Ticket(id)).collect()
+        self.tickets.iter().map(|(ticket, _)| ticket).collect()
     }
 
     /// Number of rounds currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.tickets.len()
     }
 
     /// The remembered selection of an open ticket (`None` when the ticket
     /// is not in flight). Durable serving layers read this to log the full
     /// observation (arm, context, exploration flag) alongside the runtime
     /// when a ticket is recorded.
-    pub fn in_flight_round(&self, ticket: Ticket) -> Option<&InFlightRound> {
-        self.in_flight.get(&ticket.0)
+    pub fn in_flight_round(&self, ticket: Ticket) -> Option<InFlightRound<'_>> {
+        self.tickets.position(ticket.0).map(|pos| self.tickets.round(pos))
     }
 
     /// Iterate over the open rounds (ticket + remembered selection), in
     /// ascending ticket order. Used by [`crate::persist`] to checkpoint
     /// mid-flight state.
-    pub fn open_rounds(&self) -> impl Iterator<Item = (Ticket, &InFlightRound)> + '_ {
-        self.in_flight.iter().map(|(&id, round)| (Ticket(id), round))
+    pub fn open_rounds(&self) -> impl Iterator<Item = (Ticket, InFlightRound<'_>)> + '_ {
+        self.tickets.iter()
     }
 
     /// The id the next issued ticket will get. Checkpointed alongside the
@@ -311,39 +355,23 @@ impl<P: Policy> BanditWare<P> {
         self.next_ticket = self.next_ticket.max(next);
     }
 
-    fn issue_ticket(&mut self, arm: usize, features: Vec<f64>, explored: bool) -> Ticket {
-        let ticket = Ticket(self.next_ticket);
-        self.next_ticket += 1;
-        self.in_flight.insert(ticket.0, InFlightRound { arm, features, explored });
-        ticket
-    }
-
-    fn recommendation_for(&self, arm: usize, explored: bool, features: &[f64]) -> Recommendation {
-        let predicted = self.policy.predict(arm, features).unwrap_or(f64::NAN);
-        let spec = &self.specs[arm];
-        Recommendation {
-            arm,
-            name: spec.name.clone(),
-            resource_cost: spec.resource_cost,
-            predicted_runtime: predicted,
-            explored,
-        }
-    }
-
     /// Recommend hardware for a workflow and open a ticket for the round.
     /// Any number of tickets may be open at once; record them in any order
     /// via [`BanditWare::record_ticket`].
     ///
     /// # Errors
-    /// [`crate::CoreError::NonFiniteFeature`] for an `inf`/`NaN` feature
-    /// (nothing is selected and no ticket is issued); propagates policy
-    /// validation (feature arity).
+    /// [`crate::CoreError::NonFiniteFeature`] /
+    /// [`crate::CoreError::FeatureTooLarge`] for a refused feature (nothing
+    /// is selected and no ticket is issued); propagates policy validation
+    /// (feature arity).
     pub fn recommend_ticketed(&mut self, features: &[f64]) -> Result<(Ticket, Recommendation)> {
-        check_finite_row(features)?;
+        check_row(features)?;
         let sel = self.policy.select(features)?;
-        let rec = self.recommendation_for(sel.arm, sel.explored, features);
-        let ticket = self.issue_ticket(sel.arm, features.to_vec(), sel.explored);
-        Ok((ticket, rec))
+        let predicted = self.policy.predict(sel.arm, features).unwrap_or(f64::NAN);
+        let ticket = Ticket(self.next_ticket);
+        self.next_ticket += 1;
+        self.tickets.insert(ticket.0, sel.arm, features, sel.explored);
+        Ok((ticket, recommendation(&self.specs, sel, predicted)))
     }
 
     /// Recommend hardware for a whole batch of workflows in one policy pass
@@ -372,40 +400,61 @@ impl<P: Policy> BanditWare<P> {
         out
     }
 
-    /// [`BanditWare::recommend_batch`] over an already-columnar batch
-    /// ([`FeatureFrame`]): one policy frame pass, then per-row ticket
-    /// bookkeeping. This is the layout the serving front-end builds once
-    /// per coalesced burst; results are bitwise identical to the row-slice
-    /// API on the same contexts.
+    /// [`BanditWare::recommend_batch_frame_into`] into a fresh `Vec`.
     ///
     /// # Errors
-    /// [`crate::CoreError::NonFiniteFeature`] when any row holds an
-    /// `inf`/`NaN` feature; propagates policy validation. On error no
-    /// tickets are issued.
+    /// As [`BanditWare::recommend_batch_frame_into`].
     pub fn recommend_batch_frame(
         &mut self,
         frame: &FeatureFrame,
     ) -> Result<Vec<(Ticket, Recommendation)>> {
-        // Zero-alloc select path: selections land in a recommender-owned
-        // scratch buffer. The per-round work below is ticket bookkeeping
-        // only (the remembered features and the recommendation's display
-        // name are the two owned values the API hands out).
-        for f in 0..frame.n_features() {
-            if let Some((_, value)) = first_non_finite(frame.column(f)) {
-                return Err(CoreError::NonFiniteFeature { feature: f, value });
-            }
+        let mut out = Vec::with_capacity(frame.n_rows());
+        self.recommend_batch_frame_into(frame, &mut out).map(|()| out)
+    }
+
+    /// [`BanditWare::recommend_batch`] over an already-columnar batch
+    /// ([`FeatureFrame`]), into `out` (cleared first): one transpose of the
+    /// frame into the ticket arena (which also runs the ingress check), one
+    /// policy frame pass, and each recommendation's prediction taken from
+    /// that pass ([`Policy::frame_predictions`]) when the policy keeps it.
+    /// This is the layout the serving front-end builds once per coalesced
+    /// burst; results are bitwise identical to the row-slice API on the
+    /// same contexts, and a warm recommender with a reused `out` allocates
+    /// nothing.
+    ///
+    /// # Errors
+    /// [`crate::CoreError::NonFiniteFeature`] /
+    /// [`crate::CoreError::FeatureTooLarge`] for the first refused feature
+    /// in column order; propagates policy validation. On error no tickets
+    /// are issued and no randomness is consumed by the ingress check.
+    pub fn recommend_batch_frame_into(
+        &mut self,
+        frame: &FeatureFrame,
+        out: &mut Vec<(Ticket, Recommendation)>,
+    ) -> Result<()> {
+        out.clear();
+        let BanditWare { policy, specs, tickets, next_ticket, batch_sels, .. } = self;
+        if !tickets.stage(frame, MAX_FEATURE_MAGNITUDE) {
+            tickets.unstage();
+            return Err(refused_in_frame(frame));
         }
-        let BanditWare { policy, batch_sels, .. } = self;
-        policy.select_frame_into(frame, batch_sels)?;
-        let mut out = Vec::with_capacity(self.batch_sels.len());
-        for i in 0..self.batch_sels.len() {
-            let sel = self.batch_sels[i];
-            let x = frame.row_to_vec(i);
-            let rec = self.recommendation_for(sel.arm, sel.explored, &x);
-            let ticket = self.issue_ticket(sel.arm, x, sel.explored);
-            out.push((ticket, rec));
+        if let Err(e) = policy.select_frame_into(frame, batch_sels) {
+            tickets.unstage();
+            return Err(e);
         }
-        Ok(out)
+        let n = frame.n_rows();
+        let preds = policy.frame_predictions().filter(|p| p.len() == specs.len() * n);
+        out.reserve(batch_sels.len());
+        for (r, (&sel, id)) in batch_sels.iter().zip(*next_ticket..).enumerate() {
+            let predicted = match preds {
+                Some(p) => p[sel.arm * n + r],
+                None => policy.predict(sel.arm, tickets.staged_row(r)).unwrap_or(f64::NAN),
+            };
+            out.push((Ticket(id), recommendation(specs, sel, predicted)));
+        }
+        tickets.commit(*next_ticket, batch_sels);
+        *next_ticket += out.len() as u64;
+        Ok(())
     }
 
     /// Record the observed runtime of an in-flight round. Tickets may be
@@ -419,17 +468,16 @@ impl<P: Policy> BanditWare<P> {
     /// [`crate::CoreError::UnknownTicket`] for a ticket that was never
     /// issued, already recorded, or dropped; policy validation otherwise.
     pub fn record_ticket(&mut self, ticket: Ticket, runtime: f64) -> Result<()> {
-        let round =
-            self.in_flight.get(&ticket.0).ok_or(CoreError::UnknownTicket { ticket: ticket.0 })?;
-        // Disjoint field borrow: the policy observes the borrowed features,
-        // then the owned round moves out of the table into the history.
-        self.policy.observe(round.arm, &round.features, runtime)?;
-        // lint: allow(no-panic) -- presence established by the lookup above
-        let round = self.in_flight.remove(&ticket.0).expect("present above");
+        let pos =
+            self.tickets.position(ticket.0).ok_or(CoreError::UnknownTicket { ticket: ticket.0 })?;
+        let round = self.tickets.round(pos);
+        self.policy.observe(round.arm, round.features, runtime)?;
         if self.legacy_pending == Some(ticket) {
             self.legacy_pending = None;
         }
-        self.push_history(round.arm, round.features, runtime, round.explored);
+        self.history.push(round.arm, round.features, runtime, round.explored);
+        self.history.settle();
+        self.tickets.remove(pos);
         Ok(())
     }
 
@@ -471,22 +519,30 @@ impl<P: Policy> BanditWare<P> {
     /// input order); [`crate::CoreError::InvalidParameter`] for a ticket
     /// listed twice in the batch.
     pub fn validate_record_batch(&mut self, outcomes: &[(Ticket, f64)]) -> Result<()> {
+        self.batch_pos.clear();
         for &(ticket, runtime) in outcomes {
-            if !self.in_flight.contains_key(&ticket.0) {
-                return Err(CoreError::UnknownTicket { ticket: ticket.0 });
-            }
+            let pos = self
+                .tickets
+                .position(ticket.0)
+                .ok_or(CoreError::UnknownTicket { ticket: ticket.0 })?;
             if !runtime.is_finite() || runtime <= 0.0 {
                 return Err(CoreError::InvalidRuntime(runtime));
             }
+            self.batch_pos.push(pos);
         }
-        self.batch_ids.clear();
-        self.batch_ids.extend(outcomes.iter().map(|&(ticket, _)| ticket.0));
-        self.batch_ids.sort_unstable();
-        for pair in self.batch_ids.windows(2) {
+        // Index positions ascend with ticket ids, so the first duplicate
+        // found is the smallest duplicated id.
+        self.batch_sorted.clear();
+        self.batch_sorted.extend_from_slice(&self.batch_pos);
+        self.batch_sorted.sort_unstable();
+        for pair in self.batch_sorted.windows(2) {
             if pair[0] == pair[1] {
                 return Err(CoreError::InvalidParameter {
                     name: "outcomes",
-                    detail: format!("ticket {} listed twice in one batch", pair[0]),
+                    detail: format!(
+                        "ticket {} listed twice in one batch",
+                        self.tickets.id_at(pair[0])
+                    ),
                 });
             }
         }
@@ -495,27 +551,26 @@ impl<P: Policy> BanditWare<P> {
 
     /// Record a batch of outcomes through the **columnar** observe path:
     /// after atomic validation ([`BanditWare::validate_record_batch`]) the
-    /// burst is closed out of the ticket table, staged into a reused
-    /// [`ObservationFrame`], and handed to the policy as one
+    /// burst's remembered rounds are staged into a reused
+    /// [`ObservationFrame`] and handed to the policy as one
     /// [`Policy::observe_frame`] pass — for the contextual ε-greedy family
     /// that means per-arm grouped rank-k absorption instead of one refit
     /// per row, bitwise identical to recording the rounds one at a time in
     /// input order.
     ///
     /// Rounds the policy absorbs are consumed (history appended, legacy
-    /// slot cleared); rounds it does not absorb — a mid-batch numerical
-    /// failure — are **re-opened** under their original ticket ids so the
-    /// caller can retry or drop them. With a policy that absorbs rows in
-    /// input order the open remainder is exactly the failing round and its
-    /// successors; a grouped-absorption policy may absorb a non-prefix
-    /// subset (rows of arms it finished before the failing arm), which only
-    /// ever leaves *fewer* rounds open.
+    /// slot cleared, tickets closed in one compaction pass); rounds it does
+    /// not absorb — a mid-batch numerical failure — **stay open** under
+    /// their ticket ids so the caller can retry or drop them. With a policy
+    /// that absorbs rows in input order the open remainder is exactly the
+    /// failing round and its successors; a grouped-absorption policy may
+    /// absorb a non-prefix subset (rows of arms it finished before the
+    /// failing arm), which only ever leaves *fewer* rounds open.
     ///
     /// Rounds whose remembered feature width disagrees with the policy's
     /// (possible only via [`BanditWare::reopen_ticket`] on a non-contextual
     /// policy, which skips the width check) cannot be staged columnar; such
-    /// a batch falls back to row-by-row absorption with identical
-    /// semantics.
+    /// a batch is absorbed row by row with identical semantics.
     ///
     /// # Errors
     /// As [`BanditWare::record_batch`].
@@ -536,90 +591,75 @@ impl<P: Policy> BanditWare<P> {
     pub fn record_batch_frame_logged(
         &mut self,
         outcomes: &[(Ticket, f64)],
-        mut log: impl FnMut(usize, Ticket, &InFlightRound, f64),
+        mut log: impl FnMut(usize, Ticket, &InFlightRound<'_>, f64),
     ) -> Result<()> {
         if outcomes.is_empty() {
             return Ok(());
         }
         self.validate_record_batch(outcomes)?;
-        // Close every ticket up front (single table lookup per round; the
-        // rounds move into a reused scratch vector). Rounds the policy does
-        // not absorb are re-inserted below — the BTreeMap keys by id, so
-        // re-opening restores the exact original table order.
-        let mut rounds = std::mem::take(&mut self.batch_rounds);
-        rounds.clear();
-        for &(ticket, _) in outcomes {
-            // lint: allow(no-panic) -- all tickets validated before the take
-            rounds.push(self.in_flight.remove(&ticket.0).expect("validated above"));
-        }
-        let nf = self.policy.n_features();
-        let uniform = rounds.iter().all(|round| round.features.len() == nf);
-        let result = if uniform {
-            let mut obs = std::mem::take(&mut self.batch_obs);
-            let mut absorbed = std::mem::take(&mut self.batch_absorbed);
-            obs.begin(outcomes.len(), nf);
-            for (i, round) in rounds.iter().enumerate() {
-                obs.set_row(i, round.arm, &round.features, outcomes[i].1, round.explored)
-                    .expect("uniform width checked above"); // lint: allow(no-panic) -- width pinned by begin()
+        let BanditWare {
+            policy,
+            history,
+            tickets,
+            legacy_pending,
+            batch_pos,
+            batch_obs,
+            batch_absorbed,
+            ..
+        } = self;
+        let nf = policy.n_features();
+        let result = if batch_pos.iter().all(|&pos| tickets.round(pos).features.len() == nf) {
+            batch_obs.begin(outcomes.len(), nf);
+            for (i, (&pos, &(_, runtime))) in batch_pos.iter().zip(outcomes).enumerate() {
+                let round = tickets.round(pos);
+                batch_obs.set_row(i, round.arm, round.features, runtime, round.explored)?;
             }
-            let result = self.policy.observe_frame(&obs, &mut absorbed);
-            for (i, round) in rounds.drain(..).enumerate() {
-                let (ticket, runtime) = outcomes[i];
-                if absorbed[i] {
-                    log(self.rounds(), ticket, &round, runtime);
-                    if self.legacy_pending == Some(ticket) {
-                        self.legacy_pending = None;
-                    }
-                    self.push_history(round.arm, round.features, runtime, round.explored);
-                } else {
-                    self.in_flight.insert(ticket.0, round);
-                }
-            }
-            self.batch_obs = obs;
-            self.batch_absorbed = absorbed;
-            result
+            policy.observe_frame(batch_obs, batch_absorbed)
         } else {
-            // Ragged remembered widths: absorb row by row (the reference
-            // semantics the frame path is pinned against).
-            let mut failure = None;
-            let mut drain = rounds.drain(..).enumerate();
-            for (i, round) in &mut drain {
-                let (ticket, runtime) = outcomes[i];
-                match self.policy.observe(round.arm, &round.features, runtime) {
-                    Ok(()) => {
-                        log(self.rounds(), ticket, &round, runtime);
-                        if self.legacy_pending == Some(ticket) {
-                            self.legacy_pending = None;
-                        }
-                        self.push_history(round.arm, round.features, runtime, round.explored);
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        self.in_flight.insert(ticket.0, round);
-                        break;
-                    }
+            // Ragged remembered widths: absorb row by row up to the first
+            // failure (the reference semantics the frame path is pinned
+            // against).
+            batch_absorbed.clear();
+            batch_absorbed.resize(outcomes.len(), false);
+            let mut result = Ok(());
+            for (i, (&pos, &(_, runtime))) in batch_pos.iter().zip(outcomes).enumerate() {
+                let round = tickets.round(pos);
+                result = policy.observe(round.arm, round.features, runtime);
+                if result.is_err() {
+                    break;
                 }
+                batch_absorbed[i] = true;
             }
-            for (i, round) in drain {
-                self.in_flight.insert(outcomes[i].0 .0, round);
-            }
-            match failure {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+            result
         };
-        self.batch_rounds = rounds;
+        for (i, (&pos, &(ticket, runtime))) in batch_pos.iter().zip(outcomes).enumerate() {
+            if !batch_absorbed[i] {
+                continue;
+            }
+            let round = tickets.round(pos);
+            log(history.rounds(), ticket, &round, runtime);
+            if *legacy_pending == Some(ticket) {
+                *legacy_pending = None;
+            }
+            history.push(round.arm, round.features, runtime, round.explored);
+            tickets.close(pos);
+        }
+        tickets.sweep();
+        history.settle();
         result
     }
 
     /// Abandon an in-flight round (e.g. the job was cancelled or its runtime
-    /// was lost). Returns the remembered round, or `None` for a ticket that
-    /// was not open.
-    pub fn drop_ticket(&mut self, ticket: Ticket) -> Option<InFlightRound> {
+    /// was lost). Returns whether the ticket was open.
+    pub fn drop_ticket(&mut self, ticket: Ticket) -> bool {
         if self.legacy_pending == Some(ticket) {
             self.legacy_pending = None;
         }
-        self.in_flight.remove(&ticket.0)
+        let Some(pos) = self.tickets.position(ticket.0) else {
+            return false;
+        };
+        self.tickets.remove(pos);
+        true
     }
 
     /// Re-open a ticket with a specific id — the checkpoint-restore path
@@ -648,14 +688,12 @@ impl<P: Policy> BanditWare<P> {
                 expected: self.policy.n_features(),
             });
         }
-        if self.in_flight.contains_key(&ticket.0) {
+        if !self.tickets.insert(ticket.0, arm, features, explored) {
             return Err(CoreError::InvalidParameter {
                 name: "ticket",
                 detail: format!("ticket {} is already open", ticket.0),
             });
         }
-        self.in_flight
-            .insert(ticket.0, InFlightRound { arm, features: features.to_vec(), explored });
         self.next_ticket = self.next_ticket.max(ticket.0 + 1);
         Ok(())
     }
@@ -694,7 +732,7 @@ impl<P: Policy> BanditWare<P> {
         let result = self.record_ticket(ticket, runtime);
         if result.is_err() {
             // Legacy semantics: the pending slot is consumed either way.
-            self.in_flight.remove(&ticket.0);
+            self.drop_ticket(ticket);
         }
         result
     }
@@ -705,12 +743,14 @@ impl<P: Policy> BanditWare<P> {
     /// (the feature scaler) absorb the context they never selected on.
     ///
     /// # Errors
-    /// [`crate::CoreError::NonFiniteFeature`] for an `inf`/`NaN` feature
-    /// (nothing is absorbed); propagates policy validation.
+    /// [`crate::CoreError::NonFiniteFeature`] /
+    /// [`crate::CoreError::FeatureTooLarge`] for a refused feature (nothing
+    /// is absorbed); propagates policy validation.
     pub fn record_external(&mut self, arm: usize, features: &[f64], runtime: f64) -> Result<()> {
-        check_finite_row(features)?;
+        check_row(features)?;
         self.policy.warm_start(arm, features, runtime)?;
-        self.push_history(arm, features.to_vec(), runtime, false);
+        self.history.push(arm, features, runtime, false);
+        self.history.settle();
         Ok(())
     }
 
@@ -718,13 +758,14 @@ impl<P: Policy> BanditWare<P> {
     /// Like [`BanditWare::record_external`] (the policy absorbs it through
     /// [`Policy::warm_start`]) but the original exploration flag survives
     /// into the retained history. It takes what the log holds without the
-    /// ingress finiteness check, so an existing log always recovers.
+    /// ingress check, so an existing log always recovers.
     ///
     /// # Errors
     /// Propagates policy validation.
     pub fn record_replayed(&mut self, o: &Observation) -> Result<()> {
         self.policy.warm_start(o.arm, &o.features, o.runtime)?;
-        self.push_history(o.arm, o.features.clone(), o.runtime, o.explored);
+        self.history.push(o.arm, &o.features, o.runtime, o.explored);
+        self.history.settle();
         Ok(())
     }
 
@@ -756,7 +797,7 @@ impl<P: Policy> BanditWare<P> {
     pub fn mean_runtime_per_arm(&self) -> Vec<f64> {
         let mut sums = vec![0.0; self.specs.len()];
         let mut counts = vec![0usize; self.specs.len()];
-        for o in &self.history {
+        for o in self.history() {
             sums[o.arm] += o.runtime;
             counts[o.arm] += 1;
         }
@@ -770,39 +811,57 @@ impl<P: Policy> BanditWare<P> {
     /// counter), and void every open ticket.
     pub fn reset(&mut self) {
         self.policy.reset();
-        self.history.clear();
-        self.base_rounds = 0;
-        self.in_flight.clear();
+        self.history.rows.clear();
+        self.history.base = 0;
+        self.tickets.clear();
         self.next_ticket = 0;
         self.legacy_pending = None;
     }
 }
 
-/// Position and value of the first `inf`/`NaN` in `values`, if any. The
-/// all-finite pass keeps four lanes of `acc += v·0`, which stay 0 for
-/// finite values and turn NaN for good at the first `inf`/`NaN`: a
-/// branch-free loop that vectorizes (a whole-frame scan costs well under
-/// 1 ns per value). The position is searched only on failure.
-fn first_non_finite(values: &[f64]) -> Option<(usize, f64)> {
-    let mut lanes = [0.0f64; 4];
-    let mut blocks = values.chunks_exact(4);
-    for block in &mut blocks {
-        for (acc, v) in lanes.iter_mut().zip(block) {
-            *acc += v * 0.0;
-        }
+/// The recommendation for selection `sel` with prediction `predicted`.
+fn recommendation(specs: &[ArmSpec], sel: Selection, predicted: f64) -> Recommendation {
+    let spec = &specs[sel.arm];
+    Recommendation {
+        arm: sel.arm,
+        name: spec.name.clone(),
+        resource_cost: spec.resource_cost,
+        predicted_runtime: predicted,
+        explored: sel.explored,
     }
-    if lanes.iter().chain(blocks.remainder()).all(|v| v.is_finite()) {
-        return None;
-    }
-    values.iter().copied().enumerate().find(|(_, v)| !v.is_finite())
 }
 
-/// The ingress check for one context (see [`CoreError::NonFiniteFeature`]).
-fn check_finite_row(features: &[f64]) -> Result<()> {
-    match first_non_finite(features) {
-        Some((feature, value)) => Err(CoreError::NonFiniteFeature { feature, value }),
+/// Position and value of the first feature the ingress refuses: `inf`,
+/// `NaN`, or a magnitude above [`MAX_FEATURE_MAGNITUDE`].
+fn first_refused(values: &[f64]) -> Option<(usize, f64)> {
+    values.iter().copied().enumerate().find(|(_, v)| !(v.abs() <= MAX_FEATURE_MAGNITUDE))
+}
+
+/// The typed error for refused feature `feature` of value `value`.
+fn refused(feature: usize, value: f64) -> CoreError {
+    if value.is_finite() {
+        CoreError::FeatureTooLarge { feature, value }
+    } else {
+        CoreError::NonFiniteFeature { feature, value }
+    }
+}
+
+/// The ingress check for one context.
+fn check_row(features: &[f64]) -> Result<()> {
+    match first_refused(features) {
+        Some((feature, value)) => Err(refused(feature, value)),
         None => Ok(()),
     }
+}
+
+/// The ingress error for a frame whose transpose found a refused feature:
+/// the first one in column order.
+fn refused_in_frame(frame: &FeatureFrame) -> CoreError {
+    (0..frame.n_features())
+        .find_map(|f| first_refused(frame.column(f)).map(|(_, value)| refused(f, value)))
+        // The transpose and this scan apply one predicate, so a refused
+        // value is always found; a NaN stands in for the impossible case.
+        .unwrap_or(CoreError::NonFiniteFeature { feature: 0, value: f64::NAN })
 }
 
 #[cfg(test)]
@@ -869,16 +928,77 @@ mod tests {
         assert_eq!(ra.predicted_runtime.to_bits(), rb.predicted_runtime.to_bits());
     }
 
+    /// Finite features too large for an arm's Gram entry are refused at
+    /// the same ingress. Before the bound, `record_external(0, &[1e200, ..])`
+    /// was accepted and arm 0 predicted `inf`, then `NaN`, from then on.
     #[test]
-    fn first_non_finite_finds_every_position() {
+    fn overflowing_features_are_rejected_at_ingress() {
+        let mk = || {
+            let specs = vec![ArmSpec::new(0, "H0", 4.0), ArmSpec::new(1, "H1", 6.0)];
+            let config = BanditConfig::paper().with_epsilon0(0.3).with_seed(5);
+            BanditWare::new(EpsilonGreedy::new(specs.clone(), 3, config).unwrap(), specs)
+        };
+        let (mut bw, mut twin) = (mk(), mk());
+        for i in 0..8 {
+            let x = [i as f64 + 1.0, (i % 3) as f64, 0.5 * i as f64];
+            for b in [&mut bw, &mut twin] {
+                let (t, _) = b.recommend_ticketed(&x).unwrap();
+                b.record_ticket(t, 10.0 + x[0] + (t.id() % 2) as f64).unwrap();
+            }
+        }
+        let probe = [3.5, 1.0, -2.0];
+        let bits = |b: &BanditWare<EpsilonGreedy>| -> Vec<u64> {
+            (0..2).map(|a| b.policy().predict(a, &probe).unwrap().to_bits()).collect()
+        };
+        let (preds, next, rounds) = (bits(&bw), bw.next_ticket_id(), bw.rounds());
+        let rejected_at = |e: CoreError| match e {
+            CoreError::FeatureTooLarge { feature, value } => Some((feature, value)),
+            _ => None,
+        };
+
+        let huge = [1.0, 2.0, 1e200];
+        assert_eq!(rejected_at(bw.recommend(&huge).unwrap_err()), Some((2, 1e200)));
+        assert_eq!(rejected_at(bw.recommend_ticketed(&huge).unwrap_err()), Some((2, 1e200)));
+        let burst = vec![vec![1.0, 2.0, 3.0], vec![4.0, -1e200, 6.0], huge.to_vec()];
+        assert_eq!(rejected_at(bw.recommend_batch(&burst).unwrap_err()), Some((1, -1e200)));
+        let one_row = FeatureFrame::from_rows(&[huge.to_vec()]).unwrap();
+        assert_eq!(rejected_at(bw.recommend_batch_frame(&one_row).unwrap_err()), Some((2, 1e200)));
+        assert_eq!(rejected_at(bw.record_external(0, &huge, 5.0).unwrap_err()), Some((2, 1e200)));
+        // The bound itself is accepted.
+        let edge = [MAX_FEATURE_MAGNITUDE, -MAX_FEATURE_MAGNITUDE, 0.0];
+        assert_eq!(check_row(&edge), Ok(()));
+
+        // No ticket, no absorbed round, no model change, no RNG draw.
+        assert_eq!((bw.next_ticket_id(), bw.in_flight(), bw.rounds()), (next, 0, rounds));
+        assert_eq!(bits(&bw), preds);
+        let x = [2.0, 2.0, 2.0];
+        let (ta, ra) = bw.recommend(&x).map(|r| (bw.next_ticket_id(), r)).unwrap();
+        let (tb, rb) = twin.recommend(&x).map(|r| (twin.next_ticket_id(), r)).unwrap();
+        assert_eq!((ta, ra.arm, ra.explored), (tb, rb.arm, rb.explored));
+        assert_eq!(ra.predicted_runtime.to_bits(), rb.predicted_runtime.to_bits());
+
+        // Replay takes what the log holds.
+        let o = Observation {
+            round: 0,
+            arm: 1,
+            features: huge.to_vec(),
+            runtime: 8.0,
+            explored: false,
+        };
+        twin.record_replayed(&o).unwrap();
+        assert_eq!(twin.history().last().map(|h| h.features[2]), Some(1e200));
+    }
+
+    #[test]
+    fn first_refused_finds_every_position() {
         for n in 0..11 {
-            let clean: Vec<f64> = (0..n).map(|i| i as f64 * 1e300 - 3.0).collect();
-            assert_eq!(first_non_finite(&clean), None);
+            let clean: Vec<f64> = (0..n).map(|i| i as f64 * 1e99 - 3.0).collect();
+            assert_eq!(first_refused(&clean), None);
             for pos in 0..n {
-                for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1.5e100, -1e300] {
                     let mut v = clean.clone();
                     v[pos] = bad;
-                    let (at, value) = first_non_finite(&v).unwrap();
+                    let (at, value) = first_refused(&v).unwrap();
                     assert_eq!((at, value.to_bits()), (pos, bad.to_bits()), "n={n}");
                 }
             }
@@ -973,10 +1093,10 @@ mod tests {
     fn dropped_ticket_is_gone() {
         let mut bw = make();
         let (t, _) = bw.recommend_ticketed(&[7.0]).unwrap();
-        let round = bw.drop_ticket(t).unwrap();
-        assert_eq!(round.features, vec![7.0]);
+        assert_eq!(bw.in_flight_round(t).unwrap().features, &[7.0]);
+        assert!(bw.drop_ticket(t));
         assert_eq!(bw.in_flight(), 0);
-        assert!(bw.drop_ticket(t).is_none(), "double drop is a no-op");
+        assert!(!bw.drop_ticket(t), "double drop is a no-op");
         assert!(matches!(bw.record_ticket(t, 5.0), Err(CoreError::UnknownTicket { .. })));
         // Dropped rounds never reach the history or the model.
         assert_eq!(bw.rounds(), 0);
@@ -1256,7 +1376,7 @@ mod tests {
         let (t, rec) = bw.recommend_ticketed(&[7.0]).unwrap();
         let round = bw.in_flight_round(t).unwrap();
         assert_eq!(round.arm, rec.arm);
-        assert_eq!(round.features, vec![7.0]);
+        assert_eq!(round.features, &[7.0]);
         bw.record_ticket(t, 3.0).unwrap();
         assert!(bw.in_flight_round(t).is_none());
     }

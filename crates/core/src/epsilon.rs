@@ -219,6 +219,7 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             // Mirror the row path on an empty burst: no selections, no RNG
             // consumed, no width check (an empty frame carries no width).
             out.clear();
+            self.frame_preds.clear();
             return Ok(());
         }
         if frame.n_features() != self.n_features {
@@ -242,6 +243,8 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             }
         }
         if out.iter().all(|s| s.explored) {
+            // No prediction was needed, so none is kept.
+            self.frame_preds.clear();
             return Ok(());
         }
         // Pass 2 — the models: one prediction column per arm, each computed
@@ -252,15 +255,16 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
         } = self;
         frame_preds.clear();
         frame_preds.resize(arms.len() * n, 0.0);
-        let mut row_buf: Vec<f64> = Vec::new();
+        let mut rows: Option<Vec<f64>> = None;
         for (a, arm) in arms.iter().enumerate() {
             let col = &mut frame_preds[a * n..(a + 1) * n];
             if let Some((w, b)) = arm.linear_coeffs() {
                 frame.predict_into(w, b, frame_scratch, col);
             } else {
+                let rows = rows.get_or_insert_with(|| frame.row_major());
+                let m = frame.n_features();
                 for (r, p) in col.iter_mut().enumerate() {
-                    frame.copy_row_into(r, &mut row_buf);
-                    *p = arm.predict(&row_buf);
+                    *p = arm.predict(&rows[r * m..(r + 1) * m]);
                 }
             }
         }
@@ -276,6 +280,11 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             sel.arm = tolerant_select(preds, costs, config.tolerance)?;
         }
         Ok(())
+    }
+
+    fn frame_predictions(&self) -> Option<&[f64]> {
+        // Empty after an all-explore pass (see `select_frame_into`).
+        (!self.frame_preds.is_empty()).then_some(&self.frame_preds[..])
     }
 
     fn exploit(&self, x: &[f64], _costs: &[f64]) -> Result<usize> {

@@ -40,6 +40,16 @@ pub enum CoreError {
         /// Its value.
         value: f64,
     },
+    /// A finite context feature larger in magnitude than
+    /// [`crate::bandit::MAX_FEATURE_MAGNITUDE`]. Its square would overflow
+    /// an arm's Gram entry to `inf`, which poisons that arm like a
+    /// non-finite feature does; refused at the same ingress.
+    FeatureTooLarge {
+        /// Index of the offending feature.
+        feature: usize,
+        /// Its value.
+        value: f64,
+    },
     /// Numerical failure bubbling up from the linear-algebra layer.
     Linalg(LinalgError),
     /// An IO failure while saving or loading persistent state. Carries the
@@ -87,6 +97,11 @@ impl fmt::Display for CoreError {
             CoreError::NonFiniteFeature { feature, value } => {
                 write!(f, "context feature {feature} is {value}; features must be finite")
             }
+            CoreError::FeatureTooLarge { feature, value } => write!(
+                f,
+                "context feature {feature} is {value:e}; features must not exceed {:e} in magnitude",
+                crate::bandit::MAX_FEATURE_MAGNITUDE
+            ),
             CoreError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
             CoreError::Io { op, kind, message } => {
                 write!(f, "IO failure during {op} ({kind:?}): {message}")
@@ -141,6 +156,8 @@ mod tests {
         assert!(e.to_string().contains("-1"));
         let e = CoreError::NonFiniteFeature { feature: 3, value: f64::INFINITY };
         assert!(e.to_string().contains('3') && e.to_string().contains("inf"));
+        let e = CoreError::FeatureTooLarge { feature: 2, value: 1e200 };
+        assert!(e.to_string().contains('2') && e.to_string().contains("1e200"));
         let e = CoreError::Io {
             op: "save",
             kind: std::io::ErrorKind::WriteZero,

@@ -54,6 +54,7 @@ pub mod policy;
 pub mod scaler;
 pub mod snapshot;
 pub mod thompson;
+mod tickets;
 pub mod tolerance;
 pub mod ucb;
 

@@ -127,12 +127,22 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
     ) -> Result<()> {
         out.clear();
         out.reserve(frame.n_rows());
-        let mut row = Vec::with_capacity(frame.n_features());
+        let (rows, m) = (frame.row_major(), frame.n_features());
         for r in 0..frame.n_rows() {
-            frame.copy_row_into(r, &mut row);
-            out.push(self.select(&row)?);
+            out.push(self.select(&rows[r * m..(r + 1) * m])?);
         }
         Ok(())
+    }
+
+    /// The per-arm predictions the most recent
+    /// [`Policy::select_frame_into`] computed, arm-major (`n_arms × n_rows`:
+    /// arm `a`, row `r` at `a·n_rows + r`), each bitwise equal to
+    /// [`Policy::predict`] on that row against the current model. `None`
+    /// (the default) when the policy keeps no such columns or the last
+    /// frame pass predicted nothing; callers then fall back to `predict`.
+    /// Only valid until the policy next changes state.
+    fn frame_predictions(&self) -> Option<&[f64]> {
+        None
     }
 
     /// Record the observed runtime of `arm` on context `x` and refit.
@@ -318,6 +328,10 @@ impl Policy for Box<dyn Policy> {
         (**self).select_frame_into(frame, out)
     }
 
+    fn frame_predictions(&self) -> Option<&[f64]> {
+        (**self).frame_predictions()
+    }
+
     fn exploit(&self, x: &[f64], costs: &[f64]) -> Result<usize> {
         (**self).exploit(x, costs)
     }
@@ -379,10 +393,9 @@ pub(crate) fn observe_frame_rows<P: Policy + ?Sized>(
 ) -> Result<()> {
     absorbed.clear();
     absorbed.resize(frame.n_rows(), false);
-    let mut row = Vec::with_capacity(frame.n_features());
+    let (rows, m) = (frame.features().row_major(), frame.n_features());
     for r in 0..frame.n_rows() {
-        frame.features().copy_row_into(r, &mut row);
-        policy.observe(frame.arm(r), &row, frame.outcome(r))?;
+        policy.observe(frame.arm(r), &rows[r * m..(r + 1) * m], frame.outcome(r))?;
         absorbed[r] = true;
     }
     Ok(())

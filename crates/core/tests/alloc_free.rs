@@ -14,7 +14,8 @@ use banditware_core::linucb::LinUcb;
 use banditware_core::scaler::ScaledPolicy;
 use banditware_core::thompson::LinThompson;
 use banditware_core::{
-    ArmSpec, BanditConfig, DecayingEpsilonGreedy, FeatureFrame, ObservationFrame, Policy,
+    ArmSpec, BanditConfig, BanditWare, DecayingEpsilonGreedy, FeatureFrame, ObservationFrame,
+    Policy, Recommendation, Retention, Ticket,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -434,6 +435,51 @@ fn batched_record_path_is_allocation_free() {
     assert_eq!(n, 0, "scaled observe_frame allocated {n} times in 100 warm bursts");
 }
 
+/// The recommender's own batch round: a warm ε-greedy
+/// `BanditWare<Box<dyn Policy>>` issues each burst's tickets into its flat
+/// feature arena and answers into a reused result buffer, then records the
+/// burst through the columnar observe path, recycling the history rows a
+/// bounded retention drops. 100 bursts allocate nothing, at a narrow and a
+/// wide context, under a bounded tail and under no retention.
+fn bandit_batch_round_is_allocation_free() {
+    const B: usize = 64;
+    for m in [7usize, 64] {
+        for retention in [Retention::Tail(16), Retention::None] {
+            let specs = ArmSpec::unit_costs(4);
+            let config = BanditConfig::paper().with_epsilon0(0.2).with_seed(13);
+            let policy: Box<dyn Policy> = Box::new(
+                DecayingEpsilonGreedy::<RecursiveArm>::new(specs.clone(), m, config).unwrap(),
+            );
+            let mut bandit = BanditWare::new(policy, specs).with_retention(retention);
+            let mut xs: Vec<Vec<f64>> = (0..B).map(|_| vec![0.0; m]).collect();
+            let mut frame = FeatureFrame::new();
+            let mut recs: Vec<(Ticket, Recommendation)> = Vec::new();
+            let mut outcomes: Vec<(Ticket, f64)> = Vec::with_capacity(B);
+            let mut burst = |bandit: &mut BanditWare<Box<dyn Policy>>, round: usize| {
+                for (i, x) in xs.iter_mut().enumerate() {
+                    fill_context(x, round * B + i);
+                }
+                frame.fill_from_rows(&xs).unwrap();
+                bandit.recommend_batch_frame_into(&frame, &mut recs).unwrap();
+                outcomes.clear();
+                outcomes
+                    .extend(recs.iter().map(|(t, r)| (*t, 10.0 + ((round + r.arm) % 17) as f64)));
+                bandit.record_batch_frame(&outcomes).unwrap();
+            };
+            for round in 0..20 {
+                burst(&mut bandit, round);
+            }
+            let n = count_allocs(100, |round| burst(&mut bandit, 20 + round));
+            assert_eq!(
+                n, 0,
+                "BanditWare batch round (m={m}, {retention:?}) allocated {n} times in 100 warm bursts"
+            );
+            assert_eq!(bandit.rounds(), 120 * B);
+            assert_eq!(bandit.in_flight(), 0);
+        }
+    }
+}
+
 fn main() {
     for (name, section) in [
         (
@@ -443,6 +489,7 @@ fn main() {
         ("read_path_is_allocation_free", read_path_is_allocation_free),
         ("batched_select_path_is_allocation_free", batched_select_path_is_allocation_free),
         ("batched_record_path_is_allocation_free", batched_record_path_is_allocation_free),
+        ("bandit_batch_round_is_allocation_free", bandit_batch_round_is_allocation_free),
     ] {
         section();
         println!("alloc_free: {name} ... ok");

@@ -15,6 +15,7 @@
 pub const NO_PANIC_PATHS: &[&str] = &[
     "crates/linalg/src/",
     "crates/core/src/bandit.rs",
+    "crates/core/src/tickets.rs",
     "crates/core/src/epsilon.rs",
     "crates/core/src/frame.rs",
     "crates/core/src/arm.rs",

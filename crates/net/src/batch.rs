@@ -7,9 +7,10 @@
 //! once per read pass. Requests decode in place and their keys and
 //! features are copied into two reused buffers. Groups are index lists in
 //! reused scratch, recommend groups are written straight into the burst
-//! [`FeatureFrame`], and responses encode from borrowed parts. The one
-//! allocation a pass makes beyond the engine's own is the key map, which
-//! borrows its keys from the arena and so cannot outlive the pass.
+//! [`FeatureFrame`], the engine answers into a reused result buffer, and
+//! responses encode from borrowed parts. The one allocation a warm pass
+//! makes is the key map, which borrows its keys from the arena and so
+//! cannot outlive the pass.
 
 use crate::error::ErrorCode;
 use crate::frame::{encode_frame, parse_frame, FrameEvent, MAX_PAYLOAD};
@@ -206,6 +207,8 @@ pub(crate) struct BatchScratch {
     /// Columnar staging for recommend bursts, filled row by row from the
     /// arena outside the stripe lock.
     burst: FeatureFrame,
+    /// The engine's answers for one recommend burst.
+    recs: Vec<(Ticket, Recommendation)>,
     outcomes: Vec<(Ticket, f64)>,
     payload: Vec<u8>,
     frame: Vec<u8>,
@@ -305,7 +308,7 @@ pub(crate) fn execute_batch(
     scratch: &mut BatchScratch,
     sink: &mut dyn FnMut(usize, &[u8]),
 ) {
-    let BatchScratch { groups, next, burst, outcomes, payload, frame } = scratch;
+    let BatchScratch { groups, next, burst, recs, outcomes, payload, frame } = scratch;
     group(inbox, groups, next);
     let mut out = Responder { payload, frame, sink };
     let items = &inbox.items;
@@ -344,10 +347,10 @@ pub(crate) fn execute_batch(
                 let batched = members()
                     .enumerate()
                     .try_for_each(|(r, item)| burst.set_row(r, inbox.features_of(item)))
-                    .and_then(|()| engine.recommend_batch_frame(key, burst));
+                    .and_then(|()| engine.recommend_batch_frame_into(key, burst, recs));
                 match batched {
-                    Ok(results) => {
-                        for (item, (ticket, rec)) in members().zip(&results) {
+                    Ok(()) => {
+                        for (item, (ticket, rec)) in members().zip(recs.iter()) {
                             out.recommendation(item, *ticket, rec);
                         }
                     }

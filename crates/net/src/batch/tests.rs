@@ -4,7 +4,7 @@
 use super::*;
 use crate::frame::encode_frame;
 use crate::protocol::{decode_response, encode_request, Request};
-use banditware_core::{ArmSpec, BanditConfig};
+use banditware_core::{ArmSpec, BanditConfig, Retention};
 use banditware_serve::EngineBuilder;
 
 /// A counting global allocator with a **thread-local** counter, so the
@@ -234,13 +234,18 @@ fn drain_frames_keeps_the_partial_tail_and_stops_at_an_oversized_header() {
 }
 
 /// A warmed pass — decode into the arena, group, execute, encode —
-/// allocates nothing beyond what the engine's own batch calls allocate
-/// (measured on a twin driven directly) plus the one per-pass key map.
+/// allocates nothing but the one per-pass key map: under a bounded
+/// retention the engine issues tickets into its warm arena, answers into
+/// the scratch result buffer and recycles the history rows the tail drops.
 #[test]
-fn warmed_pass_allocates_only_the_engines_own_and_one_map() {
+fn warmed_pass_allocates_only_the_key_map() {
     const KEYS: [&str; 4] = ["k0", "k1", "k2", "k3"];
-    let served = engine();
-    let twin = engine();
+    let served = EngineBuilder::new(ArmSpec::unit_costs(3), 2)
+        .policy("epsilon-greedy")
+        .config(BanditConfig::paper().with_seed(41))
+        .retention(Retention::Tail(4))
+        .build()
+        .expect("engine builds");
     let mut inbox = Inbox::default();
     let mut scratch = BatchScratch::default();
     let mut out: Vec<u8> = Vec::with_capacity(1 << 16);
@@ -252,9 +257,6 @@ fn warmed_pass_allocates_only_the_engines_own_and_one_map() {
         // Arrivals over two connection slots: two recommends per key, then
         // the records of last pass's tickets.
         let mut rx = [Vec::new(), Vec::new()];
-        let mut frames = Vec::new();
-        let mut records = Vec::new();
-        let mut rows = vec![Vec::new(); KEYS.len()];
         // Request ID → key index, to file each reply's ticket.
         let mut key_of = HashMap::new();
         for r in 0..2 {
@@ -263,19 +265,18 @@ fn warmed_pass_allocates_only_the_engines_own_and_one_map() {
                 id += 1;
                 key_of.insert(id, k);
                 rx[k % 2].extend_from_slice(&request_frame(id, &recommend(key, &x)));
-                rows[k].push(x);
             }
         }
         for (k, key) in KEYS.iter().enumerate() {
-            let outcomes: Vec<(Ticket, f64)> =
-                open[k].drain(..).map(|t| (Ticket::from_id(t), 10.0 + (t % 5) as f64)).collect();
-            for &(t, runtime) in &outcomes {
+            for t in open[k].drain(..) {
                 id += 1;
-                let req = Request::Record { key: (*key).into(), ticket: t.id(), runtime };
+                let req = Request::Record {
+                    key: (*key).into(),
+                    ticket: t,
+                    runtime: 10.0 + (t % 5) as f64,
+                };
                 rx[k % 2].extend_from_slice(&request_frame(id, &req));
             }
-            frames.push(FeatureFrame::from_rows(&rows[k]).expect("frame"));
-            records.push(outcomes);
         }
 
         out.clear();
@@ -287,18 +288,6 @@ fn warmed_pass_allocates_only_the_engines_own_and_one_map() {
             out.extend_from_slice(bytes);
         });
         let pass_allocs = counting::allocs() - before;
-
-        // The same engine work, driven directly in the order the groups run.
-        let before = counting::allocs();
-        for (key, frame) in KEYS.iter().zip(&frames) {
-            drop(twin.recommend_batch_frame(key, frame).expect("twin recommend"));
-        }
-        for (key, outcomes) in KEYS.iter().zip(&records) {
-            if !outcomes.is_empty() {
-                twin.record_batch_frame(key, outcomes).expect("twin record");
-            }
-        }
-        let engine_allocs = counting::allocs() - before;
 
         let mut rest = &out[..];
         while !rest.is_empty() {
@@ -312,11 +301,11 @@ fn warmed_pass_allocates_only_the_engines_own_and_one_map() {
             }
             rest = &rest[consumed..];
         }
-        if pass >= 8 {
-            assert!(
-                pass_allocs <= engine_allocs + 1,
-                "pass {pass}: {pass_allocs} allocations, engine's own {engine_allocs} + 1 map"
-            );
+        // Each arm sizes its buffers on its first pulls, which under the
+        // paper's ε₀ = 1 schedule spread over the first dozen passes.
+        if pass >= 16 {
+            assert!(pass_allocs <= 1, "pass {pass}: {pass_allocs} allocations, expected the 1 map");
         }
+        assert_eq!(served.stats().in_flight, 2 * KEYS.len(), "pass {pass}");
     }
 }

@@ -222,7 +222,23 @@ impl Engine {
         key: &str,
         frame: &FeatureFrame,
     ) -> Result<Vec<(Ticket, Recommendation)>> {
-        self.with_shard_mut(key, |shard| shard.recommend_batch_frame(frame))?
+        let mut out = Vec::with_capacity(frame.n_rows());
+        self.recommend_batch_frame_into(key, frame, &mut out).map(|()| out)
+    }
+
+    /// [`Engine::recommend_batch_frame`] into a caller-owned buffer
+    /// (cleared first), so a serving loop that reuses `out` allocates
+    /// nothing per burst once the key's shard is warm.
+    ///
+    /// # Errors
+    /// As [`Engine::recommend_batch_frame`].
+    pub fn recommend_batch_frame_into(
+        &self,
+        key: &str,
+        frame: &FeatureFrame,
+        out: &mut Vec<(Ticket, Recommendation)>,
+    ) -> Result<()> {
+        self.with_shard_mut(key, |shard| shard.recommend_batch_frame_into(frame, out))?
     }
 
     /// Record the runtime for an in-flight ticket of `key`. Tickets may be
@@ -273,8 +289,7 @@ impl Engine {
     /// Abandon an in-flight round of `key`. Returns whether a round was
     /// actually dropped.
     pub fn drop_ticket(&self, key: &str, ticket: Ticket) -> bool {
-        self.with_existing_shard_mut(key, |shard| shard.drop_ticket(ticket).is_some())
-            .unwrap_or(false)
+        self.with_existing_shard_mut(key, |shard| shard.drop_ticket(ticket)).unwrap_or(false)
     }
 
     /// Clone out a key's recorded history (`None` for an untouched key).

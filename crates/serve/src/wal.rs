@@ -1184,8 +1184,18 @@ impl DurableEngine {
             .with_existing_shard_mut(key, |shard| -> ServeResult<()> {
                 let round = shard
                     .in_flight_round(ticket)
-                    .ok_or(CoreError::UnknownTicket { ticket: ticket.id() })?
-                    .clone();
+                    .ok_or(CoreError::UnknownTicket { ticket: ticket.id() })?;
+                // The line is written before the apply, while the round is
+                // still open; a successful record takes sequence number
+                // `rounds()`.
+                let line = format_wal_line(
+                    shard.rounds(),
+                    ticket,
+                    round.arm,
+                    round.explored,
+                    runtime,
+                    round.features,
+                );
                 // Only touch the filesystem once the ticket is known to be
                 // real: a stray record must not mint a phantom tenant
                 // directory that recovery would then report as a key.
@@ -1197,15 +1207,6 @@ impl DurableEngine {
                 // those semantics.)
                 let mut appender = Self::lock_wal(&wal)?;
                 shard.record_ticket(ticket, runtime)?;
-                let seq = shard.rounds() - 1;
-                let line = format_wal_line(
-                    seq,
-                    ticket,
-                    round.arm,
-                    round.explored,
-                    runtime,
-                    &round.features,
-                );
                 appender.append(&line, 1)
             })
             .ok_or(ServeError::Core(CoreError::UnknownTicket { ticket: ticket.id() }))?
@@ -1266,7 +1267,7 @@ impl DurableEngine {
                             round.arm,
                             round.explored,
                             runtime,
-                            &round.features,
+                            round.features,
                         ));
                         n_records += 1;
                     });
