@@ -143,13 +143,13 @@ fn row(rng: &mut StdRng, width: usize) -> Vec<f64> {
     (0..width).map(|_| rng.gen_range(-50.0..50.0)).collect()
 }
 
-/// Row width: the policy's own, or any for a non-contextual policy (from
-/// 1: a checkpoint cannot load a zero-feature round back).
+/// Row width: the policy's own, or any for a non-contextual policy
+/// (zero-feature rounds included).
 fn width(rng: &mut StdRng, contextual: bool) -> usize {
     if contextual {
         WIDTH
     } else {
-        rng.gen_range(1..5usize)
+        rng.gen_range(0..5usize)
     }
 }
 
@@ -213,11 +213,11 @@ proptest! {
                         // oversized feature — changes nothing.
                         let mut rows = rows;
                         let r = rng.gen_range(0..rows.len());
-                        let f = rng.gen_range(0..w);
-                        rows[r][f] = if rng.gen_bool(0.5) { f64::NAN } else { 1e200 };
+                        let f = rng.gen_range(0..w.max(1));
                         for row in &mut rows {
                             row.push(1.0);
                         }
+                        rows[r][f] = if rng.gen_bool(0.5) { f64::NAN } else { 1e200 };
                         let frame = FeatureFrame::from_rows(&rows).unwrap();
                         prop_assert!(bw.recommend_batch_frame(&frame).is_err());
                         assert_matches(&bw, &model)?;

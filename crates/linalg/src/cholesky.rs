@@ -416,6 +416,14 @@ impl UpdatableCholesky {
 
     /// The GGMS rank-1 sweep for `A ← A + α·wwᵀ`, `α = ±1`.
     fn rank_one(&mut self, w: &[f64], alpha: f64) -> Result<()> {
+        self.rank_one_inline(w, alpha)
+    }
+
+    /// [`UpdatableCholesky::rank_one`], always inlined: the dispatched
+    /// record path (`crate::simd`) calls it so that it compiles at its
+    /// instruction set.
+    #[inline(always)]
+    pub(crate) fn rank_one_inline(&mut self, w: &[f64], alpha: f64) -> Result<()> {
         let n = self.lt.rows();
         if w.len() != n {
             return Err(LinalgError::ShapeMismatch(format!(
@@ -441,10 +449,13 @@ impl UpdatableCholesky {
             self.d[j] = d_new;
             self.dinv[j] = inv_new;
             // Deliberately left in pairwise scalar form: the loop
-            // vectorizer turns this exact shape into two 4-wide FMAs per
-            // block, and every explicit `[f64; 4]` block variant measured
-            // 30–45% *slower* (the unrolled body falls back to the weaker
-            // SLP vectorizer). See BENCH_PR7.json `cholupdate_m64`.
+            // vectorizer turns this exact shape into packed multiply,
+            // subtract, multiply, add — 2-lane SSE2 in the baseline x86-64
+            // build, 4-lane AVX2 inside the dispatched twins
+            // (`crate::simd`), never a fused multiply-add — and every
+            // explicit `[f64; 4]` block variant measured 30–45% *slower*
+            // (the unrolled body falls back to the weaker SLP vectorizer).
+            // See BENCH_PR7.json `cholupdate_m64`.
             let row = self.lt.row_mut(j);
             for (lji, wi) in row[j + 1..].iter_mut().zip(&mut self.work[j + 1..]) {
                 *wi -= p * *lji;
@@ -476,6 +487,7 @@ impl UpdatableCholesky {
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] if `rows.len() != 4·dim` or `work`
     /// is shorter (the factor is untouched in that case).
+    #[inline(always)]
     pub(crate) fn update_panel(&mut self, rows: &[f64], work: &mut [f64]) -> Result<usize> {
         let n = self.lt.rows();
         if rows.len() != 4 * n || work.len() < 4 * n {
@@ -582,6 +594,14 @@ impl UpdatableCholesky {
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] on a length mismatch.
     pub fn solve_in_place(&self, bx: &mut [f64]) -> Result<()> {
+        self.solve_in_place_inline(bx)
+    }
+
+    /// [`UpdatableCholesky::solve_in_place`], always inlined: the
+    /// dispatched refit (`crate::simd`) calls it so that it compiles at
+    /// its instruction set.
+    #[inline(always)]
+    pub(crate) fn solve_in_place_inline(&self, bx: &mut [f64]) -> Result<()> {
         let n = self.lt.rows();
         if bx.len() != n {
             return Err(LinalgError::ShapeMismatch(format!(
@@ -596,7 +616,10 @@ impl UpdatableCholesky {
         // Every element still receives its four `+= (-y_k)·l` updates in
         // ascending-k order, so the result is bitwise identical to four
         // sequential `axpy` sweeps — it just loads `bx` once instead of
-        // four times and keeps four FMA chains in flight.
+        // four times. The fused pass vectorizes across elements as
+        // separate packed multiplies and adds: 2 lanes (SSE2) in the
+        // baseline build, 4 (AVX2) in the dispatched refit twin; Rust
+        // never contracts them into FMAs.
         let mut k = 0;
         while k + 4 <= n {
             let r0 = self.lt.row(k);

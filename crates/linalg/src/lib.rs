@@ -35,6 +35,7 @@ pub mod lstsq;
 pub mod matrix;
 pub mod online;
 pub mod qr;
+mod simd;
 pub mod stats;
 pub mod vector;
 

@@ -19,6 +19,7 @@ use crate::cholesky::{Cholesky, FactorParts, UpdatableCholesky};
 use crate::error::LinalgError;
 use crate::lstsq::LinearFit;
 use crate::matrix::Matrix;
+use crate::simd::{self, Isa};
 use crate::vector;
 use crate::Result;
 
@@ -94,6 +95,7 @@ const TILE_MIN_ROWS: usize = 2;
 /// row order — the sequence that one [`gram_rank_one`] per row applies (its
 /// `1.0·zᵢ` factor is bitwise `zᵢ`) — so the result is bit for bit the
 /// same.
+#[inline(always)]
 fn gram_fold_tiled(ztz: &mut Matrix, zrows: &[f64]) {
     let n = ztz.rows();
     let data = ztz.as_mut_slice();
@@ -143,8 +145,9 @@ fn gram_tile<const DIAG: bool>(data: &mut [f64], zrows: &[f64], n: usize, i: usi
 
 /// Apply `zrows` (augmented rows of width `dim`) to a live factor in row
 /// order: four at a time through [`UpdatableCholesky::update_panel`], the
-/// remainder through `update`. Returns the first row whose update failed
-/// (the factor is invalid from there), or `None`.
+/// remainder through `update`'s sweep. Returns the first row whose update
+/// failed (the factor is invalid from there), or `None`.
+#[inline(always)]
 fn factor_rows(
     chol: &mut UpdatableCholesky,
     zrows: &[f64],
@@ -163,7 +166,7 @@ fn factor_rows(
     }
     let base = (zrows.len() - panels.remainder().len()) / dim;
     for (r, z) in panels.remainder().chunks_exact(dim).enumerate() {
-        if chol.update(z).is_err() {
+        if chol.rank_one_inline(z, 1.0).is_err() {
             return Ok(Some(base + r));
         }
     }
@@ -434,6 +437,19 @@ impl NormalEquations {
             )));
         }
         debug_assert!(zrows.chunks_exact(dim).all(|z| z[0] == 1.0), "rows must be [1, x]");
+        simd::push_rows(Isa::for_dim(self.dim), self, zrows, ys, panel)
+    }
+
+    /// [`NormalEquations::push_rows`] on validated rows; compiled once per
+    /// instruction set by [`simd::push_rows`].
+    #[inline(always)]
+    pub(crate) fn push_rows_kernel(
+        &mut self,
+        zrows: &[f64],
+        ys: &[f64],
+        panel: &mut Vec<f64>,
+    ) -> Result<usize> {
+        let (k, dim) = (ys.len(), self.dim);
         // Factor first, then statistics: the factor depends only on the
         // rows and its own prior state, the statistics only on the rows and
         // theirs, so the two per-row phases commute bit for bit.
@@ -584,13 +600,27 @@ impl NormalEquations {
         let mut out = LinearFit::zeros(self.dim - 1);
         match &self.factor {
             Some(f) if f.lambda == lambda => {
-                self.solve_from_factor(&f.chol, &f.reg, &mut scratch, &mut out)?;
+                simd::solve_from_factor(
+                    Isa::for_dim(self.dim),
+                    self,
+                    &f.chol,
+                    &f.reg,
+                    &mut scratch,
+                    &mut out,
+                )?;
             }
             _ => {
                 // `&self` receiver: compute the factor without caching it
                 // (mutating entry points cache; see `solve_into`).
                 let (chol, reg) = self.fresh_factor(lambda, &mut scratch)?;
-                self.solve_from_factor(&chol, &reg, &mut scratch, &mut out)?;
+                simd::solve_from_factor(
+                    Isa::for_dim(self.dim),
+                    self,
+                    &chol,
+                    &reg,
+                    &mut scratch,
+                    &mut out,
+                )?;
             }
         }
         Ok(out)
@@ -633,7 +663,7 @@ impl NormalEquations {
         }
         // lint: allow(no-panic) -- factor refreshed on the branch above
         let f = self.factor.as_ref().expect("factor refreshed above");
-        self.solve_from_factor(&f.chol, &f.reg, scratch, out)
+        simd::solve_from_factor(Isa::for_dim(self.dim), self, &f.chol, &f.reg, scratch, out)
     }
 
     /// True when a live factor for `lambda` exists, i.e. the next
@@ -664,7 +694,7 @@ impl NormalEquations {
     /// Also returns the baked diagonal regularizer `R` in the original
     /// space (`reg[i] = (i == 0 ? 0 : λ) + jitter·sᵢ²` — any jitter applied
     /// in the scaled space maps back through the frozen scales), which the
-    /// O(m) residual recovery in [`NormalEquations::solve_from_factor`]
+    /// O(m) residual recovery in [`NormalEquations::solve_from_factor_kernel`]
     /// needs on every subsequent solve.
     fn fresh_factor(
         &self,
@@ -708,8 +738,10 @@ impl NormalEquations {
     }
 
     /// Refit from an existing factor: O(m²) substitution + the O(m) RSS
-    /// recovery, writing into `out` without allocating.
-    fn solve_from_factor(
+    /// recovery, writing into `out` without allocating. Compiled once per
+    /// instruction set by [`simd::solve_from_factor`].
+    #[inline(always)]
+    pub(crate) fn solve_from_factor_kernel(
         &self,
         chol: &UpdatableCholesky,
         reg: &[f64],
@@ -718,7 +750,7 @@ impl NormalEquations {
     ) -> Result<()> {
         scratch.resize(self.dim);
         scratch.coeffs.copy_from_slice(&self.zty);
-        chol.solve_in_place(&mut scratch.coeffs)?;
+        chol.solve_in_place_inline(&mut scratch.coeffs)?;
         let coeffs = &scratch.coeffs;
         out.intercept = coeffs[0];
         out.weights.resize(self.dim - 1, 0.0);

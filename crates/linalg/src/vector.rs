@@ -8,10 +8,15 @@
 //! The hot kernels (`dot`, `axpy`, `scale`, `norm2`) process explicit
 //! `[f64; 4]` blocks with scalar tails. `chunks_exact(4)` + an array
 //! conversion gives the optimizer fixed-size, bounds-check-free loop bodies
-//! it turns into SIMD-width code — without `portable_simd` or any
-//! dependency. Every kernel preserves the accumulation order of the
-//! pre-block scalar implementation **bit for bit**: `dot` keeps the same
-//! four independent accumulators combined as `(s0+s1)+(s2+s3)+tail`, the
+//! with four independent lanes — without `portable_simd` or any
+//! dependency. What the lanes compile to depends on the target: the
+//! baseline x86-64 build packs them into 2-lane SSE2 operations; where
+//! `dot` and `axpy` are inlined into an AVX2 twin of a dispatched
+//! record-path kernel (`crate::simd`), up to 4-lane AVX2. No path uses
+//! FMA: Rust never contracts `a*b + c`. Every kernel preserves the
+//! accumulation order of the pre-block scalar implementation **bit for
+//! bit**: `dot` keeps the same four independent accumulators combined as
+//! `(s0+s1)+(s2+s3)+tail`, the
 //! element-wise kernels touch each element with the identical operation,
 //! and `norm2` only takes its block fast path when it provably replays the
 //! scalar rescaling sequence. Golden determinism tests across the workspace
@@ -31,7 +36,9 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch {} vs {}", a.len(), b.len());
     // Explicit 4-lane blocks: the `[f64; 4]` bodies are bounds-check-free
     // and lane-independent, so the backend keeps four FP adds in flight
-    // (one vector fma per block) instead of serializing on one register.
+    // instead of serializing on one register — a block is packed
+    // multiplies and adds (2-lane SSE2 on the baseline target, wider
+    // inside an AVX2 twin), never a fused multiply-add.
     let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
     for (ca, cb) in a.chunks_exact(4).zip(b.chunks_exact(4)) {
         let ca: &[f64; 4] = ca.try_into().expect("block of 4"); // lint: allow(no-panic) -- chunks_exact(4) yields exact blocks

@@ -15,6 +15,13 @@
 //!   feed pinned state. Files whose job *is* timing opt out with
 //!   `// lint: timing-module -- <justification>`; individual sites use
 //!   `// lint: allow(determinism) -- <justification>`.
+//! * **Host-dependent code paths** — `#[target_feature]` and the
+//!   `is_*_feature_detected!` macros (`is_x86_feature_detected!`,
+//!   `is_aarch64_feature_detected!`, ...) make what runs depend on the CPU, so the
+//!   same input can take different code on two hosts. Every such site must
+//!   carry `// lint: allow(determinism) -- <why>` (there is no file-level
+//!   opt-out), which keeps them in one audited dispatch seam whose paths are
+//!   tested bitwise equal.
 
 use crate::config::{crate_dir, path_matches, PINNED_PATHS};
 use crate::lexer::TokKind;
@@ -261,6 +268,21 @@ fn check_file(
         if t.is_ident("for") {
             check_for_header(file, i, hash_idents, &mut report, findings);
         }
+        // Host-dependent code paths (not exempted by `timing-module`).
+        let detection = name.starts_with("is_") && name.ends_with("_feature_detected");
+        if name == "target_feature"
+            || (detection && tokens.get(i + 1).is_some_and(|n| n.is_punct('!')))
+        {
+            report(
+                t.line,
+                format!(
+                    "`{name}` in a pinned crate selects code by host CPU: keep it in the one \
+                     dispatch seam whose paths are tested bitwise equal, and justify the site \
+                     with `lint: allow(determinism)`"
+                ),
+                findings,
+            );
+        }
         // Wall clocks.
         if file.timing_module {
             continue;
@@ -411,6 +433,23 @@ mod tests {
         let src = "struct S { m: HashMap<u32, u32> }\nimpl S { fn f(&self) -> usize {\n    // lint: allow(determinism) -- commutative sum\n    self.m.values().map(|v| *v as usize).sum()\n} }\n";
         let findings = run("crates/core/src/x.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn host_dispatch_flagged_unless_allowed() {
+        let src = "#[target_feature(enable = \"avx2\")]\nfn twin() {}\nfn pick() -> bool { is_x86_feature_detected!(\"avx2\") }\nfn is_x86_feature_detected() {}\nfn arm() -> bool { std::arch::is_aarch64_feature_detected!(\"neon\") }\n";
+        let findings = run("crates/linalg/src/x.rs", src);
+        // The attribute and both macro calls (any architecture); a plain fn
+        // of that name is not a detection.
+        assert_eq!(findings.len(), 3, "{findings:?}");
+        assert!(findings.iter().any(|f| f.message.contains("is_aarch64_feature_detected")));
+        // A timing-module opt-out does not cover them.
+        let timing = format!("// lint: timing-module -- pacing\n{src}");
+        assert_eq!(run("crates/linalg/src/x.rs", &timing).len(), 3);
+        let allowed = "// lint: allow(determinism) -- bitwise-equal twin\n#[target_feature(enable = \"avx2\")]\nfn twin() {}\nfn pick() -> bool {\n    // lint: allow(determinism) -- the dispatch seam\n    is_x86_feature_detected!(\"avx2\")\n}\n";
+        let findings = run("crates/linalg/src/x.rs", allowed);
+        assert!(findings.is_empty(), "{findings:?}");
+        assert!(run("crates/bench/src/x.rs", src).is_empty());
     }
 
     #[test]

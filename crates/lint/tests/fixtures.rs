@@ -46,6 +46,14 @@ fn bad_fixture_trips_every_pass() {
         "determinism missed the wall-clock read: {findings:?}"
     );
     assert!(
+        hit(Pass::Determinism, "crates/linalg/src/lib.rs", "`target_feature`"),
+        "determinism missed the target_feature twin: {findings:?}"
+    );
+    assert!(
+        hit(Pass::Determinism, "crates/linalg/src/lib.rs", "`is_x86_feature_detected`"),
+        "determinism missed the CPU-detection dispatch: {findings:?}"
+    );
+    assert!(
         hit(Pass::UnsafeAudit, "crates/core/src/lib.rs", "SAFETY:"),
         "unsafe-audit missed the unjustified unsafe fn: {findings:?}"
     );
@@ -68,4 +76,16 @@ fn workspace_self_scan_has_zero_findings() {
     assert!(ws.files.len() > 50, "self-scan found only {} files", ws.files.len());
     let findings = ws.check();
     assert!(findings.is_empty(), "workspace baseline regressed: {findings:?}");
+    // `linalg`'s one unsafe site is the kernel dispatch, justified by the
+    // CPU-detection check it rests on.
+    let inventory = banditware_lint::unsafety::check(&ws).inventory;
+    let linalg: Vec<_> =
+        inventory.iter().filter(|s| s.file.starts_with("crates/linalg/")).collect();
+    assert_eq!(linalg.len(), 1, "linalg unsafe sites: {linalg:?}");
+    assert_eq!(linalg[0].file, "crates/linalg/src/simd.rs");
+    assert!(
+        linalg[0].justification.contains("is_x86_feature_detected"),
+        "dispatch site justification: {:?}",
+        linalg[0].justification
+    );
 }
