@@ -40,11 +40,10 @@ echo "==> serving-engine smoke run (concurrent_serving example)"
 cargo run --release --example concurrent_serving >/dev/null
 
 # The network acceptance gate: a TCP client stream (sync, pipelined, and a
-# checkpoint fetch, all on a loopback port-0 bind) must be bitwise
-# identical to an identically-seeded in-process engine, in both server
-# modes — thread-per-connection and the epoll reactor (the example asserts
-# it).
-echo "==> network serving run (framed TCP front-end, both modes -> bitwise equivalence gate)"
+# checkpoint fetch, all on a loopback port-0 bind to the epoll reactor)
+# must be bitwise identical to an identically-seeded in-process engine
+# (the example asserts it).
+echo "==> network serving run (framed TCP front-end -> bitwise equivalence gate)"
 cargo run --release --example network_serving >/dev/null
 
 # The end-to-end benchmark (bwbench/, its own workspace) checks the
@@ -94,13 +93,10 @@ cargo run --release --example replication_failover >/dev/null
 # factorization exists for — and the columnar engine round no slower than
 # the row round), the PR-8 gates (the frame record path never slower
 # than the per-ticket row path at batch 64, plus the same >= 8x
-# refit-over-record ratio), and the PR-9 gates (the epoll reactor matches
-# thread-per-connection fan-out throughput at 8 connections and doubles it
-# at 256 — calibrated down to 1.2x on single-core hosts where the reactor
-# loops cannot run in parallel — a 1024-connection run is served to
-# completion, and the rank-64 block absorption — `push_block`, the one
-# block record path: panel cholupdate plus tiled Gram fold — is no slower
-# than 64 sequential pushes).
+# refit-over-record ratio), and the PR-9 gates (a 1024-connection reactor
+# fan-out run is served to completion, and the rank-64 block absorption —
+# `push_block`, the one block record path: panel cholupdate plus tiled
+# Gram fold — is no slower than 64 sequential pushes).
 # While iterating on one group locally, `BENCH_ONLY=<comma-separated PR
 # numbers>` (e.g. `BENCH_ONLY=7,8`) restricts the binary to those groups;
 # CI leaves it unset so every gate runs.

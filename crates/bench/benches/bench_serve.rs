@@ -49,7 +49,7 @@ fn batched_rounds(e: &Engine, key: &str, batch: usize, rng: &mut StdRng) {
             .zip(&xs)
             .map(|((t, rec), x)| (*t, (rec.arm + 1) as f64 * x[0] + 1.0))
             .collect();
-        e.record_batch(key, &outcomes).unwrap();
+        e.record_batch_frame(key, &outcomes).unwrap();
         remaining -= n;
     }
 }
@@ -102,7 +102,7 @@ fn bench_multi_tenant_fanout(c: &mut Criterion) {
                     let issued = e.recommend_batch(key, &xs).unwrap();
                     let outcomes: Vec<(Ticket, f64)> =
                         issued.iter().map(|(t, r)| (*t, (r.arm + 1) as f64 * 10.0)).collect();
-                    e.record_batch(key, &outcomes).unwrap();
+                    e.record_batch_frame(key, &outcomes).unwrap();
                 }
             },
         )

@@ -10,8 +10,8 @@
 //!   order**, and a round that never completes can be abandoned with
 //!   [`BanditWare::drop_ticket`]. [`BanditWare::recommend_batch`] selects a
 //!   whole burst in one policy pass (for [`crate::ScaledPolicy`], one
-//!   scaler pass); [`BanditWare::record_batch`] validates the burst
-//!   atomically and absorbs it round by round.
+//!   scaler pass); [`BanditWare::record_batch_frame`] validates the burst
+//!   atomically and absorbs it in one columnar policy pass.
 //! * **Legacy single-slot**: [`BanditWare::recommend`] +
 //!   [`BanditWare::record`] keep the original strictly-alternating protocol.
 //!   They are a shim over the ticket table; calling `recommend` twice
@@ -481,30 +481,6 @@ impl<P: Policy> BanditWare<P> {
         Ok(())
     }
 
-    /// Record a batch of `(ticket, runtime)` pairs. Request validation is
-    /// atomic: every ticket must be open (and unique within the batch) and
-    /// every runtime positive and finite **before** anything is absorbed,
-    /// so a malformed call leaves the recommender untouched.
-    ///
-    /// This is a shim over [`BanditWare::record_batch_frame`] (results are
-    /// bitwise identical): the burst is staged into a columnar
-    /// [`ObservationFrame`] and absorbed in one policy frame pass. Every
-    /// round the policy absorbs is consumed (ticket closed, history
-    /// appended); any round it does not — a numerical refit failure, not a
-    /// request error — **stays open** for retry or
-    /// [`BanditWare::drop_ticket`]. Retrying the open remainder can never
-    /// double-count an observation: a consumed ticket in the retry surfaces
-    /// as [`crate::CoreError::UnknownTicket`].
-    ///
-    /// # Errors
-    /// [`crate::CoreError::UnknownTicket`] for a ticket not in flight,
-    /// [`crate::CoreError::InvalidParameter`] for a ticket listed twice in
-    /// the batch, [`crate::CoreError::InvalidRuntime`] for a non-positive
-    /// or non-finite runtime; policy validation otherwise.
-    pub fn record_batch(&mut self, outcomes: &[(Ticket, f64)]) -> Result<()> {
-        self.record_batch_frame(outcomes)
-    }
-
     /// Atomic request validation for a record batch: every ticket open,
     /// no ticket listed twice, every runtime positive and finite. Leaves
     /// the recommender untouched; allocation-free in steady state (dedup
@@ -549,20 +525,26 @@ impl<P: Policy> BanditWare<P> {
         Ok(())
     }
 
-    /// Record a batch of outcomes through the **columnar** observe path:
-    /// after atomic validation ([`BanditWare::validate_record_batch`]) the
-    /// burst's remembered rounds are staged into a reused
-    /// [`ObservationFrame`] and handed to the policy as one
-    /// [`Policy::observe_frame`] pass — for the contextual ε-greedy family
-    /// that means per-arm grouped rank-k absorption instead of one refit
-    /// per row, bitwise identical to recording the rounds one at a time in
-    /// input order.
+    /// Record a batch of `(ticket, runtime)` pairs through the
+    /// **columnar** observe path. Request validation
+    /// ([`BanditWare::validate_record_batch`]) is atomic: every ticket must
+    /// be open (and unique within the batch) and every runtime positive and
+    /// finite **before** anything is absorbed, so a malformed call leaves
+    /// the recommender untouched. The burst's remembered rounds are then
+    /// staged into a reused [`ObservationFrame`] and handed to the policy
+    /// as one [`Policy::observe_frame`] pass — for the contextual ε-greedy
+    /// family that means per-arm grouped rank-k absorption instead of one
+    /// refit per row, bitwise identical to recording the rounds one at a
+    /// time in input order.
     ///
     /// Rounds the policy absorbs are consumed (history appended, legacy
     /// slot cleared, tickets closed in one compaction pass); rounds it does
-    /// not absorb — a mid-batch numerical failure — **stay open** under
-    /// their ticket ids so the caller can retry or drop them. With a policy
-    /// that absorbs rows in input order the open remainder is exactly the
+    /// not absorb — a mid-batch numerical failure, not a request error —
+    /// **stay open** under their ticket ids so the caller can retry or
+    /// [`BanditWare::drop_ticket`] them. Retrying the open remainder can
+    /// never double-count an observation: a consumed ticket in the retry
+    /// surfaces as [`crate::CoreError::UnknownTicket`]. With a policy that
+    /// absorbs rows in input order the open remainder is exactly the
     /// failing round and its successors; a grouped-absorption policy may
     /// absorb a non-prefix subset (rows of arms it finished before the
     /// failing arm), which only ever leaves *fewer* rounds open.
@@ -573,7 +555,10 @@ impl<P: Policy> BanditWare<P> {
     /// a batch is absorbed row by row with identical semantics.
     ///
     /// # Errors
-    /// As [`BanditWare::record_batch`].
+    /// [`crate::CoreError::UnknownTicket`] for a ticket not in flight,
+    /// [`crate::CoreError::InvalidParameter`] for a ticket listed twice in
+    /// the batch, [`crate::CoreError::InvalidRuntime`] for a non-positive
+    /// or non-finite runtime; policy validation otherwise.
     pub fn record_batch_frame(&mut self, outcomes: &[(Ticket, f64)]) -> Result<()> {
         self.record_batch_frame_logged(outcomes, |_, _, _, _| {})
     }
@@ -587,7 +572,7 @@ impl<P: Policy> BanditWare<P> {
     /// closed rounds.
     ///
     /// # Errors
-    /// As [`BanditWare::record_batch`].
+    /// As [`BanditWare::record_batch_frame`].
     pub fn record_batch_frame_logged(
         &mut self,
         outcomes: &[(Ticket, f64)],
@@ -1126,7 +1111,7 @@ mod tests {
         }
         let outcomes: Vec<(Ticket, f64)> =
             issued.iter().map(|(t, r)| (*t, 10.0 * (r.arm + 1) as f64)).collect();
-        bw.record_batch(&outcomes).unwrap();
+        bw.record_batch_frame(&outcomes).unwrap();
         assert_eq!(bw.rounds(), 5);
         assert_eq!(bw.in_flight(), 0);
         assert_eq!(bw.pulls().iter().sum::<usize>(), 5);
@@ -1138,26 +1123,26 @@ mod tests {
         let issued = bw.recommend_batch(&[vec![1.0], vec![2.0]]).unwrap();
         let (t0, t1) = (issued[0].0, issued[1].0);
         // Unknown ticket in the batch → nothing absorbed.
-        let err = bw.record_batch(&[(t0, 5.0), (Ticket::from_id(77), 5.0)]).unwrap_err();
+        let err = bw.record_batch_frame(&[(t0, 5.0), (Ticket::from_id(77), 5.0)]).unwrap_err();
         assert!(matches!(err, CoreError::UnknownTicket { ticket: 77 }));
         assert_eq!(bw.rounds(), 0);
         assert_eq!(bw.in_flight(), 2);
         // Duplicate ticket within a batch → rejected up front, named as a
         // duplicate (not as an unknown ticket — it IS in flight).
         assert!(matches!(
-            bw.record_batch(&[(t0, 5.0), (t0, 6.0)]),
+            bw.record_batch_frame(&[(t0, 5.0), (t0, 6.0)]),
             Err(CoreError::InvalidParameter { name: "outcomes", .. })
         ));
         assert_eq!(bw.rounds(), 0);
         // Invalid runtime anywhere → nothing absorbed.
         assert!(matches!(
-            bw.record_batch(&[(t0, 5.0), (t1, f64::NAN)]),
+            bw.record_batch_frame(&[(t0, 5.0), (t1, f64::NAN)]),
             Err(CoreError::InvalidRuntime(_))
         ));
         assert_eq!(bw.rounds(), 0);
         assert_eq!(bw.pulls(), vec![0, 0]);
         // A clean batch then succeeds.
-        bw.record_batch(&[(t1, 7.0), (t0, 5.0)]).unwrap();
+        bw.record_batch_frame(&[(t1, 7.0), (t0, 5.0)]).unwrap();
         assert_eq!(bw.rounds(), 2);
         assert_eq!(bw.history()[0].features, vec![2.0], "record order preserved");
     }
@@ -1208,7 +1193,7 @@ mod tests {
         let issued = bw.recommend_batch(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
         let (t0, t1, t2) = (issued[0].0, issued[1].0, issued[2].0);
         // Outcome for t1 fails inside the policy; t0 was already absorbed.
-        let err = bw.record_batch(&[(t0, 5.0), (t1, 5000.0), (t2, 7.0)]).unwrap_err();
+        let err = bw.record_batch_frame(&[(t0, 5.0), (t1, 5000.0), (t2, 7.0)]).unwrap_err();
         assert!(matches!(err, CoreError::Linalg(_)));
         // The recorded prefix is consumed and in the history; the failing
         // round and its successors stay open for retry.
@@ -1218,12 +1203,12 @@ mod tests {
         // Retrying the full batch cannot double-count: the consumed ticket
         // is rejected up front, leaving the model untouched.
         assert!(matches!(
-            bw.record_batch(&[(t0, 5.0), (t1, 6.0), (t2, 7.0)]),
+            bw.record_batch_frame(&[(t0, 5.0), (t1, 6.0), (t2, 7.0)]),
             Err(CoreError::UnknownTicket { .. })
         ));
         assert_eq!(bw.rounds(), 1);
         // Retrying only the open remainder succeeds.
-        bw.record_batch(&[(t1, 6.0), (t2, 7.0)]).unwrap();
+        bw.record_batch_frame(&[(t1, 6.0), (t2, 7.0)]).unwrap();
         assert_eq!(bw.rounds(), 3);
         assert_eq!(bw.in_flight(), 0);
     }
@@ -1327,7 +1312,7 @@ mod tests {
         let mut bw: BanditWare<Box<dyn Policy>> = BanditWare::new(policy, specs);
         let issued = bw.recommend_batch(&[vec![1.0], vec![2.0]]).unwrap();
         let outcomes: Vec<(Ticket, f64)> = issued.iter().map(|(t, _)| (*t, 5.0)).collect();
-        bw.record_batch(&outcomes).unwrap();
+        bw.record_batch_frame(&outcomes).unwrap();
         assert_eq!(bw.rounds(), 2);
         assert_eq!(bw.policy().name(), "decaying-contextual-epsilon-greedy");
     }

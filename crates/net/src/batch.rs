@@ -1,6 +1,5 @@
-//! The batching core shared by both serving modes: frame draining, the
-//! per-loop request arena ([`Inbox`]), and coalesced execution
-//! ([`execute_batch`]).
+//! The batching core each reactor loop runs: frame draining, the per-loop
+//! request arena ([`Inbox`]), and coalesced execution ([`execute_batch`]).
 //!
 //! The request path from read buffer to engine allocates nothing in steady
 //! state. Frames parse from a moving offset and the read buffer compacts

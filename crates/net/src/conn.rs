@@ -84,11 +84,10 @@ impl Conn {
     }
 
     /// Drain everything the kernel has buffered, then decode every complete
-    /// frame into `inbox`, tagged with `slot`, in stream order (the shared
-    /// [`drain_frames`], so the damage policy matches the threaded server
-    /// byte for byte). An oversized header also sets [`Conn::closing`] (no
-    /// trustworthy next boundary); at a torn frame at EOF whatever was
-    /// complete still serves.
+    /// frame into `inbox`, tagged with `slot`, in stream order (via
+    /// [`drain_frames`], which holds the damage policy). An oversized
+    /// header also sets [`Conn::closing`] (no trustworthy next boundary);
+    /// at a torn frame at EOF whatever was complete still serves.
     pub fn read_ready(&mut self, chunk: &mut [u8], slot: usize, inbox: &mut Inbox) -> ReadOutcome {
         let mut outcome = ReadOutcome::Open;
         loop {

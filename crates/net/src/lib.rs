@@ -1,5 +1,5 @@
 //! Network serving front-end for the BanditWare engine: a framed TCP
-//! protocol, a thread-per-connection server, and a blocking client.
+//! protocol, an epoll reactor server, and a blocking client.
 //!
 //! ROADMAP item 1: the paper's recommend→observe loop becomes reachable by
 //! out-of-process clients. The design goal is that the wire adds framing,
@@ -11,13 +11,13 @@
 //! the in-process path uses.
 //!
 //! ```text
-//!  client                    server (thread-per-conn or epoll reactor)
+//!  client                    server (epoll reactor loops)
 //!  ───────                   ─────────────────────────────────────────
 //!  [len|payload|crc] ───────▶ accumulate → parse frames
-//!  [len|payload|crc] ───────▶ coalesce per (key, op) within the window
-//!                             (the reactor coalesces ACROSS connections)
+//!  [len|payload|crc] ───────▶ coalesce per (key, op) within the window,
+//!                             ACROSS every ready connection
 //!                             └─▶ Engine::recommend_batch_frame / record_batch_frame
-//!  ◀─────── [len|payload|crc] one write for the whole batch,
+//!  ◀─────── [len|payload|crc] one write per connection per batch,
 //!                             responses matched by request ID
 //! ```
 //!
@@ -25,10 +25,9 @@
 //!   with the serve crate's WAL).
 //! * [`protocol`] — opcodes, request/response bodies, bounds-checked
 //!   decoding.
-//! * [`server`] — [`NetServer`]: the acceptor, in either [`ServerMode`]
-//!   (thread-per-connection or epoll reactor), over the batching core
-//!   both modes share (frame draining, the request arena and coalesced
-//!   execution).
+//! * [`server`] — [`NetServer`]: the acceptor and its pool of epoll event
+//!   loops, over the batching core (frame draining, the request arena and
+//!   coalesced execution).
 //! * [`client`] — [`NetClient`]: sync calls and explicit pipelining.
 //!
 //! `std::net` only — consistent with the workspace's zero-registry-deps

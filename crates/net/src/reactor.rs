@@ -1,4 +1,4 @@
-//! The epoll event-loop serving mode ([`crate::ServerMode::Reactor`]).
+//! The epoll event loops that serve every connection.
 //!
 //! A small fixed pool of reactor threads (default `min(cores, 4)`) owns
 //! every connection between them; the blocking acceptor hands accepted
@@ -14,19 +14,17 @@
 //!             ─▶ route responses back by slot, flush, re-arm interest
 //! ```
 //!
-//! The cross-connection coalescing is the structural win over
-//! thread-per-connection: 256 clients each sending one request per round
-//! trip used to mean 256 single-row engine calls; one reactor wake now
-//! turns them into a handful of columnar bursts, so batch efficiency
-//! *grows* with concurrency. Readiness is level-triggered; a connection
-//! whose peer stops reading responses is paused (see [`crate::conn`]) so
-//! slow consumers never stall the loop, and idle connections — including
-//! deliberately slow-loris ones dribbling single bytes — cost nothing
-//! between their own readiness events.
+//! Coalescing across connections is what makes concurrency cheap: 256
+//! clients each sending one request per round trip become a handful of
+//! columnar bursts per wake instead of 256 single-row engine calls, so
+//! batch efficiency *grows* with concurrency. Readiness is
+//! level-triggered; a connection whose peer stops reading responses is
+//! paused (see [`crate::conn`]) so slow consumers never stall the loop, and
+//! idle connections — including deliberately slow-loris ones dribbling
+//! single bytes — cost nothing between their own readiness events.
 
 use crate::batch::{execute_batch, BatchScratch, Inbox};
 use crate::conn::{Conn, ReadOutcome, TX_CAP, TX_RESUME};
-use crate::server::POLL;
 use crate::sys_epoll::{
     Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -39,6 +37,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 // lint: timing-module -- epoll timeouts and the batch-window clock are wall-time by design
 use std::time::{Duration, Instant};
+
+/// How often an idle reactor wakes up to check the shutdown flag.
+const POLL: Duration = Duration::from_millis(25);
 
 /// The channel between the acceptor and one reactor thread.
 #[derive(Debug)]
@@ -56,8 +57,9 @@ pub(crate) struct ReactorHandle {
     pub handle: JoinHandle<()>,
 }
 
-/// Spawn `n` reactor threads sharing one engine. Fails (and spawns
-/// nothing further) if an epoll instance or eventfd cannot be created.
+/// Spawn `n` reactor threads sharing one engine. Every epoll instance and
+/// eventfd is created before the first thread starts, so a creation
+/// failure returns the error and spawns nothing.
 pub(crate) fn spawn_reactors(
     engine: &Arc<Engine>,
     n: usize,
@@ -65,22 +67,27 @@ pub(crate) fn spawn_reactors(
     shutdown: &Arc<AtomicBool>,
     live: &Arc<AtomicUsize>,
 ) -> io::Result<Vec<ReactorHandle>> {
-    let mut reactors = Vec::with_capacity(n);
+    let mut loops = Vec::with_capacity(n.max(1));
     for _ in 0..n.max(1) {
         let ep = Epoll::new()?;
         let shared =
             Arc::new(ReactorShared { inbox: Mutex::new(VecDeque::new()), wake: EventFd::new()? });
         ep.add(shared.wake.raw(), DOORBELL, EPOLLIN)?;
-        let handle = {
-            let shared = Arc::clone(&shared);
-            let engine = Arc::clone(engine);
-            let shutdown = Arc::clone(shutdown);
-            let live = Arc::clone(live);
-            std::thread::spawn(move || run(ep, &shared, &engine, window, &shutdown, &live))
-        };
-        reactors.push(ReactorHandle { shared, handle });
+        loops.push((ep, shared));
     }
-    Ok(reactors)
+    Ok(loops
+        .into_iter()
+        .map(|(ep, shared)| {
+            let handle = {
+                let shared = Arc::clone(&shared);
+                let engine = Arc::clone(engine);
+                let shutdown = Arc::clone(shutdown);
+                let live = Arc::clone(live);
+                std::thread::spawn(move || run(ep, &shared, &engine, window, &shutdown, &live))
+            };
+            ReactorHandle { shared, handle }
+        })
+        .collect())
 }
 
 /// Epoll token of the doorbell eventfd; connection slot `s` uses `s + 1`.
@@ -144,9 +151,8 @@ fn run(
             }
         };
         if shutdown.load(Ordering::Acquire) {
-            // Dropping the connections closes their sockets; in-flight
-            // requests are abandoned exactly as the threaded mode abandons
-            // them at shutdown.
+            // Dropping the connections closes their sockets; requests
+            // still in flight are abandoned.
             return;
         }
 

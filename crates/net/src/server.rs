@@ -1,16 +1,9 @@
-//! The TCP front-end over a shared [`Engine`], in one of two modes.
-//!
-//! ## Serving modes
-//!
-//! [`ServerMode::ThreadPerConn`] (the default) dedicates one blocking
-//! thread to each connection — simple, fair, and fast up to the low
-//! hundreds of connections. [`ServerMode::Reactor`] runs a small fixed pool
-//! of epoll event loops ([`crate::reactor`]) with nonblocking sockets:
-//! connection count stops costing threads, and each reactor wake coalesces
-//! requests **across every ready connection**, so batch efficiency grows
-//! with concurrency instead of being capped per socket. Byte-level protocol
-//! behavior is identical in both modes; they share one batching core
-//! (`crate::batch`).
+//! The TCP front-end over a shared [`Engine`]: a blocking acceptor that
+//! hands every connection to a small fixed pool of epoll event loops
+//! (`crate::reactor`) with nonblocking sockets. Connection count costs no
+//! threads, and each loop wake coalesces requests **across every ready
+//! connection**, so batch efficiency grows with concurrency instead of
+//! being capped per socket.
 //!
 //! ## Batching at the socket boundary
 //!
@@ -42,8 +35,7 @@
 //!
 //! The handlers never panic on input bytes; every decode is bounds-checked.
 
-use crate::batch::{drain_frames, execute_batch, BatchScratch, Inbox};
-use crate::error::{ErrorCode, NetError, NetResult};
+use crate::error::{ErrorCode, NetResult};
 use crate::frame::encode_frame;
 use crate::protocol::{encode_response, Response, UNKNOWN_REQUEST_ID};
 use crate::reactor::{self, ReactorHandle};
@@ -51,38 +43,20 @@ use banditware_serve::Engine;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-// lint: timing-module -- connection deadlines and batch-window pacing are wall-time by design
+// lint: timing-module -- the Busy-reject linger is wall-time by design
 use std::time::{Duration, Instant};
 
-/// How often a blocked connection read (or an idle reactor) wakes up to
-/// check the shutdown flag.
-pub(crate) const POLL: Duration = Duration::from_millis(25);
-
-/// Which serving architecture handles accepted connections.
+/// Compatibility shim: the epoll reactor is the only serving architecture.
+/// Kept, with [`ServerConfig::with_mode`], only because the benchmark
+/// (`bwbench/`) still names it; delete both at the next change to the
+/// benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServerMode {
-    /// One blocking thread per connection (the default; best for up to the
-    /// low hundreds of connections).
+    /// The epoll reactor, the only mode.
     #[default]
-    ThreadPerConn,
-    /// A fixed pool of epoll event-loop threads with nonblocking sockets
-    /// and cross-connection request coalescing (best at high connection
-    /// counts).
     Reactor,
-}
-
-impl std::str::FromStr for ServerMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "thread" | "thread-per-conn" => Ok(ServerMode::ThreadPerConn),
-            "reactor" | "epoll" => Ok(ServerMode::Reactor),
-            other => Err(format!("unknown server mode {other:?} (expected thread|reactor)")),
-        }
-    }
 }
 
 /// Server tuning knobs.
@@ -93,11 +67,8 @@ pub struct ServerConfig {
     /// whatever each readiness pass delivered: pipelined bursts still
     /// coalesce naturally, and single sync requests see no added latency).
     pub batch_window: Duration,
-    /// Serving architecture (see [`ServerMode`]).
-    pub mode: ServerMode,
-    /// Event-loop threads in [`ServerMode::Reactor`]; `0` (the default)
-    /// resolves to `min(available cores, 4)`. Ignored by
-    /// [`ServerMode::ThreadPerConn`].
+    /// Event-loop threads; `0` (the default) resolves to
+    /// `min(available cores, 4)`.
     pub reactor_threads: usize,
     /// Accept ceiling: a connection arriving while this many are
     /// established gets a typed [`ErrorCode::Busy`] frame and a graceful
@@ -109,7 +80,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             batch_window: Duration::ZERO,
-            mode: ServerMode::default(),
             reactor_threads: 0,
             max_connections: usize::MAX,
         }
@@ -124,10 +94,10 @@ impl ServerConfig {
         self
     }
 
-    /// Builder-style serving mode.
+    /// Compatibility shim (see [`ServerMode`]): accepts the one mode and
+    /// changes nothing.
     #[must_use]
-    pub fn with_mode(mut self, mode: ServerMode) -> Self {
-        self.mode = mode;
+    pub fn with_mode(self, _mode: ServerMode) -> Self {
         self
     }
 
@@ -161,7 +131,6 @@ pub struct NetServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     reactors: Vec<ReactorHandle>,
 }
 
@@ -171,7 +140,8 @@ impl NetServer {
     /// serve the same one concurrently.
     ///
     /// # Errors
-    /// [`NetError::Io`] on bind failure.
+    /// [`crate::NetError::Io`] on bind failure, or when an event loop's
+    /// epoll instance or eventfd cannot be created.
     pub fn bind(
         engine: Arc<Engine>,
         addr: impl ToSocketAddrs,
@@ -180,30 +150,20 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         // Established-connection count, shared by the acceptor (ceiling
-        // check) and whoever retires connections (handler thread exit /
-        // reactor close).
+        // check) and the reactors (which retire connections).
         let live = Arc::new(AtomicUsize::new(0));
         let max_connections = config.max_connections;
-
-        let reactors = match config.mode {
-            ServerMode::ThreadPerConn => Vec::new(),
-            ServerMode::Reactor => reactor::spawn_reactors(
-                &engine,
-                config.resolved_reactor_threads(),
-                config.batch_window,
-                &shutdown,
-                &live,
-            )?,
-        };
+        let reactors = reactor::spawn_reactors(
+            &engine,
+            config.resolved_reactor_threads(),
+            config.batch_window,
+            &shutdown,
+            &live,
+        )?;
 
         let acceptor = {
             let shutdown = Arc::clone(&shutdown);
-            let conns = Arc::clone(&conns);
-            let live = Arc::clone(&live);
-            let window = config.batch_window;
-            let mode = config.mode;
             let dispatch: Vec<Arc<reactor::ReactorShared>> =
                 reactors.iter().map(|r| Arc::clone(&r.shared)).collect();
             std::thread::spawn(move || {
@@ -218,37 +178,18 @@ impl NetServer {
                         continue;
                     }
                     live.fetch_add(1, Ordering::AcqRel);
-                    match mode {
-                        ServerMode::ThreadPerConn => {
-                            let engine = Arc::clone(&engine);
-                            let shutdown = Arc::clone(&shutdown);
-                            let live = Arc::clone(&live);
-                            let handle = std::thread::spawn(move || {
-                                // A handler failure only affects its own
-                                // connection.
-                                let _ = handle_connection(&engine, stream, &shutdown, window);
-                                live.fetch_sub(1, Ordering::AcqRel);
-                            });
-                            conns
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .push(handle);
-                        }
-                        ServerMode::Reactor => {
-                            let target = &dispatch[next % dispatch.len()];
-                            next = next.wrapping_add(1);
-                            target
-                                .inbox
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                                .push_back(stream);
-                            target.wake.wake();
-                        }
-                    }
+                    let target = &dispatch[next % dispatch.len()];
+                    next = next.wrapping_add(1);
+                    target
+                        .inbox
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .push_back(stream);
+                    target.wake.wake();
                 }
             })
         };
-        Ok(NetServer { local_addr, shutdown, acceptor: Some(acceptor), conns, reactors })
+        Ok(NetServer { local_addr, shutdown, acceptor: Some(acceptor), reactors })
     }
 
     /// The bound address (the real port when bound with port 0).
@@ -256,7 +197,7 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Stop accepting, wake every connection, and join all threads.
+    /// Stop accepting, wake every event loop, and join all threads.
     /// Idempotent.
     pub fn shutdown(&mut self) {
         if self.shutdown.swap(true, Ordering::AcqRel) {
@@ -266,12 +207,6 @@ impl NetServer {
         let _ = TcpStream::connect(self.local_addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
-        }
-        let handles: Vec<JoinHandle<()>> = std::mem::take(
-            &mut *self.conns.lock().unwrap_or_else(std::sync::PoisonError::into_inner),
-        );
-        for handle in handles {
-            let _ = handle.join();
         }
         for r in std::mem::take(&mut self.reactors) {
             r.shared.wake.wake();
@@ -323,91 +258,4 @@ fn reject_busy(mut stream: TcpStream) {
             break;
         }
     }
-}
-
-fn handle_connection(
-    engine: &Engine,
-    stream: TcpStream,
-    shutdown: &AtomicBool,
-    window: Duration,
-) -> NetResult<()> {
-    let mut stream = stream;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(POLL))?;
-    let mut rx: Vec<u8> = Vec::with_capacity(16 * 1024);
-    let mut tx: Vec<u8> = Vec::with_capacity(16 * 1024);
-    let mut chunk = [0u8; 64 * 1024];
-    let mut inbox = Inbox::default();
-    let mut scratch = BatchScratch::default();
-    // `None` = no batch open; `Some(deadline)` = accumulate until then.
-    let mut deadline: Option<Instant> = None;
-
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        // While a batch window is open, wake exactly when it expires rather
-        // than at the (longer) shutdown-poll cadence.
-        let wait = match deadline {
-            Some(d) => d
-                .saturating_duration_since(Instant::now())
-                .max(Duration::from_micros(100))
-                .min(POLL),
-            None => POLL,
-        };
-        stream.set_read_timeout(Some(wait))?;
-        let read = match stream.read(&mut chunk) {
-            Ok(0) => {
-                // Peer closed. Serve what was already complete, then stop.
-                if !inbox.is_empty() {
-                    process_batch(engine, &mut stream, &mut inbox, &mut scratch, &mut tx)?;
-                }
-                return Ok(());
-            }
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                0
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => 0,
-            Err(_) => return Ok(()), // reset mid-conversation: close quietly
-        };
-        rx.extend_from_slice(&chunk[..read]);
-
-        // Parse every complete frame currently buffered. An oversized
-        // length header leaves no trustworthy next boundary: answer, then
-        // close.
-        if !drain_frames(&mut rx, 0, &mut inbox) {
-            process_batch(engine, &mut stream, &mut inbox, &mut scratch, &mut tx)?;
-            return Ok(());
-        }
-        if inbox.is_empty() {
-            continue;
-        }
-        // Open the accumulation window at the first buffered request; flush
-        // when it expires (or immediately with a zero window — everything
-        // one socket read delivered still coalesces).
-        let open = *deadline.get_or_insert_with(|| Instant::now() + window);
-        if Instant::now() >= open {
-            process_batch(engine, &mut stream, &mut inbox, &mut scratch, &mut tx)?;
-            deadline = None;
-        }
-    }
-}
-
-/// The thread-per-connection wrapper over [`execute_batch`]: every request
-/// carries slot 0, responses accumulate in `tx`, and the whole batch ships
-/// in one write syscall.
-fn process_batch(
-    engine: &Engine,
-    stream: &mut TcpStream,
-    inbox: &mut Inbox,
-    scratch: &mut BatchScratch,
-    tx: &mut Vec<u8>,
-) -> NetResult<()> {
-    tx.clear();
-    execute_batch(engine, inbox, scratch, &mut |_slot, bytes| tx.extend_from_slice(bytes));
-    stream.write_all(tx).map_err(NetError::Io)
 }

@@ -5,9 +5,7 @@
 //! the sync path and the pipelined path.
 
 use banditware_core::{ArmSpec, BanditConfig};
-use banditware_net::{
-    ErrorCode, NetClient, NetError, NetServer, Response, ServerConfig, ServerMode,
-};
+use banditware_net::{ErrorCode, NetClient, NetError, NetServer, Response, ServerConfig};
 use banditware_serve::{Engine, EngineBuilder};
 use std::sync::Arc;
 use std::time::Duration;
@@ -109,18 +107,8 @@ fn tcp_stream_bitwise_identical_to_in_process() {
 }
 
 #[test]
-fn tcp_stream_bitwise_identical_to_in_process_reactor() {
-    assert_streams_identical(ServerConfig::default().with_mode(ServerMode::Reactor), 120, 0);
-}
-
-#[test]
 fn tcp_stream_bitwise_identical_with_pipelined_bursts() {
     assert_streams_identical(ServerConfig::default(), 120, 3);
-}
-
-#[test]
-fn tcp_stream_bitwise_identical_with_pipelined_bursts_reactor() {
-    assert_streams_identical(ServerConfig::default().with_mode(ServerMode::Reactor), 120, 3);
 }
 
 #[test]
@@ -132,14 +120,6 @@ fn tcp_stream_bitwise_identical_with_accumulation_window() {
 }
 
 #[test]
-fn tcp_stream_bitwise_identical_with_accumulation_window_reactor() {
-    let config = ServerConfig::default()
-        .with_mode(ServerMode::Reactor)
-        .with_batch_window(Duration::from_millis(2));
-    assert_streams_identical(config, 60, 4);
-}
-
-#[test]
 fn reactor_cross_connection_coalescing_is_bitwise_equivalent() {
     // Several connections on distinct tenant keys, all funneled through
     // one reactor thread: requests arriving in the same wake coalesce
@@ -147,7 +127,7 @@ fn reactor_cross_connection_coalescing_is_bitwise_equivalent() {
     // sequential in-process reference bit for bit.
     let reference = engine();
     let served = engine();
-    let config = ServerConfig::default().with_mode(ServerMode::Reactor).with_reactor_threads(1);
+    let config = ServerConfig::default().with_reactor_threads(1);
     let mut server = NetServer::bind(served, "127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
 
@@ -194,48 +174,44 @@ fn reactor_cross_connection_coalescing_is_bitwise_equivalent() {
 
 #[test]
 fn connection_ceiling_rejects_with_busy_and_keeps_serving() {
-    for mode in [ServerMode::ThreadPerConn, ServerMode::Reactor] {
-        let config = ServerConfig::default().with_mode(mode).with_max_connections(2);
-        let mut server = NetServer::bind(engine(), "127.0.0.1:0", config).expect("bind");
-        let addr = server.local_addr();
+    let config = ServerConfig::default().with_max_connections(2);
+    let mut server = NetServer::bind(engine(), "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
 
-        let mut a = NetClient::connect(addr).expect("connect a");
-        let mut b = NetClient::connect(addr).expect("connect b");
-        a.ping().expect("a serves");
-        b.ping().expect("b serves");
+    let mut a = NetClient::connect(addr).expect("connect a");
+    let mut b = NetClient::connect(addr).expect("connect b");
+    a.ping().expect("a serves");
+    b.ping().expect("b serves");
 
-        // The third connection is accepted only to be told why it can't
-        // stay: a typed Busy frame, then a graceful close.
-        let mut c = NetClient::connect(addr).expect("tcp connect still succeeds");
-        match c.ping() {
-            Err(NetError::Remote { code, .. }) => {
-                assert_eq!(code, ErrorCode::Busy, "mode {mode:?}")
-            }
-            other => panic!("expected busy reject in mode {mode:?}, got {other:?}"),
-        }
-
-        // Established connections are unaffected by the reject.
-        let rec = a.recommend("wf-a", &context(0)).expect("a still serves");
-        a.record("wf-a", rec.ticket, 5.0).expect("a records");
-        b.ping().expect("b still serves");
-
-        // A freed seat is reusable.
-        drop(a);
-        let mut d = loop {
-            // The server retires the dropped connection asynchronously;
-            // retry until the seat frees up.
-            let mut d = NetClient::connect(addr).expect("connect d");
-            match d.ping() {
-                Ok(()) => break d,
-                Err(NetError::Remote { code: ErrorCode::Busy, .. }) => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => panic!("unexpected error reclaiming seat: {e}"),
-            }
-        };
-        d.ping().expect("d serves on the freed seat");
-        server.shutdown();
+    // The third connection is accepted only to be told why it can't stay:
+    // a typed Busy frame, then a graceful close.
+    let mut c = NetClient::connect(addr).expect("tcp connect still succeeds");
+    match c.ping() {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Busy),
+        other => panic!("expected busy reject, got {other:?}"),
     }
+
+    // Established connections are unaffected by the reject.
+    let rec = a.recommend("wf-a", &context(0)).expect("a still serves");
+    a.record("wf-a", rec.ticket, 5.0).expect("a records");
+    b.ping().expect("b still serves");
+
+    // A freed seat is reusable.
+    drop(a);
+    let mut d = loop {
+        // The server retires the dropped connection asynchronously; retry
+        // until the seat frees up.
+        let mut d = NetClient::connect(addr).expect("connect d");
+        match d.ping() {
+            Ok(()) => break d,
+            Err(NetError::Remote { code: ErrorCode::Busy, .. }) => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("unexpected error reclaiming seat: {e}"),
+        }
+    };
+    d.ping().expect("d serves on the freed seat");
+    server.shutdown();
 }
 
 #[test]

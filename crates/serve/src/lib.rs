@@ -11,7 +11,7 @@
 //!   different keys proceed in parallel. Rounds are ticketed
 //!   ([`banditware_core::Ticket`]): recommendations and runtime reports may
 //!   overlap arbitrarily and arrive out of order. Batched
-//!   `recommend_batch`/`record_batch` take each shard lock **once per
+//!   `recommend_batch`/`record_batch_frame` take each shard lock **once per
 //!   batch** instead of once per call.
 //! * [`builder`] — construct any named policy
 //!   (`"epsilon-greedy"`, `"linucb"`, `"thompson"`, …) from a

@@ -99,7 +99,7 @@ pub fn drive_key(engine: &Engine, plan: &StressPlan, key: &str) -> Result<usize>
             .zip(&contexts)
             .map(|((t, rec), x)| (*t, true_runtime(rec.arm, x, &mut rng)))
             .collect();
-        engine.record_batch(key, &outcomes)?;
+        engine.record_batch_frame(key, &outcomes)?;
         recorded += batch;
         remaining -= batch;
     }

@@ -6,7 +6,7 @@
 //!
 //! * **Append** — every recorded observation is written as one
 //!   CRC32-stamped line to the key's active segment file through a
-//!   group-commit writer: a [`DurableEngine::record_batch`] appends the
+//!   group-commit writer: a [`DurableEngine::record_batch_frame`] appends the
 //!   whole batch with a single write. Appends happen inside the shard lock,
 //!   so the log order is exactly the shard's absorption order (each line
 //!   carries the absolute observation sequence number as a cross-check).
@@ -42,8 +42,8 @@
 //! | [`Durability::FsyncPerRotation`] | `flush` | `fsync` | `fsync` |
 //! | [`Durability::FsyncPerBatch`] | `fsync` | `fsync` | `fsync` |
 //!
-//! Under `Flush`, an acknowledged `record_batch` can vanish on power loss
-//! (the historical behavior, now opt-in rather than silent); under
+//! Under `Flush`, an acknowledged `record_batch_frame` can vanish on power
+//! loss (the historical behavior, now opt-in rather than silent); under
 //! `FsyncPerBatch` it cannot. The replication `MANIFEST` only ever
 //! advertises files that have actually been fsynced — a `Flush`-mode
 //! primary advertises sealed segments lazily, when a
@@ -99,8 +99,8 @@ pub enum Durability {
     /// can only lose the *active* segment's tail, and sealed segments are
     /// immediately eligible for replication.
     FsyncPerRotation,
-    /// `fsync` every group commit: an acknowledged `record`/`record_batch`
-    /// survives power loss.
+    /// `fsync` every group commit: an acknowledged `record` /
+    /// `record_batch_frame` survives power loss.
     FsyncPerBatch,
 }
 
@@ -1213,31 +1213,22 @@ impl DurableEngine {
     }
 
     /// Record a batch of outcomes with **one** WAL append + flush for the
-    /// whole group. Validation is atomic (mirrors
-    /// [`banditware_core::BanditWare::record_batch`]); absorption is per
-    /// round, and every absorbed round is in the flushed group even when a
-    /// later round fails numerically.
+    /// whole group: one atomic validation pass (the core facade's
+    /// [`banditware_core::BanditWare::validate_record_batch`]), one policy
+    /// frame absorption
+    /// ([`banditware_core::BanditWare::record_batch_frame_logged`] — per-arm
+    /// grouped rank-k folds for the linear families), and every absorbed
+    /// round is in the flushed group even when a later round fails
+    /// numerically. The logged callback builds the group-commit buffer in
+    /// the same shard-lock critical section as the in-memory apply, one line
+    /// per absorbed round in frame row order, so the log bytes are identical
+    /// to recording the rounds one at a time.
     ///
     /// # Errors
     /// [`CoreError::UnknownTicket`] / [`CoreError::InvalidRuntime`] /
     /// [`CoreError::InvalidParameter`] for a duplicated ticket; policy
     /// validation and [`CoreError::Io`] otherwise (all via
     /// [`ServeError::Core`]); [`ServeError::LockPoisoned`].
-    pub fn record_batch(&self, key: &str, outcomes: &[(Ticket, f64)]) -> ServeResult<()> {
-        self.record_batch_frame(key, outcomes)
-    }
-
-    /// [`DurableEngine::record_batch`] through the columnar observe path:
-    /// one atomic validation pass, one policy frame absorption
-    /// ([`banditware_core::BanditWare::record_batch_frame_logged`] — per-arm
-    /// grouped rank-k folds for the linear families), and still **one** WAL
-    /// append + flush for the whole group. The logged callback builds the
-    /// group-commit buffer in the same shard-lock critical section as the
-    /// in-memory apply, one line per absorbed round in frame row order, so
-    /// the log bytes are identical to recording the rounds one at a time.
-    ///
-    /// # Errors
-    /// As [`DurableEngine::record_batch`].
     pub fn record_batch_frame(&self, key: &str, outcomes: &[(Ticket, f64)]) -> ServeResult<()> {
         let Some(&(first, _)) = outcomes.first() else {
             return Ok(());

@@ -53,7 +53,7 @@ fn legacy_loop(twin: &mut BanditWare<Box<dyn Policy>>, plan: &StressPlan, key: &
             .zip(&contexts)
             .map(|((t, rec), x)| (*t, true_runtime(rec.arm, x, &mut rng)))
             .collect();
-        twin.record_batch(&outcomes).unwrap();
+        twin.record_batch_frame(&outcomes).unwrap();
         remaining -= batch;
     }
 }

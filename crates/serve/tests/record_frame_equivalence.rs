@@ -7,8 +7,8 @@
 //! time in input order — same snapshots, same prediction bits, same
 //! histories, and (through [`DurableEngine`]) the same WAL segment bytes.
 //! The twins are driven across burst sizes covering the 4-lane block tails
-//! (0–16), feature widths 0–9, and interleaved frame / shim / single-record
-//! calls, for plain + scaled ε-greedy and LinUCB.
+//! (0–16), feature widths 0–9, and interleaved frame / single-record calls,
+//! for plain + scaled ε-greedy and LinUCB.
 
 use banditware_core::scaler::scaled_epsilon_greedy;
 use banditware_core::{
@@ -44,8 +44,8 @@ fn runtime(arm: usize, x: &[f64]) -> f64 {
 
 /// Drive identically seeded twin recommenders through the same issued
 /// rounds; the `rows` twin records every round one at a time (the
-/// reference semantics), the `framed` twin cycles frame-batch / single /
-/// shim-batch record calls. Every round probes per-arm prediction bits;
+/// reference semantics), the `framed` twin mixes frame-batch and single
+/// record calls. Every round probes per-arm prediction bits;
 /// the end states (snapshot, history, round counters, open tickets) must
 /// be identical.
 fn record_frame_matches_rows<P: Policy>(
@@ -76,15 +76,15 @@ fn record_frame_matches_rows<P: Policy>(
         for &(t, rt) in &out_rows {
             rows.record_ticket(t, rt).unwrap();
         }
-        // Candidate: interleave the three record styles across rounds.
-        match round % 3 {
-            0 => framed.record_batch_frame(&out_frame).unwrap(),
-            1 => {
-                for &(t, rt) in &out_frame {
-                    framed.record_ticket(t, rt).unwrap();
-                }
+        // Candidate: every third round records ticket by ticket, the rest
+        // as one frame burst (so bursts of every 4-lane tail take the
+        // frame path).
+        if round % 3 == 1 {
+            for &(t, rt) in &out_frame {
+                framed.record_ticket(t, rt).unwrap();
             }
-            _ => framed.record_batch(&out_frame).unwrap(),
+        } else {
+            framed.record_batch_frame(&out_frame).unwrap();
         }
 
         for arm in 0..3 {

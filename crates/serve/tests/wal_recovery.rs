@@ -95,7 +95,7 @@ fn compaction_supersedes_segments_and_restores_bitwise() {
         let issued = engine.recommend_batch("w", &contexts).unwrap();
         let outcomes: Vec<(Ticket, f64)> =
             issued.iter().map(|(t, r)| (*t, 10.0 + r.arm as f64)).collect();
-        engine.record_batch("w", &outcomes).unwrap();
+        engine.record_batch_frame("w", &outcomes).unwrap();
     }
     // Leave a round in flight across the compaction AND the crash.
     let (held, held_rec) = engine.recommend("w", &[4.0, 4.0]).unwrap();
@@ -418,7 +418,7 @@ fn stray_records_do_not_mint_phantom_tenant_dirs() {
     // Record against keys that never recommended: rejected AND no
     // directory appears on disk.
     assert!(engine.record("typo-key", Ticket::from_id(0), 1.0).unwrap_err().is_unknown_ticket());
-    assert!(engine.record_batch("typo-batch", &[(Ticket::from_id(0), 1.0)]).is_err());
+    assert!(engine.record_batch_frame("typo-batch", &[(Ticket::from_id(0), 1.0)]).is_err());
     // A real key with an unknown ticket: shard exists, ticket doesn't —
     // still no WAL dir until a record succeeds.
     engine.engine().register("real").unwrap();
@@ -441,9 +441,9 @@ fn batch_record_is_one_group_commit_and_validates_atomically() {
     let (t0, t1) = (issued[0].0, issued[1].0);
 
     // A malformed batch leaves engine AND log untouched.
-    assert!(engine.record_batch("k", &[(t0, 5.0), (Ticket::from_id(99), 5.0)]).is_err());
-    assert!(engine.record_batch("k", &[(t0, 5.0), (t0, 6.0)]).is_err());
-    assert!(engine.record_batch("k", &[(t0, 5.0), (t1, f64::NAN)]).is_err());
+    assert!(engine.record_batch_frame("k", &[(t0, 5.0), (Ticket::from_id(99), 5.0)]).is_err());
+    assert!(engine.record_batch_frame("k", &[(t0, 5.0), (t0, 6.0)]).is_err());
+    assert!(engine.record_batch_frame("k", &[(t0, 5.0), (t1, f64::NAN)]).is_err());
     assert_eq!(engine.engine().with_shard("k", |s| s.rounds()).unwrap(), 0);
     let seg = dir.join("kk").join("wal-1.log");
     assert!(!seg.exists(), "no observation lines before a valid record");
@@ -451,12 +451,12 @@ fn batch_record_is_one_group_commit_and_validates_atomically() {
     // A clean batch lands as one flushed group.
     let outcomes: Vec<(Ticket, f64)> =
         issued.iter().map(|(t, r)| (*t, 10.0 + r.arm as f64)).collect();
-    engine.record_batch("k", &outcomes).unwrap();
+    engine.record_batch_frame("k", &outcomes).unwrap();
     let lines = std::fs::read_to_string(&seg).unwrap();
     assert_eq!(lines.lines().filter(|l| l.starts_with("obs,")).count(), 6);
-    assert!(engine.record_batch("k", &[]).is_ok(), "empty batch is a no-op");
+    assert!(engine.record_batch_frame("k", &[]).is_ok(), "empty batch is a no-op");
     assert!(engine
-        .record_batch("ghost", &[(Ticket::from_id(1), 2.0)])
+        .record_batch_frame("ghost", &[(Ticket::from_id(1), 2.0)])
         .unwrap_err()
         .is_unknown_ticket());
     let _ = std::fs::remove_dir_all(&dir);

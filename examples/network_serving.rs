@@ -7,9 +7,7 @@
 //! cargo run --release --example network_serving
 //! ```
 //!
-//! The whole exercise runs twice — once against the thread-per-connection
-//! server and once against the epoll reactor — and asserts the same bits
-//! both times. Three phases per mode:
+//! Three phases, each asserting the same bits:
 //!
 //! 1. **Sync round-trips** — one workflow client recommending, running (a
 //!    synthetic runtime model) and recording over TCP, round by round.
@@ -20,7 +18,7 @@
 //!    replays the same schedule; every ticket, arm and float bit must
 //!    match, which the example asserts.
 
-use banditware::net::{NetClient, NetServer, ServerConfig, ServerMode};
+use banditware::net::{NetClient, NetServer, ServerConfig};
 use banditware::prelude::*;
 use banditware::serve::EngineBuilder;
 use std::sync::Arc;
@@ -48,19 +46,13 @@ fn workload(round: usize) -> f64 {
     100.0 + ((round * 37) % 400) as f64
 }
 
-fn drive(mode: ServerMode) {
-    let mode_name = match mode {
-        ServerMode::ThreadPerConn => "thread-per-conn",
-        ServerMode::Reactor => "reactor",
-    };
-
+fn main() {
     // The server owns one engine; port 0 = any free loopback port.
     let served = engine();
     let mut server =
-        NetServer::bind(served, "127.0.0.1:0", ServerConfig::default().with_mode(mode))
-            .expect("bind loopback");
+        NetServer::bind(served, "127.0.0.1:0", ServerConfig::default()).expect("bind loopback");
     let addr = server.local_addr();
-    println!("== mode {mode_name}: serving on {addr} ==");
+    println!("== serving on {addr} ==");
 
     // The equivalence reference: same specs, same seed, no network.
     let reference = engine();
@@ -130,11 +122,5 @@ fn drive(mode: ServerMode) {
     println!("\n-- phase 3: shard checkpoint over TCP: {} bytes, identical --", over_wire.len());
 
     server.shutdown();
-    println!("\nmode {mode_name}: all equivalence checks passed\n");
-}
-
-fn main() {
-    drive(ServerMode::ThreadPerConn);
-    drive(ServerMode::Reactor);
-    println!("both server modes produced bitwise-identical streams");
+    println!("\nall equivalence checks passed");
 }

@@ -13,7 +13,7 @@
 //! banditware-cli replicate <app> <primary-wal-dir> <follower-dir> [--policy P] [--seed S] [--seal]
 //! banditware-cli promote <app> <follower-dir> [--policy P] [--seed S]
 //! banditware-cli serve <app> [--policy P] [--seed S] [--addr A] [--window-us U]
-//!                [--mode thread|reactor] [--reactor-threads N]
+//!                [--reactor-threads N]
 //! banditware-cli call <addr> <ping|recommend|record|checkpoint> [--key K] [...]
 //! ```
 //!
@@ -35,9 +35,11 @@
 //!
 //! `serve` exposes an engine over TCP (the `banditware-net` framed
 //! protocol; `--addr 127.0.0.1:0` picks an ephemeral port and prints it,
-//! `--window-us` sets the request-coalescing window, `--mode reactor` serves
-//! with the epoll event loop instead of a thread per connection) and runs
-//! until stdin closes; `call` is the matching one-shot client.
+//! `--window-us` sets the request-coalescing window, `--reactor-threads`
+//! the number of epoll event loops, 0 meaning `min(cores, 4)`) and runs
+//! until stdin closes; `call` is the matching one-shot client. Unknown
+//! flags are ignored, so a script that still passes the retired
+//! server-mode flag serves on the reactor.
 
 use banditware::core::tolerance::tolerant_select;
 use banditware::eval::protocol::run_experiment_with;
@@ -71,7 +73,7 @@ const USAGE: &str = "usage:
   banditware-cli replicate <app> <primary-wal-dir> <follower-dir> [--policy P] [--seed S] [--seal]
   banditware-cli promote <app> <follower-dir> [--policy P] [--seed S]
   banditware-cli serve <app> [--policy P] [--seed S] [--addr A] [--window-us U]
-                 [--mode thread|reactor] [--reactor-threads N]
+                 [--reactor-threads N]
   banditware-cli call <addr> ping
   banditware-cli call <addr> recommend [--key K] --features a,b,c
   banditware-cli call <addr> record [--key K] --ticket T --runtime R
@@ -476,27 +478,19 @@ fn cmd_serve(args: &[String]) -> Result<String, String> {
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
     let window_us: u64 = parse_flag(args, "--window-us", 0)?;
     let policy_name = flag(args, "--policy").unwrap_or_else(|| "epsilon-greedy".to_string());
-    let mode: ServerMode = match flag(args, "--mode") {
-        Some(m) => m.parse().map_err(|e| format!("serve: {e}"))?,
-        None => ServerMode::default(),
-    };
     let reactor_threads: usize = parse_flag(args, "--reactor-threads", 0)?;
     let engine =
         std::sync::Arc::new(serving_builder(&a, args)?.build().map_err(|e| format!("serve: {e}"))?);
     let config = ServerConfig::default()
         .with_batch_window(std::time::Duration::from_micros(window_us))
-        .with_mode(mode)
         .with_reactor_threads(reactor_threads);
-    let mode_desc = match mode {
-        ServerMode::ThreadPerConn => "thread".to_string(),
-        ServerMode::Reactor => format!("reactor x{}", config.resolved_reactor_threads()),
-    };
+    let loops = config.resolved_reactor_threads();
     let mut server = NetServer::bind(engine, addr.as_str(), config)
         .map_err(|e| format!("serve: cannot bind {addr}: {e}"))?;
     {
         use std::io::{BufRead as _, Write as _};
         println!(
-            "serving {} on {} (policy {policy_name}, window {window_us} us, mode {mode_desc}); \
+            "serving {} on {} (policy {policy_name}, window {window_us} us, mode reactor x{loops}); \
              close stdin to stop",
             a.name,
             server.local_addr()

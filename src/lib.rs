@@ -54,7 +54,7 @@
 //! | [`baselines`] | offline linear-regression recommender, random, oracle, best-fixed |
 //! | [`eval`] | the paper's Monte-Carlo protocol, metrics, ASCII plots |
 //! | [`serve`] | concurrent serving engine: striped shards, runtime policy choice, batched ticketed rounds, checksummed WAL + snapshot compaction, replication to standby followers |
-//! | [`net`] | framed TCP front-end over the engine: CRC-protected wire protocol, per-connection request coalescing, blocking client |
+//! | [`net`] | framed TCP front-end over the engine: CRC-protected wire protocol, an epoll reactor coalescing requests across connections, blocking client |
 //!
 //! The figure/table regeneration binaries live in the `banditware-bench`
 //! crate (`cargo run --release -p banditware-bench --bin run_all`).
@@ -90,7 +90,7 @@ pub mod prelude {
     };
     pub use banditware_eval::protocol::{run_experiment, specs_from_hardware, ExperimentConfig};
     pub use banditware_eval::{MatchedSet, RoundSeries};
-    pub use banditware_net::{NetClient, NetError, NetServer, ServerConfig, ServerMode};
+    pub use banditware_net::{NetClient, NetError, NetServer, ServerConfig};
     pub use banditware_serve::{
         build_policy, policy_names, Durability, DurableEngine, Engine, FollowerEngine, FsTransport,
         Replicator, ServeError, StressPlan, WalOptions,
