@@ -33,6 +33,15 @@ cargo build --release
 echo "==> cargo test --workspace -q (unit + proptest + integration, all crates)"
 cargo test --workspace -q
 
+# The bitwise suites once more on the opt-level-3 build that serves: the
+# dispatched kernels' twin-vs-baseline tests, frame-vs-row equivalence,
+# the zero-allocation pins, and the record-frame equivalence. The
+# workspace run above builds them under the test profile only.
+echo "==> bitwise suites under --release (simd twins, frame equivalence, alloc pins)"
+cargo test --release -q -p banditware-linalg simd
+cargo test --release -q -p banditware-core --test frame_equivalence --test alloc_free
+cargo test --release -q -p banditware-serve --test record_frame_equivalence
+
 echo "==> cargo build --examples --release (examples smoke check)"
 cargo build --examples --release
 

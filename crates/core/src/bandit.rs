@@ -11,7 +11,7 @@
 //!   [`BanditWare::drop_ticket`]. [`BanditWare::recommend_batch`] selects a
 //!   whole burst in one policy pass (for [`crate::ScaledPolicy`], one
 //!   scaler pass); [`BanditWare::record_batch_frame`] validates the burst
-//!   atomically and absorbs it in one columnar policy pass.
+//!   atomically and absorbs it in one batched policy pass.
 //! * **Legacy single-slot**: [`BanditWare::recommend`] +
 //!   [`BanditWare::record`] keep the original strictly-alternating protocol.
 //!   They are a shim over the ticket table; calling `recommend` twice
@@ -225,9 +225,9 @@ pub struct BanditWare<P: Policy> {
     /// Scratch: the same positions sorted, for duplicate detection
     /// (replaces a per-call `HashSet`).
     batch_sorted: Vec<usize>,
-    /// Scratch: the columnar observation batch
-    /// ([`BanditWare::record_batch_frame`] stages each burst here, reused
-    /// across bursts).
+    /// Scratch: the row-major observation batch
+    /// ([`BanditWare::record_batch_frame`] copies each closed round's arena
+    /// row here, reused across bursts).
     batch_obs: ObservationFrame,
     /// Scratch: per-row absorbed flags from the policy's frame observe.
     batch_absorbed: Vec<bool>,
@@ -526,7 +526,7 @@ impl<P: Policy> BanditWare<P> {
     }
 
     /// Record a batch of `(ticket, runtime)` pairs through the
-    /// **columnar** observe path. Request validation
+    /// batched frame observe path. Request validation
     /// ([`BanditWare::validate_record_batch`]) is atomic: every ticket must
     /// be open (and unique within the batch) and every runtime positive and
     /// finite **before** anything is absorbed, so a malformed call leaves
@@ -551,7 +551,7 @@ impl<P: Policy> BanditWare<P> {
     ///
     /// Rounds whose remembered feature width disagrees with the policy's
     /// (possible only via [`BanditWare::reopen_ticket`] on a non-contextual
-    /// policy, which skips the width check) cannot be staged columnar; such
+    /// policy, which skips the width check) cannot be staged as one frame; such
     /// a batch is absorbed row by row with identical semantics.
     ///
     /// # Errors

@@ -19,7 +19,7 @@
 use crate::arm::{ArmEstimator, LinearArm, RecursiveArm};
 use crate::config::BanditConfig;
 use crate::error::CoreError;
-use crate::frame::{FeatureFrame, PredictScratch};
+use crate::frame::FeatureFrame;
 use crate::policy::{check_arm, check_features, ArmSpec, Policy, Selection};
 use crate::snapshot::{arm_count_mismatch, kind_mismatch, PolicyState};
 use crate::tolerance::tolerant_select;
@@ -67,8 +67,6 @@ pub struct DecayingEpsilonGreedy<A: ArmEstimator> {
     /// Columnar batch scratch: per-arm prediction columns (`n_arms × n_rows`,
     /// arm-major) filled by [`Policy::select_frame_into`].
     frame_preds: Vec<f64>,
-    /// Lane accumulators for the columnar predict kernel.
-    frame_scratch: PredictScratch,
     /// Record-path scratches for [`Policy::observe_frame`]'s per-arm
     /// grouping (counting-sort offsets/cursors, row permutation, the
     /// per-arm block staged as augmented rows `[1, x]`, and the block
@@ -137,7 +135,6 @@ impl<A: ArmEstimator> DecayingEpsilonGreedy<A> {
             costs,
             preds,
             frame_preds: Vec::new(),
-            frame_scratch: PredictScratch::new(),
             group_offsets: Vec::new(),
             group_cursor: Vec::new(),
             group_rows: Vec::new(),
@@ -250,16 +247,14 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
         // Pass 2 — the models: one prediction column per arm, each computed
         // by the columnar kernel when the arm is affine (every in-tree
         // linear-family arm is) and by row-gather otherwise.
-        let DecayingEpsilonGreedy {
-            arms, frame_preds, frame_scratch, preds, costs, config, ..
-        } = self;
+        let DecayingEpsilonGreedy { arms, frame_preds, preds, costs, config, .. } = self;
         frame_preds.clear();
         frame_preds.resize(arms.len() * n, 0.0);
         let mut rows: Option<Vec<f64>> = None;
         for (a, arm) in arms.iter().enumerate() {
             let col = &mut frame_preds[a * n..(a + 1) * n];
             if let Some((w, b)) = arm.linear_coeffs() {
-                frame.predict_into(w, b, frame_scratch, col);
+                frame.predict_into(w, b, col);
             } else {
                 let rows = rows.get_or_insert_with(|| frame.row_major());
                 let m = frame.n_features();
@@ -322,7 +317,6 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             // produces.
             return crate::policy::observe_frame_rows(self, frame, absorbed);
         }
-        let nf = self.n_features;
         let DecayingEpsilonGreedy {
             arms,
             config,
@@ -363,17 +357,12 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             if grp.is_empty() {
                 continue;
             }
-            // Stage this arm's rows once, as augmented rows `[1, x]`,
-            // streaming the frame's contiguous column storage.
-            let k = grp.len();
-            let dim = nf + 1;
+            // Stage this arm's rows once, as augmented rows `[1, x]`:
+            // one contiguous copy per frame row.
             block_rows.clear();
-            block_rows.resize(dim * k, 1.0);
-            for f in 0..nf {
-                let col = frame.features().column(f);
-                for (dst, &r) in block_rows[f + 1..].iter_mut().step_by(dim).zip(grp) {
-                    *dst = col[r as usize];
-                }
+            for &r in grp {
+                block_rows.push(1.0);
+                block_rows.extend_from_slice(frame.row(r as usize));
             }
             block_ys.clear();
             block_ys.extend(grp.iter().map(|&r| frame.outcome(r as usize)));

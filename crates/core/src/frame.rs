@@ -1,30 +1,35 @@
-//! Columnar (struct-of-arrays) context batches for the serving hot path.
+//! Batch layouts for the serving hot path: columnar contexts on the
+//! select side, row-major observations on the record side.
 //!
 //! A burst of recommendation requests arrives as rows — one `Vec<f64>`
 //! context per workflow. The per-arm prediction sweep, however, walks
 //! *features*: `R̂(Hᵢ, x) = wᵢᵀx + bᵢ` multiplies weight `w[f]` against
-//! feature `f` of every row. Row-major storage makes that inner loop stride
-//! `n_features` doubles between touches of the same weight;
-//! [`FeatureFrame`] transposes the burst once into column-major storage so
-//! the kernel streams contiguous memory — one [`banditware_linalg::vector::axpy`]
-//! per feature column — and the Welford scaler pass
-//! ([`crate::StandardScaler::observe_frame`]) walks each per-feature
-//! accumulator over a contiguous column.
+//! feature `f` of every row. [`FeatureFrame`] stores the burst column-major
+//! so [`FeatureFrame::predict_into`] reads each feature of a block of rows
+//! contiguously ([`banditware_linalg::vector::dot_cols_into`], a
+//! register-blocked sweep with an AVX2 twin on wide systems), and the
+//! Welford scaler pass ([`crate::StandardScaler::observe_frame`]) walks
+//! each per-feature accumulator over a contiguous column.
+//!
+//! The record side needs rows: a completed round comes out of the ticket
+//! arena as one row, and the per-arm block absorption takes augmented rows
+//! `[1, x]`. [`ObservationFrame`] therefore stores its features row-major,
+//! and each staging step is one contiguous row copy.
 //!
 //! ## Bitwise-determinism contract
 //!
-//! The columnar batch path is **bitwise identical** to the row-slice path:
-//! for any batch, [`crate::Policy::select_frame_into`] over a frame built
+//! The batch paths are **bitwise identical** to the row-slice paths: for
+//! any batch, [`crate::Policy::select_frame_into`] over a frame built
 //! from the rows returns exactly the selections (and consumes exactly the
 //! RNG stream) of `select_batch_into` over the rows, and every prediction
 //! matches [`crate::Policy::predict`] to the last bit. This holds because
 //!
 //! * [`FeatureFrame::predict_into`] replays `vector::dot`'s accumulation
-//!   order exactly: four independent lane accumulators over feature blocks
+//!   order exactly: per row, four independent lane sums over feature blocks
 //!   of 4 (lane `k` sums `w[4j+k]·x[4j+k]` in ascending `j`), a sequential
 //!   scalar tail, combined as `(s0 + s1) + (s2 + s3) + tail` and only then
 //!   `+ intercept` — the same adds in the same order, just batched across
-//!   rows;
+//!   a block of rows;
 //! * a Welford accumulator for feature `f` sees the same value sequence
 //!   whether the burst is absorbed row-by-row or column-by-column (each
 //!   accumulator only ever reads its own feature, in row order either way);
@@ -36,12 +41,6 @@
 use crate::error::CoreError;
 use crate::Result;
 use banditware_linalg::vector;
-
-/// Largest burst [`FeatureFrame::predict_into`] evaluates as one
-/// `vector::dot` per row instead of the lane sweep. Min-of-30 interleaved
-/// timings on a 2-vCPU x86-64 host, row dots against the sweep: 0.66×,
-/// 0.81×, 1.13× at 1, 2, 3 rows for m=7, and 0.53×, 0.88×, 1.06× for m=64.
-const ROW_DOT_MAX_ROWS: usize = 2;
 
 /// A batch of contexts in column-major (struct-of-arrays) layout.
 ///
@@ -181,9 +180,10 @@ impl FeatureFrame {
     /// copied satisfies `|x| <= bound` (`false` on any `NaN`), so an
     /// ingress check rides the same pass.
     ///
-    /// Full 8×8 tiles go through a register block (eight contiguous
-    /// column reads, eight contiguous row writes); edge rows and features
-    /// are copied one by one.
+    /// One plain pass per row: its writes are contiguous and its column
+    /// reads hit lines the previous rows brought in. On a 2-vCPU x86-64
+    /// host a 64×64 frame into a slot-scattered arena took 1.7–3.1 µs this
+    /// way against 4.6–7.5 µs through 8×8 register tiles.
     ///
     /// # Panics
     /// When `stride < n_features` or a destination row falls outside `dst`.
@@ -194,33 +194,10 @@ impl FeatureFrame {
         at: impl Fn(usize) -> usize,
         bound: f64,
     ) -> bool {
-        const T: usize = 8;
         let (n, m) = (self.n_rows, self.n_features);
         assert!(stride >= m, "transpose_into: stride {stride} below width {m}");
         let mut fits = true;
-        let (full_rows, full_features) = (n / T * T, m / T * T);
-        for r0 in (0..full_rows).step_by(T) {
-            let base: [usize; T] = std::array::from_fn(|j| at(r0 + j) * stride);
-            for f0 in (0..full_features).step_by(T) {
-                let tile: [[f64; T]; T] = std::array::from_fn(|i| {
-                    std::array::from_fn(|j| self.cols[(f0 + i) * n + r0 + j])
-                });
-                for (j, &b) in base.iter().enumerate() {
-                    for (d, lane) in dst[b + f0..b + f0 + T].iter_mut().zip(&tile) {
-                        *d = lane[j];
-                        fits &= lane[j].abs() <= bound;
-                    }
-                }
-            }
-            for f in full_features..m {
-                for (j, &b) in base.iter().enumerate() {
-                    let v = self.cols[f * n + r0 + j];
-                    dst[b + f] = v;
-                    fits &= v.abs() <= bound;
-                }
-            }
-        }
-        for r in full_rows..n {
+        for r in 0..n {
             let row = &mut dst[at(r) * stride..][..m];
             for (f, d) in row.iter_mut().enumerate() {
                 let v = self.cols[f * n + r];
@@ -242,78 +219,37 @@ impl FeatureFrame {
     /// Affine prediction of every row against one arm's coefficients:
     /// `out[r] = w·x_r + b`, **bit-for-bit** equal to
     /// `vector::dot(w, row_r) + b` (see the module docs for why). `out`
-    /// must be pre-sized to `n_rows`; `scratch` is reused across calls and
-    /// arms, so the steady-state sweep allocates nothing.
+    /// must be pre-sized to `n_rows`; nothing is allocated.
     ///
     /// # Panics
     /// Panics when `weights.len() != n_features` or `out.len() != n_rows`.
-    pub fn predict_into(
-        &self,
-        weights: &[f64],
-        intercept: f64,
-        scratch: &mut PredictScratch,
-        out: &mut [f64],
-    ) {
+    pub fn predict_into(&self, weights: &[f64], intercept: f64, out: &mut [f64]) {
         assert_eq!(weights.len(), self.n_features, "predict_into: weight count mismatch");
         assert_eq!(out.len(), self.n_rows, "predict_into: output length mismatch");
-        let n = self.n_rows;
-        if n <= ROW_DOT_MAX_ROWS {
-            // A burst this small does not repay the sweep's setup: one
-            // `dot` per gathered row is the same value by construction.
-            let row = &mut scratch.acc0;
-            for (r, o) in out.iter_mut().enumerate() {
-                row.clear();
-                row.extend((0..self.n_features).map(|f| self.cols[f * n + r]));
-                *o = vector::dot(weights, row) + intercept;
-            }
-            return;
-        }
-        // `out` doubles as the scalar-tail accumulator.
-        out.fill(0.0);
-        let PredictScratch { acc0, acc1, acc2, acc3 } = scratch;
-        for acc in [&mut *acc0, &mut *acc1, &mut *acc2, &mut *acc3] {
-            acc.clear();
-            acc.resize(n, 0.0);
-        }
-        // Lane k accumulates w[4j+k]·col[4j+k] in ascending j — per
-        // (lane, row) the identical add sequence `dot` performs, expressed
-        // as one contiguous axpy per feature column.
-        let mut f = 0;
-        while f + 4 <= self.n_features {
-            vector::axpy(weights[f], self.column(f), acc0);
-            vector::axpy(weights[f + 1], self.column(f + 1), acc1);
-            vector::axpy(weights[f + 2], self.column(f + 2), acc2);
-            vector::axpy(weights[f + 3], self.column(f + 3), acc3);
-            f += 4;
-        }
-        while f < self.n_features {
-            vector::axpy(weights[f], self.column(f), out);
-            f += 1;
-        }
-        for ((((o, &a0), &a1), &a2), &a3) in
-            out.iter_mut().zip(&*acc0).zip(&*acc1).zip(&*acc2).zip(&*acc3)
-        {
-            *o = ((a0 + a1) + (a2 + a3) + *o) + intercept;
-        }
+        vector::dot_cols_into(weights, &self.cols, intercept, out);
     }
 }
 
-/// A batch of completed observations in columnar layout — the record-side
-/// twin of [`FeatureFrame`].
+/// A batch of completed observations, row-major — the record-side twin of
+/// [`FeatureFrame`].
 ///
-/// Features reuse [`FeatureFrame`] storage (column-major, so the rank-k
-/// Gram fold streams contiguous feature columns); outcomes, arms, and
-/// explored flags ride along as per-row lanes. Buffers are reused across
-/// [`ObservationFrame::begin`] cycles, so a steady-state record loop stages
-/// every burst without allocating.
+/// Feature `f` of row `r` lives at `rows[r * n_features + f]`, so
+/// [`ObservationFrame::row`] is one contiguous `&[f64]`: staging a closed
+/// round is one row copy, and a policy builds each arm's augmented block
+/// `[1, x]` from row copies. Outcomes, arms, and explored flags ride along
+/// as per-row lanes. Buffers are reused across [`ObservationFrame::begin`]
+/// cycles, so a steady-state record loop stages every burst without
+/// allocating.
 ///
 /// The same bitwise-determinism contract as the select side applies:
 /// absorbing a frame through [`crate::Policy::observe_frame`] produces
 /// exactly the policy state of row-by-row [`crate::Policy::observe`] calls
-/// in row order (see `crates/core/tests/record_frame_equivalence.rs`).
+/// in row order (see `crates/serve/tests/record_frame_equivalence.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct ObservationFrame {
-    features: FeatureFrame,
+    /// Row-major features, `n_rows * n_features` long.
+    rows: Vec<f64>,
+    n_features: usize,
     outcomes: Vec<f64>,
     arms: Vec<usize>,
     explored: Vec<bool>,
@@ -328,7 +264,9 @@ impl ObservationFrame {
     /// Reset to `n_rows` zeroed observations of `n_features` features
     /// (reusing storage), ready for [`ObservationFrame::set_row`].
     pub fn begin(&mut self, n_rows: usize, n_features: usize) {
-        self.features.begin(n_rows, n_features);
+        self.n_features = n_features;
+        self.rows.clear();
+        self.rows.resize(n_rows * n_features, 0.0);
         self.outcomes.clear();
         self.outcomes.resize(n_rows, 0.0);
         self.arms.clear();
@@ -337,7 +275,8 @@ impl ObservationFrame {
         self.explored.resize(n_rows, false);
     }
 
-    /// Stage one completed round into row `r`.
+    /// Stage one completed round into row `r` (one contiguous copy of
+    /// `features`).
     ///
     /// # Errors
     /// [`CoreError::FeatureDimMismatch`] when `features.len()` disagrees
@@ -353,38 +292,60 @@ impl ObservationFrame {
         outcome: f64,
         explored: bool,
     ) -> Result<()> {
-        self.features.set_row(r, features)?;
+        if features.len() != self.n_features {
+            return Err(CoreError::FeatureDimMismatch {
+                got: features.len(),
+                expected: self.n_features,
+            });
+        }
+        assert!(r < self.n_rows(), "row {r} of a {}-row frame", self.n_rows());
+        self.rows[r * self.n_features..][..self.n_features].copy_from_slice(features);
         self.outcomes[r] = outcome;
         self.arms[r] = arm;
         self.explored[r] = explored;
         Ok(())
     }
 
+    /// Overwrite this frame with a copy of `src`, reusing storage.
+    pub fn copy_from(&mut self, src: &ObservationFrame) {
+        self.n_features = src.n_features;
+        self.rows.clear();
+        self.rows.extend_from_slice(&src.rows);
+        self.outcomes.clear();
+        self.outcomes.extend_from_slice(&src.outcomes);
+        self.arms.clear();
+        self.arms.extend_from_slice(&src.arms);
+        self.explored.clear();
+        self.explored.extend_from_slice(&src.explored);
+    }
+
     /// Number of observations in the batch.
     pub fn n_rows(&self) -> usize {
-        self.features.n_rows()
+        self.outcomes.len()
     }
 
     /// Number of features per observation.
     pub fn n_features(&self) -> usize {
-        self.features.n_features()
+        self.n_features
     }
 
     /// True when the frame holds no observations.
     pub fn is_empty(&self) -> bool {
-        self.features.is_empty()
+        self.outcomes.is_empty()
     }
 
-    /// The feature block, columnar.
-    pub fn features(&self) -> &FeatureFrame {
-        &self.features
+    /// The features of row `r`, contiguous.
+    ///
+    /// # Panics
+    /// Panics when `r >= n_rows`.
+    pub fn row(&self, r: usize) -> &[f64] {
+        &self.rows[r * self.n_features..(r + 1) * self.n_features]
     }
 
-    /// Mutable feature block — for in-place columnar transforms (the
-    /// scaler's standardization pass). Callers must keep the row count in
-    /// step with the lanes.
-    pub fn features_mut(&mut self) -> &mut FeatureFrame {
-        &mut self.features
+    /// Every row's features as one mutable row-major block — for in-place
+    /// transforms (the scaler's standardization pass).
+    pub fn rows_mut(&mut self) -> &mut [f64] {
+        &mut self.rows
     }
 
     /// Outcome (runtime) lane, one per row.
@@ -420,35 +381,6 @@ impl ObservationFrame {
     pub fn explored(&self, r: usize) -> bool {
         self.explored[r]
     }
-
-    /// Copy the non-feature lanes (outcomes, arms, explored) from `src`,
-    /// reusing storage. Used by wrappers that transform features into a
-    /// scratch frame but pass the bookkeeping lanes through unchanged.
-    pub fn copy_lanes_from(&mut self, src: &ObservationFrame) {
-        self.outcomes.clear();
-        self.outcomes.extend_from_slice(&src.outcomes);
-        self.arms.clear();
-        self.arms.extend_from_slice(&src.arms);
-        self.explored.clear();
-        self.explored.extend_from_slice(&src.explored);
-    }
-}
-
-/// Reusable lane accumulators for [`FeatureFrame::predict_into`]. One per
-/// policy; cleared and resized (allocation-free once warm) on every call.
-#[derive(Debug, Clone, Default)]
-pub struct PredictScratch {
-    acc0: Vec<f64>,
-    acc1: Vec<f64>,
-    acc2: Vec<f64>,
-    acc3: Vec<f64>,
-}
-
-impl PredictScratch {
-    /// New empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 #[cfg(test)]
@@ -483,7 +415,7 @@ mod tests {
 
     #[test]
     fn transpose_into_scatters_rows_and_checks_the_bound() {
-        for (n_rows, n_features) in [(1, 1), (8, 8), (9, 17), (16, 64), (3, 0), (20, 7)] {
+        for (n_rows, n_features) in [(1, 1), (8, 8), (9, 17), (16, 64), (3, 0), (20, 7), (64, 64)] {
             let data = rows(n_rows, n_features, 40 + n_rows as u64);
             let stride = n_features + 2;
             let at = |r: usize| n_rows - 1 - r;
@@ -546,15 +478,20 @@ mod tests {
 
     #[test]
     fn predict_into_is_bitwise_dot_plus_intercept() {
-        let mut scratch = PredictScratch::new();
+        const R: usize = vector::DOT_COLS_ROWS;
         // Sweep widths across several block boundaries, including the empty
-        // frame and pure-tail widths.
-        for (n_features, n_rows) in [0usize, 1, 3, 4, 5, 7, 8, 11, 16, 65]
+        // frame and pure-tail widths, and row counts that end on every
+        // block size of the sweep.
+        for (n_features, n_rows) in [0usize, 1, 3, 4, 5, 7, 8, 11, 16, 64, 65]
             .into_iter()
-            .flat_map(|f| [(f, 1), (f, ROW_DOT_MAX_ROWS), (f, ROW_DOT_MAX_ROWS + 1), (f, 9)])
+            .flat_map(|f| [0, 1, 2, 3, R - 1, R, R + 1, 2 * R + 3, 64].map(|n| (f, n)))
         {
             let data = rows(n_rows, n_features, 10 + n_features as u64);
-            let frame = FeatureFrame::from_rows(&data).unwrap();
+            let mut frame = FeatureFrame::new();
+            frame.begin(n_rows, n_features);
+            for (r, row) in data.iter().enumerate() {
+                frame.set_row(r, row).unwrap();
+            }
             let mut rng = StdRng::seed_from_u64(99);
             let fit = LinearFit {
                 weights: (0..n_features).map(|_| rng.gen_range(-2.0..2.0)).collect(),
@@ -562,8 +499,8 @@ mod tests {
                 residual_ss: 0.0,
                 n_obs: 1,
             };
-            let mut out = vec![0.0; frame.n_rows()];
-            frame.predict_into(&fit.weights, fit.intercept, &mut scratch, &mut out);
+            let mut out = vec![f64::NAN; frame.n_rows()];
+            frame.predict_into(&fit.weights, fit.intercept, &mut out);
             for (r, row) in data.iter().enumerate() {
                 assert_eq!(
                     out[r].to_bits(),
@@ -572,5 +509,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn observation_rows_round_trip() {
+        let data = rows(9, 6, 7);
+        let mut obs = ObservationFrame::new();
+        obs.begin(data.len(), 6);
+        // Fill out of order: each row lands in its own slot.
+        for (r, row) in data.iter().enumerate().rev() {
+            obs.set_row(r, r % 3, row, 10.0 + r as f64, r % 2 == 0).unwrap();
+        }
+        assert_eq!((obs.n_rows(), obs.n_features()), (9, 6));
+        assert_eq!(obs.rows, data.concat());
+        for (r, row) in data.iter().enumerate() {
+            assert_eq!(obs.row(r), &row[..]);
+            assert_eq!(
+                (obs.arm(r), obs.outcome(r), obs.explored(r)),
+                (r % 3, 10.0 + r as f64, r % 2 == 0)
+            );
+        }
+        assert!(obs.set_row(0, 0, &[1.0; 5], 1.0, false).is_err(), "width is checked");
+        let mut copy = ObservationFrame::new();
+        copy.copy_from(&obs);
+        assert_eq!(
+            (&copy.rows, copy.arms(), copy.outcomes()),
+            (&obs.rows, obs.arms(), obs.outcomes())
+        );
+        // A smaller refill reuses storage and zeroes the rows.
+        let cap = obs.rows.capacity();
+        obs.begin(4, 6);
+        assert_eq!(obs.rows, [0.0; 24]);
+        assert_eq!(obs.rows.capacity(), cap);
+        obs.begin(0, 6);
+        assert!(obs.is_empty());
     }
 }

@@ -65,7 +65,7 @@ pub use config::BanditConfig;
 pub use drift::{DiscountedArm, WindowedArm};
 pub use epsilon::DecayingEpsilonGreedy;
 pub use error::CoreError;
-pub use frame::{FeatureFrame, ObservationFrame, PredictScratch};
+pub use frame::{FeatureFrame, ObservationFrame};
 pub use objective::{BudgetedEpsilonGreedy, Objective};
 pub use policy::{ArmSpec, Policy, Selection};
 pub use scaler::{ScaledPolicy, StandardScaler};

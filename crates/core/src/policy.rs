@@ -153,7 +153,7 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
     /// [`crate::CoreError::InvalidRuntime`].
     fn observe(&mut self, arm: usize, x: &[f64], runtime: f64) -> Result<()>;
 
-    /// Absorb a whole **columnar** batch of completed observations
+    /// Absorb a whole batch of completed observations
     /// ([`crate::ObservationFrame`]) — the record-side twin of
     /// [`Policy::select_frame_into`].
     ///
@@ -166,12 +166,12 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
     /// **Bitwise contract:** on success the policy lands in exactly the
     /// state of row-by-row [`Policy::observe`] calls in row order — model
     /// statistics, schedules, and RNG positions (`observe` consumes no
-    /// randomness). The default gathers each row and delegates to
-    /// `observe`, flagging a strict prefix on failure; policies with
-    /// columnar absorb kernels ([`crate::DecayingEpsilonGreedy`] groups
-    /// rows per arm into one [`crate::ArmEstimator::absorb_rows`] each)
-    /// and transforming wrappers ([`crate::ScaledPolicy`] standardizes the
-    /// whole frame in one columnar pass) override it. Overrides may absorb
+    /// randomness). The default delegates each row to `observe`, flagging
+    /// a strict prefix on failure; policies with block absorb kernels
+    /// ([`crate::DecayingEpsilonGreedy`] groups rows per arm into one
+    /// [`crate::ArmEstimator::absorb_rows`] each) and transforming wrappers
+    /// ([`crate::ScaledPolicy`] standardizes the whole frame in one row
+    /// pass) override it. Overrides may absorb
     /// a non-prefix subset when a mid-batch failure interrupts per-arm
     /// groups — `absorbed` is the source of truth.
     ///
@@ -381,10 +381,10 @@ impl Policy for Box<dyn Policy> {
     }
 }
 
-/// The row-gather reference implementation of [`Policy::observe_frame`]:
-/// gather each row, delegate to [`Policy::observe`] in row order, flag the
+/// The row-by-row reference implementation of [`Policy::observe_frame`]:
+/// delegate each row to [`Policy::observe`] in row order, flag the
 /// absorbed prefix, stop at the first failure. Shared by the trait default
-/// and by columnar overrides as their fallback when a batch fails
+/// and by batched overrides as their fallback when a batch fails
 /// pre-validation (so error positions match the sequential path exactly).
 pub(crate) fn observe_frame_rows<P: Policy + ?Sized>(
     policy: &mut P,
@@ -393,9 +393,8 @@ pub(crate) fn observe_frame_rows<P: Policy + ?Sized>(
 ) -> Result<()> {
     absorbed.clear();
     absorbed.resize(frame.n_rows(), false);
-    let (rows, m) = (frame.features().row_major(), frame.n_features());
     for r in 0..frame.n_rows() {
-        policy.observe(frame.arm(r), &rows[r * m..(r + 1) * m], frame.outcome(r))?;
+        policy.observe(frame.arm(r), frame.row(r), frame.outcome(r))?;
         absorbed[r] = true;
     }
     Ok(())

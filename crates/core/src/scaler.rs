@@ -347,19 +347,28 @@ impl<P: Policy> Policy for ScaledPolicy<P> {
         frame: &crate::ObservationFrame,
         absorbed: &mut Vec<bool>,
     ) -> Result<()> {
-        // The columnar twin of `observe`: the matching select path already
-        // absorbed these contexts into the scaler, so this only transforms —
-        // one column-wise standardization pass against the *fixed* current
-        // statistics instead of one `transform_into` per row. Element-wise,
-        // so bitwise identical to the row loop; the bookkeeping lanes pass
-        // through untouched.
-        let ScaledPolicy { inner, scaler, zobs, .. } = self;
-        if let Err(e) = scaler.transform_frame(frame.features(), zobs.features_mut()) {
+        // The batch twin of `observe`: the matching select path already
+        // absorbed these contexts into the scaler, so this only transforms
+        // a copy of the frame, row by row, against the *fixed* current
+        // statistics — `observe`'s own transform, so bitwise identical to
+        // the row loop; the bookkeeping lanes pass through untouched.
+        let ScaledPolicy { inner, scaler, zbuf, zobs, .. } = self;
+        let n = frame.n_features();
+        let transformed = if n == scaler.n_features() {
+            zobs.copy_from(frame);
+            zobs.rows_mut().chunks_exact_mut(n.max(1)).try_for_each(|row| {
+                scaler.transform_into(row, zbuf)?;
+                row.copy_from_slice(zbuf);
+                Ok(())
+            })
+        } else {
+            Err(CoreError::FeatureDimMismatch { got: n, expected: scaler.n_features() })
+        };
+        if let Err(e) = transformed {
             absorbed.clear();
             absorbed.resize(frame.n_rows(), false);
             return Err(e);
         }
-        zobs.copy_lanes_from(frame);
         inner.observe_frame(zobs, absorbed)
     }
 

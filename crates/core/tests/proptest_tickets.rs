@@ -68,11 +68,8 @@ impl Policy for Brittle {
     ) -> banditware_core::Result<()> {
         absorbed.clear();
         absorbed.resize(frame.n_rows(), false);
-        let m = frame.n_features();
-        let mut row = vec![0.0; frame.n_rows() * m];
-        frame.features().transpose_into(&mut row, m, |r| r, f64::INFINITY);
         for (r, flag) in absorbed.iter_mut().enumerate() {
-            self.observe(frame.arm(r), &row[r * m..(r + 1) * m], frame.outcome(r))?;
+            self.observe(frame.arm(r), frame.row(r), frame.outcome(r))?;
             *flag = true;
         }
         Ok(())

@@ -1,9 +1,10 @@
-//! Runtime kernel dispatch: the record path on the widest vector unit the
-//! host has, bit for bit the baseline build's arithmetic.
+//! Runtime kernel dispatch: the record path and the prediction sweep on the
+//! widest vector unit the host has, bit for bit the baseline build's
+//! arithmetic.
 //!
 //! The workspace sets no target feature (no `target-cpu`, no `RUSTFLAGS`),
 //! so on x86-64 every kernel compiles for the baseline ISA: the 4-wide
-//! blocks of the record path become 2-lane SSE2 code. This module is the
+//! blocks of the hot kernels become 2-lane SSE2 code. This module is the
 //! one place the crate uses more. Each dispatched entry point names an
 //! `#[inline(always)]` kernel body; `dispatch!` compiles that body twice —
 //! once for the baseline target and once inside an
@@ -11,13 +12,15 @@
 //! twin when the caller's [`Isa`] says the CPU executes AVX2. The only way
 //! to obtain such an `Isa` is [`Isa::host`], i.e. `is_x86_feature_detected!`.
 //!
-//! Dispatch sits at two coarse entry points — a block absorption
-//! (`NormalEquations::push_rows`, the batch record path) and a refit from
-//! the live factor (behind `solve`/`solve_into`) — so one cached feature
-//! check covers O(m²)..O(k·m²) work. Their hot callees (`factor_rows`,
-//! `update_panel`, `rank_one_inline`, `gram_fold_tiled`,
-//! `solve_in_place_inline`) are `#[inline(always)]`, so they compile
-//! inside the twin; the small `#[inline]` ones (`gram_rank_one` for a
+//! Dispatch sits at three coarse entry points — a block absorption
+//! (`NormalEquations::push_rows`, the batch record path), a refit from
+//! the live factor (behind `solve`/`solve_into`), and the affine sweep of
+//! one arm over a column-major burst (`vector::dot_cols_into`, the batch
+//! select path) — so one cached feature check covers O(k·m)..O(k·m²)
+//! work. Their hot callees (`factor_rows`, `update_panel`,
+//! `rank_one_inline`, `gram_fold_tiled`, `solve_in_place_inline`,
+//! `dot_cols_block`) are `#[inline(always)]`, so they compile inside the
+//! twin; the small `#[inline]` ones (`gram_rank_one` for a
 //! one-row block, `vector::dot`, `vector::axpy`) are inlined there too.
 //! The public `UpdatableCholesky::update` and `solve_in_place` call the
 //! forced bodies but are not forced themselves: forcing them changed the
@@ -149,6 +152,8 @@ dispatch! {
         scratch: &mut SolveScratch,
         out: &mut LinearFit,
     ) -> Result<()> = NormalEquations::solve_from_factor_kernel;
+    /// [`crate::vector::dot_cols_into`] after its shape check.
+    fn dot_cols(w: &[f64], cols: &[f64], b: f64, out: &mut [f64]) = crate::vector::dot_cols_kernel;
 }
 
 #[cfg(test)]
@@ -307,6 +312,38 @@ mod tests {
                 both(&live, avx2, &what, |isa, n| {
                     push_rows(isa, n, &zrows, &ys, &mut Vec::new()).expect("push_rows")
                 });
+            }
+        }
+    }
+
+    #[test]
+    fn dot_cols_twin_is_bitwise_the_baseline() {
+        // Every width residue up to m=70 (m=7 and m=64 included), against
+        // row counts that end on each block size: empty, 1-row and 4-row
+        // remainders, one block short, exact, one over, and the m=64 burst.
+        // The baseline body is pinned to `dot` plus the intercept as well,
+        // so a host without AVX2 still checks the sweep.
+        const R: usize = crate::vector::DOT_COLS_ROWS;
+        let avx2 = twin();
+        for nf in 0..=70usize {
+            for n in [0, 1, 2, 3, R - 1, R, R + 1, 2 * R + 3, 64] {
+                let seed = (nf * 1000 + n) as u64;
+                let cols: Vec<f64> = (0..nf * n).map(|i| value(seed, i)).collect();
+                let w: Vec<f64> = (0..nf).map(|f| value(seed + 1, f + 1)).collect();
+                let b = value(seed + 2, 3);
+                let mut base = vec![f64::NAN; n];
+                dot_cols(Isa::BASELINE, &w, &cols, b, &mut base);
+                for (r, p) in base.iter().enumerate() {
+                    let row: Vec<f64> = (0..nf).map(|f| cols[f * n + r]).collect();
+                    let want = crate::vector::dot(&w, &row) + b;
+                    assert_eq!(p.to_bits(), want.to_bits(), "dot_cols width {nf} rows {n} row {r}");
+                }
+                if let Some(avx2) = avx2 {
+                    let mut wide = vec![f64::NAN; n];
+                    dot_cols(avx2, &w, &cols, b, &mut wide);
+                    let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&base), bits(&wide), "dot_cols twin width {nf} rows {n}");
+                }
             }
         }
     }

@@ -77,6 +77,85 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// Affine sweep over a column-major block: `out[r] = dot(w, row_r) + b`,
+/// **bit for bit**, where `cols` holds `w.len()` columns of `out.len()`
+/// values each (feature `f` of row `r` at `cols[f * out.len() + r]`).
+///
+/// Rows go in blocks of [`DOT_COLS_ROWS`] (then 4, then 1), each block
+/// holding its four lane sums and its tail in registers while it streams
+/// the block's slice of every column. Per row the adds are `dot`'s: lane
+/// `k` sums `w[4j+k]·x[4j+k]` in ascending `j`, the tail sums the last
+/// `len % 4` products in order, and the row ends as
+/// `((s0 + s1) + (s2 + s3) + tail) + b`. Wide systems run an AVX2 twin of
+/// the same body (`crate::simd`).
+///
+/// # Panics
+/// Panics if `cols.len() != w.len() * out.len()`.
+pub fn dot_cols_into(w: &[f64], cols: &[f64], b: f64, out: &mut [f64]) {
+    assert_eq!(cols.len(), w.len() * out.len(), "dot_cols_into: shape mismatch");
+    crate::simd::dot_cols(crate::simd::Isa::for_dim(w.len()), w, cols, b, out);
+}
+
+/// Rows per register block of [`dot_cols_into`]. One source serves both
+/// builds: at m=64 over 64 rows, R=16 measured 0.45× the lane-`axpy`
+/// sweep on the AVX2 twin (R=8: 0.62×) and 0.85× on the baseline body
+/// (R=8 the same within noise), on a 2-vCPU x86-64 host.
+pub const DOT_COLS_ROWS: usize = 16;
+
+/// The body of [`dot_cols_into`] (shape checked by the caller).
+#[inline(always)]
+pub(crate) fn dot_cols_kernel(w: &[f64], cols: &[f64], b: f64, out: &mut [f64]) {
+    let n = out.len();
+    let mut r0 = 0;
+    while r0 + DOT_COLS_ROWS <= n {
+        dot_cols_block::<DOT_COLS_ROWS>(w, cols, n, r0, b, out);
+        r0 += DOT_COLS_ROWS;
+    }
+    while r0 + 4 <= n {
+        dot_cols_block::<4>(w, cols, n, r0, b, out);
+        r0 += 4;
+    }
+    while r0 < n {
+        dot_cols_block::<1>(w, cols, n, r0, b, out);
+        r0 += 1;
+    }
+}
+
+/// Rows `r0..r0 + R` of [`dot_cols_kernel`].
+#[inline(always)]
+fn dot_cols_block<const R: usize>(
+    w: &[f64],
+    cols: &[f64],
+    n: usize,
+    r0: usize,
+    b: f64,
+    out: &mut [f64],
+) {
+    // The R values of column `f` this block reads.
+    let col = |f: usize| -> &[f64; R] {
+        cols[f * n + r0..][..R].try_into().expect("R rows") // lint: allow(no-panic) -- a slice of exactly R values
+    };
+    let full = w.len() - w.len() % 4;
+    let mut lanes = [[0.0f64; R]; 4];
+    for (f0, wb) in w[..full].chunks_exact(4).enumerate() {
+        for (k, (lane, &wk)) in lanes.iter_mut().zip(wb).enumerate() {
+            for (s, &x) in lane.iter_mut().zip(col(4 * f0 + k)) {
+                *s += wk * x;
+            }
+        }
+    }
+    let mut tail = [0.0f64; R];
+    for (f, &wk) in w.iter().enumerate().skip(full) {
+        for (s, &x) in tail.iter_mut().zip(col(f)) {
+            *s += wk * x;
+        }
+    }
+    let [s0, s1, s2, s3] = &lanes;
+    for (i, o) in out[r0..r0 + R].iter_mut().enumerate() {
+        *o = ((s0[i] + s1[i]) + (s2[i] + s3[i]) + tail[i]) + b;
+    }
+}
+
 /// Scale a slice in place: `x ← alpha * x`.
 #[inline]
 pub fn scale(alpha: f64, x: &mut [f64]) {

@@ -7,9 +7,8 @@
 //! features are copied into two reused buffers. Groups are index lists in
 //! reused scratch, recommend groups are written straight into the burst
 //! [`FeatureFrame`], the engine answers into a reused result buffer, and
-//! responses encode from borrowed parts. The one allocation a warm pass
-//! makes is the key map, which borrows its keys from the arena and so
-//! cannot outlive the pass.
+//! responses encode from borrowed parts. Keys are grouped through a reused
+//! open-addressing index ([`KeyIndex`]), so a warm pass allocates nothing.
 
 use crate::error::ErrorCode;
 use crate::frame::{encode_frame, parse_frame, FrameEvent, MAX_PAYLOAD};
@@ -19,7 +18,6 @@ use crate::protocol::{
 };
 use banditware_core::{CoreError, FeatureFrame, Recommendation, Ticket};
 use banditware_serve::Engine;
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// One decoded request's operation; keys and features are ranges into the
@@ -130,6 +128,16 @@ impl Inbox {
         &self.keys[range.clone()]
     }
 
+    /// The tenant key an item names (`None` for pings and rejects).
+    fn key_of(&self, item: &Pending) -> Option<&str> {
+        match &item.op {
+            Op::Recommend { key, .. } | Op::Record { key, .. } | Op::Checkpoint { key } => {
+                Some(self.key(key))
+            }
+            Op::Ping | Op::Reject { .. } => None,
+        }
+    }
+
     /// A recommend's features (empty for any other operation).
     fn features_of(&self, item: &Pending) -> &[f64] {
         match &item.op {
@@ -196,11 +204,47 @@ struct Group {
     len: usize,
 }
 
+/// Each tenant key's most recent group in one pass: open addressing with
+/// linear probing over FNV-1a hashes. A slot holds a group index; a probe
+/// compares the key against that group head's key in the arena. The table
+/// is at most half full and keeps its capacity across passes.
+#[derive(Debug, Default)]
+struct KeyIndex {
+    slots: Vec<usize>,
+}
+
+impl KeyIndex {
+    /// Empty the table, sized for up to `keys` distinct keys.
+    fn reset(&mut self, keys: usize) {
+        self.slots.clear();
+        self.slots.resize((2 * keys).next_power_of_two().max(8), NIL);
+    }
+
+    /// The slot of `key`: the one holding its group, or the empty slot
+    /// where it goes. `key_of(g)` is the key of group `g`.
+    fn find<'k>(&self, key: &str, key_of: impl Fn(usize) -> &'k str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = fnv1a(key.as_bytes()) as usize & mask;
+        while self.slots[at] != NIL && key_of(self.slots[at]) != key {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
 /// Reusable buffers for [`execute_batch`], so steady-state batching
 /// allocates nothing per wake.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
     groups: Vec<Group>,
+    index: KeyIndex,
     /// Per inbox index: the next member of its group, or [`NIL`].
     next: Vec<usize>,
     /// Columnar staging for recommend bursts, filled row by row from the
@@ -257,28 +301,22 @@ impl Responder<'_> {
 /// A same-key same-op request joins its key's most recent group
 /// (coalescing across interleaved other-key — and other-connection —
 /// traffic); a same-key *different*-op request starts a fresh group, and a
-/// checkpoint ends the key's group, so one key's operation order is never
-/// reordered.
-fn group(inbox: &Inbox, groups: &mut Vec<Group>, next: &mut Vec<usize>) {
+/// checkpoint is its own group that no later request joins, so one key's
+/// operation order is never reordered.
+fn group(inbox: &Inbox, groups: &mut Vec<Group>, next: &mut Vec<usize>, index: &mut KeyIndex) {
     groups.clear();
     next.clear();
-    let mut last_group: HashMap<&str, usize> = HashMap::with_capacity(inbox.len());
+    index.reset(inbox.len());
     for (i, item) in inbox.items.iter().enumerate() {
         next.push(NIL);
         let single = Group { head: i, tail: i, len: 1 };
-        let key = match &item.op {
-            Op::Recommend { key, .. } | Op::Record { key, .. } => inbox.key(key),
-            Op::Checkpoint { key } => {
-                last_group.remove(inbox.key(key));
-                groups.push(single);
-                continue;
-            }
-            Op::Ping | Op::Reject { .. } => {
-                groups.push(single);
-                continue;
-            }
+        let Some(key) = inbox.key_of(item) else {
+            groups.push(single);
+            continue;
         };
-        if let Some(g) = last_group.get(key).and_then(|&g| groups.get_mut(g)) {
+        let head_key = |g: usize| inbox.key_of(&inbox.items[groups[g].head]).unwrap_or("");
+        let at = index.find(key, head_key);
+        if let Some(g) = groups.get_mut(index.slots[at]) {
             let same_op = matches!(
                 (&inbox.items[g.head].op, &item.op),
                 (Op::Recommend { .. }, Op::Recommend { .. })
@@ -291,7 +329,7 @@ fn group(inbox: &Inbox, groups: &mut Vec<Group>, next: &mut Vec<usize>) {
                 continue;
             }
         }
-        last_group.insert(key, groups.len());
+        index.slots[at] = groups.len();
         groups.push(single);
     }
 }
@@ -307,8 +345,8 @@ pub(crate) fn execute_batch(
     scratch: &mut BatchScratch,
     sink: &mut dyn FnMut(usize, &[u8]),
 ) {
-    let BatchScratch { groups, next, burst, recs, outcomes, payload, frame } = scratch;
-    group(inbox, groups, next);
+    let BatchScratch { groups, index, next, burst, recs, outcomes, payload, frame } = scratch;
+    group(inbox, groups, next, index);
     let mut out = Responder { payload, frame, sink };
     let items = &inbox.items;
 

@@ -31,7 +31,9 @@
 //! * Torn frame at EOF / peer reset: the connection closes quietly.
 //! * Accept past [`ServerConfig::max_connections`]: typed
 //!   [`ErrorCode::Busy`] response, then the new connection closes;
-//!   established connections are unaffected.
+//!   established connections are unaffected. The acceptor only writes the
+//!   frame; the bounded wait for the peer to close runs on a linger
+//!   thread, so silent rejected peers never delay the next accept.
 //!
 //! The handlers never panic on input bytes; every decode is bounds-checked.
 
@@ -40,9 +42,11 @@ use crate::frame::encode_frame;
 use crate::protocol::{encode_response, Response, UNKNOWN_REQUEST_ID};
 use crate::reactor::{self, ReactorHandle};
 use banditware_serve::Engine;
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 // lint: timing-module -- the Busy-reject linger is wall-time by design
@@ -132,6 +136,7 @@ pub struct NetServer {
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     reactors: Vec<ReactorHandle>,
+    lingerer: Option<JoinHandle<()>>,
 }
 
 impl NetServer {
@@ -162,6 +167,10 @@ impl NetServer {
             &live,
         )?;
 
+        // The acceptor holds the only sender, so the linger thread ends
+        // when the acceptor does.
+        let (rejected, rejects) = mpsc::channel();
+        let lingerer = std::thread::spawn(move || linger(&rejects));
         let acceptor = {
             let shutdown = Arc::clone(&shutdown);
             let dispatch: Vec<Arc<reactor::ReactorShared>> =
@@ -174,7 +183,9 @@ impl NetServer {
                     }
                     let Ok(stream) = stream else { continue };
                     if live.load(Ordering::Acquire) >= max_connections {
-                        reject_busy(stream);
+                        if let Some(stream) = reject_busy(stream) {
+                            let _ = rejected.send(stream);
+                        }
                         continue;
                     }
                     live.fetch_add(1, Ordering::AcqRel);
@@ -189,7 +200,13 @@ impl NetServer {
                 }
             })
         };
-        Ok(NetServer { local_addr, shutdown, acceptor: Some(acceptor), reactors })
+        Ok(NetServer {
+            local_addr,
+            shutdown,
+            acceptor: Some(acceptor),
+            reactors,
+            lingerer: Some(lingerer),
+        })
     }
 
     /// The bound address (the real port when bound with port 0).
@@ -212,6 +229,9 @@ impl NetServer {
             r.shared.wake.wake();
             let _ = r.handle.join();
         }
+        if let Some(lingerer) = self.lingerer.take() {
+            let _ = lingerer.join();
+        }
     }
 }
 
@@ -221,10 +241,23 @@ impl Drop for NetServer {
     }
 }
 
+/// How long a rejected connection may take to close after its `Busy`
+/// frame before the server drops it.
+const LINGER: Duration = Duration::from_millis(500);
+
+/// How often the linger thread polls its sockets.
+const LINGER_POLL: Duration = Duration::from_millis(10);
+
+/// Most rejected connections lingering at once; past it the oldest is
+/// dropped, so a flood of silent peers costs bounded memory and file
+/// descriptors.
+const MAX_LINGERING: usize = 64;
+
 /// Answer a connection arriving past the ceiling with a typed `Busy` frame
 /// (unknown request ID — it rejects the connection, not any one request)
-/// and close gracefully.
-fn reject_busy(mut stream: TcpStream) {
+/// and close its write side. Returns the stream, now nonblocking, for the
+/// linger thread; `None` when it is already dead.
+fn reject_busy(mut stream: TcpStream) -> Option<TcpStream> {
     let mut payload = Vec::new();
     encode_response(
         UNKNOWN_REQUEST_ID,
@@ -234,28 +267,56 @@ fn reject_busy(mut stream: TcpStream) {
     let mut frame = Vec::new();
     encode_frame(&payload, &mut frame);
     let _ = stream.set_nodelay(true);
-    let _ = stream.write_all(&frame);
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    // The client has usually already written its first request; dropping
-    // the socket with those bytes unread can turn the close into an RST
-    // that discards the in-flight Busy frame. Linger briefly reading until
-    // the peer closes so the typed rejection reliably arrives. Bounded in
-    // time so a hostile dribbler cannot pin the acceptor.
-    let deadline = Instant::now() + Duration::from_millis(500);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    // A fresh socket's send buffer takes the short frame whole, so this
+    // blocking write does not wait on the peer.
+    stream.write_all(&frame).ok()?;
+    stream.shutdown(std::net::Shutdown::Write).ok()?;
+    stream.set_nonblocking(true).ok()?;
+    Some(stream)
+}
+
+/// The linger thread: hold each rejected connection until its peer
+/// closes or [`LINGER`] passes, reading and discarding what it sends.
+///
+/// The client has usually already written its first request; dropping the
+/// socket with those bytes unread can turn the close into an RST that
+/// discards the in-flight `Busy` frame. Lingering here rather than on the
+/// acceptor means a silent or dribbling peer holds one of
+/// [`MAX_LINGERING`] slots, never the next accept. Returns when the
+/// acceptor drops its sender.
+fn linger(rejects: &Receiver<TcpStream>) {
+    let mut lingering: VecDeque<(TcpStream, Instant)> = VecDeque::new();
     let mut sink = [0u8; 4096];
     loop {
-        match stream.read(&mut sink) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
+        let next = if lingering.is_empty() {
+            rejects.recv().map_err(|_| RecvTimeoutError::Disconnected)
+        } else {
+            rejects.recv_timeout(LINGER_POLL)
+        };
+        match next {
+            Ok(stream) => {
+                if lingering.len() == MAX_LINGERING {
+                    lingering.pop_front();
+                }
+                lingering.push_back((stream, Instant::now() + LINGER));
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => return,
         }
-        if Instant::now() >= deadline {
-            break;
+        let now = Instant::now();
+        lingering.retain_mut(|(stream, deadline)| now < *deadline && open(stream, &mut sink));
+    }
+}
+
+/// Read and discard what `stream` has buffered; whether the peer is still
+/// open.
+fn open(stream: &mut TcpStream, sink: &mut [u8]) -> bool {
+    loop {
+        match stream.read(sink) {
+            Ok(0) => return false,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return e.kind() == std::io::ErrorKind::WouldBlock,
         }
     }
 }

@@ -215,6 +215,46 @@ fn connection_ceiling_rejects_with_busy_and_keeps_serving() {
 }
 
 #[test]
+fn silent_rejected_peers_do_not_stall_the_acceptor() {
+    let config = ServerConfig::default().with_max_connections(1);
+    let mut server = NetServer::bind(engine(), "127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    let mut a = NetClient::connect(addr).expect("connect a");
+    a.ping().expect("a holds the one seat");
+
+    // Eight over-ceiling peers that never write and never close: each gets
+    // a Busy frame it does not read, and lingers until its deadline.
+    let silent: Vec<std::net::TcpStream> =
+        (0..8).map(|_| std::net::TcpStream::connect(addr).expect("silent connect")).collect();
+
+    // A well-behaved client queued behind them still hears Busy at once.
+    let start = std::time::Instant::now();
+    let mut c = NetClient::connect(addr).expect("connect c");
+    match c.ping() {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Busy),
+        other => panic!("expected busy reject, got {other:?}"),
+    }
+    let waited = start.elapsed();
+    assert!(waited < Duration::from_millis(100), "Busy took {waited:?} behind silent peers");
+
+    // The freed seat is handed out while the silent peers still linger.
+    drop(a);
+    let mut d = loop {
+        let mut d = NetClient::connect(addr).expect("connect d");
+        match d.ping() {
+            Ok(()) => break d,
+            Err(NetError::Remote { code: ErrorCode::Busy, .. }) => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("unexpected error reclaiming seat: {e}"),
+        }
+    };
+    d.ping().expect("d serves on the freed seat");
+    drop(silent);
+    server.shutdown();
+}
+
+#[test]
 fn pipelined_responses_resolve_out_of_wait_order() {
     let mut server =
         NetServer::bind(engine(), "127.0.0.1:0", ServerConfig::default()).expect("bind");
