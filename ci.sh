@@ -34,13 +34,15 @@ echo "==> cargo test --workspace -q (unit + proptest + integration, all crates)"
 cargo test --workspace -q
 
 # The bitwise suites once more on the opt-level-3 build that serves: the
-# dispatched kernels' twin-vs-baseline tests, frame-vs-row equivalence,
-# the zero-allocation pins, and the record-frame equivalence. The
-# workspace run above builds them under the test profile only.
-echo "==> bitwise suites under --release (simd twins, frame equivalence, alloc pins)"
+# dispatched kernels' twin-vs-baseline tests, frame-vs-per-row
+# equivalence, the zero-allocation pins, the record-frame equivalence,
+# and the facade-vs-engine frame contract (engine bursts vs per-row
+# `recommend_ticketed`). The workspace run above builds them under the
+# test profile only.
+echo "==> bitwise suites under --release (simd twins, frame equivalence, alloc pins, facade-vs-engine)"
 cargo test --release -q -p banditware-linalg simd
 cargo test --release -q -p banditware-core --test frame_equivalence --test alloc_free
-cargo test --release -q -p banditware-serve --test record_frame_equivalence
+cargo test --release -q -p banditware-serve --test record_frame_equivalence --test engine_equivalence
 
 echo "==> cargo build --examples --release (examples smoke check)"
 cargo build --examples --release
@@ -99,10 +101,12 @@ cargo run --release --example replication_failover >/dev/null
 # PR-6 gate (the TCP front-end sustains >= 50k rounds/sec at 8 loopback
 # connections), the PR-7 gates (a same-run from-scratch refit at m=65 costs
 # >= 8x a rank-one record at m=64 — the O(m^3)-vs-O(m^2) gap the updatable
-# factorization exists for — and the columnar engine round no slower than
-# the row round), the PR-8 gates (the frame record path never slower
-# than the per-ticket row path at batch 64, plus the same >= 8x
-# refit-over-record ratio), and the PR-9 gates (a 1024-connection reactor
+# factorization exists for — and the columnar engine round, one
+# `recommend_batch_frame` per 64-context burst, no slower (within 5%) than
+# a per-request `Engine::recommend` loop over the same 64 contexts, both
+# recording through one `record_batch_frame`), the PR-8 gates (the frame
+# record path never slower than the per-ticket row path at batch 64, plus
+# the same >= 8x refit-over-record ratio), and the PR-9 gates (a 1024-connection reactor
 # fan-out run is served to completion, and the rank-64 block absorption —
 # `push_block`, the one block record path: panel cholupdate plus tiled
 # Gram fold — is no slower than 64 sequential pushes).

@@ -4,7 +4,7 @@
 //! path: one lock acquisition + one policy pass per batch must beat N of
 //! each, and the gap should grow with the batch size.
 
-use banditware_core::{ArmSpec, BanditConfig, Ticket};
+use banditware_core::{ArmSpec, BanditConfig, FeatureFrame, Ticket};
 use banditware_serve::Engine;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -37,13 +37,15 @@ fn per_call_rounds(e: &Engine, key: &str, rng: &mut StdRng) {
 }
 
 /// The same rounds in batches of `batch`: one lock acquisition and one
-/// policy batch pass per burst.
+/// policy batch pass per burst, staged in one reused frame.
 fn batched_rounds(e: &Engine, key: &str, batch: usize, rng: &mut StdRng) {
     let mut remaining = ROUNDS;
+    let mut frame = FeatureFrame::new();
     while remaining > 0 {
         let n = batch.min(remaining);
         let xs = contexts(n, rng);
-        let issued = e.recommend_batch(key, &xs).unwrap();
+        frame.fill_from_rows(&xs).unwrap();
+        let issued = e.recommend_batch_frame(key, &frame).unwrap();
         let outcomes: Vec<(Ticket, f64)> = issued
             .iter()
             .zip(&xs)
@@ -97,9 +99,10 @@ fn bench_multi_tenant_fanout(c: &mut Criterion) {
         b.iter_with_setup(
             || (engine("epsilon-greedy"), StdRng::seed_from_u64(9)),
             |(e, mut rng)| {
+                let mut frame = FeatureFrame::new();
                 for key in &keys {
-                    let xs = contexts(32, &mut rng);
-                    let issued = e.recommend_batch(key, &xs).unwrap();
+                    frame.fill_from_rows(&contexts(32, &mut rng)).unwrap();
+                    let issued = e.recommend_batch_frame(key, &frame).unwrap();
                     let outcomes: Vec<(Ticket, f64)> =
                         issued.iter().map(|(t, r)| (*t, (r.arm + 1) as f64 * 10.0)).collect();
                     e.record_batch_frame(key, &outcomes).unwrap();

@@ -8,10 +8,11 @@
 //!   is attributed later via [`BanditWare::record_ticket`]. Arbitrarily many
 //!   rounds may be in flight at once, tickets may be recorded **out of
 //!   order**, and a round that never completes can be abandoned with
-//!   [`BanditWare::drop_ticket`]. [`BanditWare::recommend_batch`] selects a
-//!   whole burst in one policy pass (for [`crate::ScaledPolicy`], one
-//!   scaler pass); [`BanditWare::record_batch_frame`] validates the burst
-//!   atomically and absorbs it in one batched policy pass.
+//!   [`BanditWare::drop_ticket`]. [`BanditWare::recommend_batch_frame`]
+//!   selects a whole burst ([`FeatureFrame`]) in one policy pass (for
+//!   [`crate::ScaledPolicy`], one scaler pass);
+//!   [`BanditWare::record_batch_frame`] validates the burst atomically and
+//!   absorbs it in one batched policy pass.
 //! * **Legacy single-slot**: [`BanditWare::recommend`] +
 //!   [`BanditWare::record`] keep the original strictly-alternating protocol.
 //!   They are a shim over the ticket table; calling `recommend` twice
@@ -215,10 +216,6 @@ pub struct BanditWare<P: Policy> {
     legacy_pending: Option<Ticket>,
     /// Scratch: batched selections, reused across bursts.
     batch_sels: Vec<Selection>,
-    /// Scratch: the columnar frame the row-slice shim
-    /// ([`BanditWare::recommend_batch`]) builds once per burst, reused
-    /// across bursts.
-    batch_frame: FeatureFrame,
     /// Scratch: index positions of a record batch's tickets, in input
     /// order, filled by [`BanditWare::validate_record_batch`].
     batch_pos: Vec<usize>,
@@ -248,7 +245,6 @@ impl<P: Policy> BanditWare<P> {
             next_ticket: 0,
             legacy_pending: None,
             batch_sels: Vec::new(),
-            batch_frame: FeatureFrame::new(),
             batch_pos: Vec::new(),
             batch_sorted: Vec::new(),
             batch_obs: ObservationFrame::new(),
@@ -374,32 +370,6 @@ impl<P: Policy> BanditWare<P> {
         Ok((ticket, recommendation(&self.specs, sel, predicted)))
     }
 
-    /// Recommend hardware for a whole batch of workflows in one policy pass
-    /// (selections are made against the same model state; for
-    /// [`crate::ScaledPolicy`] the scaler runs once for the batch). Returns
-    /// one `(ticket, recommendation)` per context, in input order.
-    ///
-    /// # Errors
-    /// Propagates policy validation; on error no tickets are issued.
-    pub fn recommend_batch(
-        &mut self,
-        contexts: &[Vec<f64>],
-    ) -> Result<Vec<(Ticket, Recommendation)>> {
-        // Row-slice shim over the columnar path: transpose the burst once
-        // into the recommender-owned scratch frame (reused across bursts),
-        // then run the frame pipeline — bitwise identical by the
-        // [`crate::frame`] contract.
-        if contexts.is_empty() {
-            self.batch_sels.clear();
-            return Ok(Vec::new());
-        }
-        self.batch_frame.fill_from_rows(contexts)?;
-        let frame = std::mem::take(&mut self.batch_frame);
-        let out = self.recommend_batch_frame(&frame);
-        self.batch_frame = frame;
-        out
-    }
-
     /// [`BanditWare::recommend_batch_frame_into`] into a fresh `Vec`.
     ///
     /// # Errors
@@ -412,15 +382,18 @@ impl<P: Policy> BanditWare<P> {
         self.recommend_batch_frame_into(frame, &mut out).map(|()| out)
     }
 
-    /// [`BanditWare::recommend_batch`] over an already-columnar batch
-    /// ([`FeatureFrame`]), into `out` (cleared first): one transpose of the
-    /// frame into the ticket arena (which also runs the ingress check), one
-    /// policy frame pass, and each recommendation's prediction taken from
-    /// that pass ([`Policy::frame_predictions`]) when the policy keeps it.
-    /// This is the layout the serving front-end builds once per coalesced
-    /// burst; results are bitwise identical to the row-slice API on the
-    /// same contexts, and a warm recommender with a reused `out` allocates
-    /// nothing.
+    /// Recommend hardware for a whole batch of workflows ([`FeatureFrame`],
+    /// one row per context) in one policy pass, into `out` (cleared first):
+    /// one `(ticket, recommendation)` per row, in row order. Selections are
+    /// made against the same model state (for [`crate::ScaledPolicy`] the
+    /// scaler runs once for the batch). One transpose of the frame into
+    /// the ticket arena (which also runs the ingress check), one policy
+    /// frame pass, and each recommendation's prediction taken from that
+    /// pass ([`Policy::frame_predictions`]) when the policy keeps it. This
+    /// is the layout the serving front-end builds once per coalesced burst;
+    /// for an unwrapped policy the results are bitwise identical to a loop
+    /// of [`BanditWare::recommend_ticketed`] over the rows, and a warm
+    /// recommender with a reused `out` allocates nothing.
     ///
     /// # Errors
     /// [`crate::CoreError::NonFiniteFeature`] /
@@ -896,8 +869,10 @@ mod tests {
         assert_eq!(rejected_at(bw.recommend_ticketed(&inf).unwrap_err()), Some(1));
         assert_eq!(rejected_at(bw.recommend_ticketed(&nan).unwrap_err()), Some(2));
         assert_eq!(rejected_at(bw.recommend(&nan).unwrap_err()), Some(2));
-        let burst = vec![vec![1.0, 2.0, 3.0], nan.to_vec(), vec![4.0, 5.0, 6.0]];
-        assert_eq!(rejected_at(bw.recommend_batch(&burst).unwrap_err()), Some(2));
+        let burst =
+            FeatureFrame::from_rows(&[vec![1.0, 2.0, 3.0], nan.to_vec(), vec![4.0, 5.0, 6.0]])
+                .unwrap();
+        assert_eq!(rejected_at(bw.recommend_batch_frame(&burst).unwrap_err()), Some(2));
         let one_row = FeatureFrame::from_rows(&[inf.to_vec()]).unwrap();
         assert_eq!(rejected_at(bw.recommend_batch_frame(&one_row).unwrap_err()), Some(1));
         assert_eq!(rejected_at(bw.record_external(0, &inf, 5.0).unwrap_err()), Some(1));
@@ -944,8 +919,10 @@ mod tests {
         let huge = [1.0, 2.0, 1e200];
         assert_eq!(rejected_at(bw.recommend(&huge).unwrap_err()), Some((2, 1e200)));
         assert_eq!(rejected_at(bw.recommend_ticketed(&huge).unwrap_err()), Some((2, 1e200)));
-        let burst = vec![vec![1.0, 2.0, 3.0], vec![4.0, -1e200, 6.0], huge.to_vec()];
-        assert_eq!(rejected_at(bw.recommend_batch(&burst).unwrap_err()), Some((1, -1e200)));
+        let burst =
+            FeatureFrame::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, -1e200, 6.0], huge.to_vec()])
+                .unwrap();
+        assert_eq!(rejected_at(bw.recommend_batch_frame(&burst).unwrap_err()), Some((1, -1e200)));
         let one_row = FeatureFrame::from_rows(&[huge.to_vec()]).unwrap();
         assert_eq!(rejected_at(bw.recommend_batch_frame(&one_row).unwrap_err()), Some((2, 1e200)));
         assert_eq!(rejected_at(bw.record_external(0, &huge, 5.0).unwrap_err()), Some((2, 1e200)));
@@ -1102,7 +1079,8 @@ mod tests {
     fn batch_recommend_then_batch_record() {
         let mut bw = make();
         let contexts: Vec<Vec<f64>> = (1..=5).map(|i| vec![i as f64]).collect();
-        let issued = bw.recommend_batch(&contexts).unwrap();
+        let issued =
+            bw.recommend_batch_frame(&FeatureFrame::from_rows(&contexts).unwrap()).unwrap();
         assert_eq!(issued.len(), 5);
         assert_eq!(bw.in_flight(), 5);
         // Ticket ids are unique and ascending in input order.
@@ -1120,7 +1098,9 @@ mod tests {
     #[test]
     fn batch_record_validates_atomically() {
         let mut bw = make();
-        let issued = bw.recommend_batch(&[vec![1.0], vec![2.0]]).unwrap();
+        let issued = bw
+            .recommend_batch_frame(&FeatureFrame::from_rows(&[vec![1.0], vec![2.0]]).unwrap())
+            .unwrap();
         let (t0, t1) = (issued[0].0, issued[1].0);
         // Unknown ticket in the batch → nothing absorbed.
         let err = bw.record_batch_frame(&[(t0, 5.0), (Ticket::from_id(77), 5.0)]).unwrap_err();
@@ -1190,7 +1170,11 @@ mod tests {
         }
 
         let mut bw = BanditWare::new(Brittle { observed: 0 }, ArmSpec::unit_costs(2));
-        let issued = bw.recommend_batch(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
+        let issued = bw
+            .recommend_batch_frame(
+                &FeatureFrame::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap(),
+            )
+            .unwrap();
         let (t0, t1, t2) = (issued[0].0, issued[1].0, issued[2].0);
         // Outcome for t1 fails inside the policy; t0 was already absorbed.
         let err = bw.record_batch_frame(&[(t0, 5.0), (t1, 5000.0), (t2, 7.0)]).unwrap_err();
@@ -1310,7 +1294,9 @@ mod tests {
             EpsilonGreedy::new(specs.clone(), 1, BanditConfig::paper().with_seed(3)).unwrap(),
         );
         let mut bw: BanditWare<Box<dyn Policy>> = BanditWare::new(policy, specs);
-        let issued = bw.recommend_batch(&[vec![1.0], vec![2.0]]).unwrap();
+        let issued = bw
+            .recommend_batch_frame(&FeatureFrame::from_rows(&[vec![1.0], vec![2.0]]).unwrap())
+            .unwrap();
         let outcomes: Vec<(Ticket, f64)> = issued.iter().map(|(t, _)| (*t, 5.0)).collect();
         bw.record_batch_frame(&outcomes).unwrap();
         assert_eq!(bw.rounds(), 2);

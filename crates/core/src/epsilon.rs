@@ -227,7 +227,7 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
         }
         let n = frame.n_rows();
         // Pass 1 — the schedule: draw per-row explore decisions in row
-        // order, exactly the RNG stream the row-slice path consumes (the
+        // order, exactly the RNG stream per-row `select` consumes (the
         // draws never depend on predictions, so hoisting them is exact).
         out.clear();
         out.reserve(n);
@@ -250,17 +250,17 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
         let DecayingEpsilonGreedy { arms, frame_preds, preds, costs, config, .. } = self;
         frame_preds.clear();
         frame_preds.resize(arms.len() * n, 0.0);
-        let mut rows: Option<Vec<f64>> = None;
         for (a, arm) in arms.iter().enumerate() {
             let col = &mut frame_preds[a * n..(a + 1) * n];
             if let Some((w, b)) = arm.linear_coeffs() {
                 frame.predict_into(w, b, col);
             } else {
-                let rows = rows.get_or_insert_with(|| frame.row_major());
                 let m = frame.n_features();
-                for (r, p) in col.iter_mut().enumerate() {
-                    *p = arm.predict(&rows[r * m..(r + 1) * m]);
-                }
+                frame.with_row_major(|rows| {
+                    for (r, p) in col.iter_mut().enumerate() {
+                        *p = arm.predict(&rows[r * m..(r + 1) * m]);
+                    }
+                });
             }
         }
         // Pass 3 — tolerant selection per exploit row, gathering that row's

@@ -18,11 +18,14 @@
 //!
 //! ## Bitwise-determinism contract
 //!
-//! The batch paths are **bitwise identical** to the row-slice paths: for
-//! any batch, [`crate::Policy::select_frame_into`] over a frame built
-//! from the rows returns exactly the selections (and consumes exactly the
-//! RNG stream) of `select_batch_into` over the rows, and every prediction
-//! matches [`crate::Policy::predict`] to the last bit. This holds because
+//! The frame path equals per-row `select`: for any batch,
+//! [`crate::Policy::select_frame_into`] over a frame built from the rows
+//! returns exactly the selections (and consumes exactly the RNG stream) of
+//! a loop of [`crate::Policy::select`] over the rows in order — for the
+//! scaler wrapper ([`crate::ScaledPolicy`]), absorb the whole burst, then
+//! standardize each row for the inner policy's `select` — and every
+//! prediction matches [`crate::Policy::predict`] to the last bit. This
+//! holds because
 //!
 //! * [`FeatureFrame::predict_into`] replays `vector::dot`'s accumulation
 //!   order exactly: per row, four independent lane sums over feature blocks
@@ -208,12 +211,23 @@ impl FeatureFrame {
         fits
     }
 
-    /// The whole frame as one row-major buffer (`n_rows × n_features`):
-    /// the row-slice view for policies without a columnar kernel.
-    pub(crate) fn row_major(&self) -> Vec<f64> {
-        let mut rows = vec![0.0; self.n_rows * self.n_features];
+    /// Run `f` on the whole frame as one row-major buffer
+    /// (`n_rows × n_features`): the row view for policies without a
+    /// columnar kernel. The buffer is kept per thread and reused, so a warm
+    /// caller allocates nothing.
+    pub(crate) fn with_row_major<R>(&self, f: impl FnOnce(&[f64]) -> R) -> R {
+        thread_local! {
+            static ROWS: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+        }
+        // Taken, not borrowed: a nested call from inside `f` starts from an
+        // empty buffer instead of failing.
+        let mut rows = ROWS.take();
+        rows.clear();
+        rows.resize(self.n_rows * self.n_features, 0.0);
         self.transpose_into(&mut rows, self.n_features, |r| r, f64::INFINITY);
-        rows
+        let out = f(&rows);
+        ROWS.set(rows);
+        out
     }
 
     /// Affine prediction of every row against one arm's coefficients:

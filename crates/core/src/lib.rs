@@ -19,7 +19,7 @@
 //! * [`frame`] — columnar ([`frame::FeatureFrame`]) batch contexts: the
 //!   serving layers transpose each coalesced burst once so the per-arm
 //!   predict sweep and the scaler pass stride contiguous memory, bitwise
-//!   identical to the row-slice path.
+//!   equal to per-row `select`.
 //! * [`epsilon`] — [`epsilon::DecayingEpsilonGreedy`], Algorithm 1 itself.
 //! * [`linucb`], [`thompson`], [`ucb`], [`boltzmann`] — the "different and
 //!   more complex contextual bandit algorithms" the paper's §5 plans as

@@ -68,51 +68,18 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
     /// [`crate::CoreError::FeatureDimMismatch`] on a wrong-arity context.
     fn select(&mut self, x: &[f64]) -> Result<Selection>;
 
-    /// Choose arms for a whole batch of contexts against the **same model
-    /// state** (no refits happen between the selections; only schedule
-    /// randomness advances). The default delegates to
-    /// [`Policy::select_batch_into`], so wrappers only override the latter
-    /// to amortize per-batch work — e.g. [`crate::ScaledPolicy`] runs one
-    /// scaler pass for the whole batch instead of one per call.
-    ///
-    /// # Errors
-    /// Propagates [`Policy::select`]; on error, selections already made for
-    /// earlier contexts in the batch have still consumed randomness.
-    fn select_batch(&mut self, xs: &[&[f64]]) -> Result<Vec<Selection>> {
-        let mut out = Vec::with_capacity(xs.len());
-        self.select_batch_into(&mut xs.iter().copied(), &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Policy::select_batch`] into a caller-owned buffer (cleared first):
-    /// the allocation-free batched select path. Serving layers keep one
-    /// selections buffer per recommender and reuse it across bursts, so the
+    /// Choose arms for a whole batch of contexts ([`crate::FeatureFrame`])
+    /// against the **same model state**: one selection per frame row, into
+    /// `out` (cleared first). This is the one batch select entry point;
+    /// serving layers reuse the frame and `out` across bursts, so the
     /// steady-state batch path performs no heap allocation (pinned by
-    /// `alloc_free.rs`). Contexts arrive as an iterator so callers never
-    /// materialize a `Vec<&[f64]>` of borrows per call.
+    /// `alloc_free.rs`).
     ///
-    /// # Errors
-    /// Propagates [`Policy::select`]; on error the buffer holds the
-    /// selections made so far (which have consumed randomness).
-    fn select_batch_into<'a>(
-        &mut self,
-        xs: &mut dyn ExactSizeIterator<Item = &'a [f64]>,
-        out: &mut Vec<Selection>,
-    ) -> Result<()> {
-        out.clear();
-        out.reserve(xs.len());
-        for x in xs {
-            out.push(self.select(x)?);
-        }
-        Ok(())
-    }
-
-    /// [`Policy::select_batch_into`] over a **columnar** batch
-    /// ([`crate::FeatureFrame`]): one selection per frame row, into `out`
-    /// (cleared first), **bitwise identical** to the row-slice path — same
-    /// selections, same RNG stream consumption (see the [`crate::frame`]
-    /// module docs for the contract). The default gathers each row and
-    /// delegates to [`Policy::select`]; policies with a columnar kernel
+    /// **Bitwise contract:** the selections and the RNG stream consumption
+    /// equal a loop of [`Policy::select`] over the rows in order (the
+    /// scaler wrapper: absorb the whole burst, then standardize; see the
+    /// [`crate::frame`] module docs). The default gathers each row and
+    /// delegates to `select`; policies with a columnar kernel
     /// ([`crate::DecayingEpsilonGreedy`]) and batch-amortizing wrappers
     /// ([`crate::ScaledPolicy`]) override it so the per-arm predict loop and
     /// the scaler pass stride contiguous columns.
@@ -127,11 +94,13 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
     ) -> Result<()> {
         out.clear();
         out.reserve(frame.n_rows());
-        let (rows, m) = (frame.row_major(), frame.n_features());
-        for r in 0..frame.n_rows() {
-            out.push(self.select(&rows[r * m..(r + 1) * m])?);
-        }
-        Ok(())
+        let m = frame.n_features();
+        frame.with_row_major(|rows| {
+            for r in 0..frame.n_rows() {
+                out.push(self.select(&rows[r * m..(r + 1) * m])?);
+            }
+            Ok(())
+        })
     }
 
     /// The per-arm predictions the most recent
@@ -308,18 +277,6 @@ impl Policy for Box<dyn Policy> {
         (**self).select(x)
     }
 
-    fn select_batch(&mut self, xs: &[&[f64]]) -> Result<Vec<Selection>> {
-        (**self).select_batch(xs)
-    }
-
-    fn select_batch_into<'a>(
-        &mut self,
-        xs: &mut dyn ExactSizeIterator<Item = &'a [f64]>,
-        out: &mut Vec<Selection>,
-    ) -> Result<()> {
-        (**self).select_batch_into(xs, out)
-    }
-
     fn select_frame_into(
         &mut self,
         frame: &crate::FeatureFrame,
@@ -447,10 +404,10 @@ mod tests {
         assert_eq!(p.n_arms(), 2);
         assert_eq!(p.n_features(), 1);
         let xs: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64]).collect();
-        let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
-        let sels = p.select_batch(&refs).unwrap();
+        let mut sels = Vec::new();
+        p.select_frame_into(&crate::FeatureFrame::from_rows(&xs).unwrap(), &mut sels).unwrap();
         assert_eq!(sels.len(), 4);
-        for (s, &x) in sels.iter().zip(&refs) {
+        for (s, x) in sels.iter().zip(&xs) {
             p.observe(s.arm, x, 10.0 + x[0]).unwrap();
         }
         assert_eq!(p.pulls().iter().sum::<usize>(), 4);

@@ -242,10 +242,12 @@ fn read_path_is_allocation_free() {
     assert_eq!(n, 0, "scaled read path allocated {n} times in 200 sweeps");
 }
 
-/// The PR-6 batched-select pin: `select_batch_into` over a reused
-/// selections buffer — the path `Engine::recommend_batch` drives per
-/// coalesced network burst — performs zero heap allocations once warm,
-/// including the scaled wrapper's absorb-all-then-transform-all pass.
+/// The batched-select pin: refilling a reused `FeatureFrame` in place and
+/// selecting through `select_frame_into` over a reused selections buffer —
+/// the path `Engine::recommend_batch_frame_into` drives per coalesced
+/// network burst — performs zero heap allocations once warm: the per-arm
+/// columnar predict kernel, the scaled wrapper's column-wise scaler pass,
+/// and the default row-gather (LinUCB).
 fn batched_select_path_is_allocation_free() {
     const M: usize = 16;
     const B: usize = 32;
@@ -257,65 +259,9 @@ fn batched_select_path_is_allocation_free() {
             fill_context(x, round * B + i);
         }
     };
-
-    // --- ε-greedy (the serving default): batch = sequential selects. ---
-    let mut policy = DecayingEpsilonGreedy::<RecursiveArm>::new(
-        ArmSpec::unit_costs(5),
-        M,
-        BanditConfig::paper().with_epsilon0(0.1).with_seed(7),
-    )
-    .unwrap();
-    for round in 0..50 {
-        fill_batch(&mut xs, round);
-        policy.observe(round % 5, &xs[0], 10.0 + (round % 17) as f64).unwrap();
-    }
-    policy.select_batch_into(&mut xs.iter().map(Vec::as_slice), &mut out).unwrap();
-    let n = count_allocs(100, |round| {
-        fill_batch(&mut xs, 50 + round);
-        policy.select_batch_into(&mut xs.iter().map(Vec::as_slice), &mut out).unwrap();
-    });
-    assert_eq!(n, 0, "ε-greedy select_batch_into allocated {n} times in 100 warm bursts");
-
-    // --- Scaled ε-greedy: the flattened staging buffer must be reused. ---
-    let mut policy = ScaledPolicy::new(
-        DecayingEpsilonGreedy::<RecursiveArm>::new(
-            ArmSpec::unit_costs(4),
-            M,
-            BanditConfig::paper().with_epsilon0(0.1).with_seed(8),
-        )
-        .unwrap(),
-    );
-    for round in 0..50 {
-        fill_batch(&mut xs, round);
-        let sel = policy.select(&xs[0]).unwrap();
-        policy.observe(sel.arm, &xs[0], 10.0 + (round % 11) as f64).unwrap();
-    }
-    policy.select_batch_into(&mut xs.iter().map(Vec::as_slice), &mut out).unwrap();
-    let n = count_allocs(100, |round| {
-        fill_batch(&mut xs, 50 + round);
-        policy.select_batch_into(&mut xs.iter().map(Vec::as_slice), &mut out).unwrap();
-    });
-    assert_eq!(n, 0, "scaled select_batch_into allocated {n} times in 100 warm bursts");
-
-    // --- LinUCB: the deterministic LCB sweep, batched. ---
-    let mut policy = LinUcb::new(ArmSpec::unit_costs(5), M, 1.0, 1.0).unwrap();
-    for round in 0..50 {
-        fill_batch(&mut xs, round);
-        policy.observe(round % 5, &xs[0], 10.0 + (round % 13) as f64).unwrap();
-    }
-    policy.select_batch_into(&mut xs.iter().map(Vec::as_slice), &mut out).unwrap();
-    let n = count_allocs(100, |round| {
-        fill_batch(&mut xs, 50 + round);
-        policy.select_batch_into(&mut xs.iter().map(Vec::as_slice), &mut out).unwrap();
-    });
-    assert_eq!(n, 0, "LinUCB select_batch_into allocated {n} times in 100 warm bursts");
-
-    // --- The PR-7 columnar pin: refilling a reused `FeatureFrame` in place
-    // and selecting through `select_frame_into` (the per-arm columnar
-    // predict kernel + the scaled wrapper's column-wise scaler pass) stays
-    // allocation-free once warm. ---
     let mut frame = FeatureFrame::new();
 
+    // --- ε-greedy (the serving default): the per-arm columnar kernel. ---
     let mut policy = DecayingEpsilonGreedy::<RecursiveArm>::new(
         ArmSpec::unit_costs(5),
         M,
@@ -335,6 +281,7 @@ fn batched_select_path_is_allocation_free() {
     });
     assert_eq!(n, 0, "ε-greedy frame path allocated {n} times in 100 warm bursts");
 
+    // --- Scaled ε-greedy: the scratch frame must be reused. ---
     let mut policy = ScaledPolicy::new(
         DecayingEpsilonGreedy::<RecursiveArm>::new(
             ArmSpec::unit_costs(4),
@@ -356,6 +303,21 @@ fn batched_select_path_is_allocation_free() {
         policy.select_frame_into(&frame, &mut out).unwrap();
     });
     assert_eq!(n, 0, "scaled frame path allocated {n} times in 100 warm bursts");
+
+    // --- LinUCB: the default row-gather `select_frame_into`. ---
+    let mut policy = LinUcb::new(ArmSpec::unit_costs(5), M, 1.0, 1.0).unwrap();
+    for round in 0..50 {
+        fill_batch(&mut xs, round);
+        policy.observe(round % 5, &xs[0], 10.0 + (round % 13) as f64).unwrap();
+    }
+    frame.fill_from_rows(&xs).unwrap();
+    policy.select_frame_into(&frame, &mut out).unwrap();
+    let n = count_allocs(100, |round| {
+        fill_batch(&mut xs, 50 + round);
+        frame.fill_from_rows(&xs).unwrap();
+        policy.select_frame_into(&frame, &mut out).unwrap();
+    });
+    assert_eq!(n, 0, "LinUCB frame path allocated {n} times in 100 warm bursts");
 }
 
 /// The columnar record pin: staging a burst into a reused

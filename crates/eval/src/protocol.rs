@@ -13,7 +13,8 @@ use crate::series::{RoundSeries, SimTrajectory};
 use banditware_baselines::FullFitBaseline;
 use banditware_core::tolerance::tolerant_select;
 use banditware_core::{
-    ArmSpec, BanditConfig, BanditWare, DecayingEpsilonGreedy, Policy, RecursiveArm, Tolerance,
+    ArmSpec, BanditConfig, BanditWare, DecayingEpsilonGreedy, FeatureFrame, Policy, RecursiveArm,
+    Tolerance,
 };
 use banditware_workloads::{CostModel, HardwareConfig, Trace};
 use rand::rngs::StdRng;
@@ -274,6 +275,7 @@ where
     let mut preds: Vec<f64> = Vec::with_capacity(eval_rows.features.len());
     let mut all_preds: Vec<f64> = Vec::with_capacity(hardware.len());
     let mut expected: Vec<f64> = vec![0.0; hardware.len()];
+    let mut frame = FeatureFrame::new();
 
     let mut round = 0;
     while round < cfg.n_rounds {
@@ -283,7 +285,8 @@ where
         let contexts: Vec<Vec<f64>> = (0..batch)
             .map(|_| trace.rows[rng.gen_range(0..trace.len())].features.clone())
             .collect();
-        let issued = bandit.recommend_batch(&contexts).expect("context arity matches trace");
+        frame.fill_from_rows(&contexts).expect("trace rows share one arity");
+        let issued = bandit.recommend_batch_frame(&frame).expect("context arity matches trace");
 
         // Completions feed back one by one (each runtime refits its arm),
         // so the per-round curves keep their meaning at any batch size.

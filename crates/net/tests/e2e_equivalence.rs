@@ -42,7 +42,7 @@ fn assert_streams_identical(config: ServerConfig, rounds: usize, pipeline_every:
     while i < rounds {
         if pipeline_every > 0 && i % pipeline_every == 0 {
             // A pipelined burst: several recommends hit the socket back to
-            // back, so the server coalesces them into one recommend_batch.
+            // back, so the server coalesces them into one frame batch.
             let burst = (rounds - i).min(8);
             let ids: Vec<u64> =
                 (0..burst).map(|j| client.send_recommend("wf-a", &context(i + j))).collect();

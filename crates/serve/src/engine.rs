@@ -198,22 +198,11 @@ impl Engine {
         self.with_shard_mut(key, |shard| shard.recommend_ticketed(features))?
     }
 
-    /// Recommend for a whole batch of workflows of `key` under **one**
-    /// stripe lock acquisition and one policy batch pass.
-    ///
-    /// # Errors
-    /// Propagates policy validation; on error no tickets are issued.
-    pub fn recommend_batch(
-        &self,
-        key: &str,
-        contexts: &[Vec<f64>],
-    ) -> Result<Vec<(Ticket, Recommendation)>> {
-        self.with_shard_mut(key, |shard| shard.recommend_batch(contexts))?
-    }
-
-    /// [`Engine::recommend_batch`] over an already-columnar burst: the
-    /// caller transposes once outside the stripe lock, the shard runs the
-    /// frame pipeline directly (bitwise identical to the row-slice path).
+    /// Recommend for a whole batch of workflows of `key` ([`FeatureFrame`],
+    /// one row per context) under **one** stripe lock acquisition and one
+    /// policy frame pass. The caller builds the frame outside the stripe
+    /// lock; the shard runs
+    /// [`banditware_core::BanditWare::recommend_batch_frame_into`].
     ///
     /// # Errors
     /// Propagates policy validation; on error no tickets are issued.
@@ -448,7 +437,8 @@ mod tests {
     fn batch_path_shares_one_lock_pass() {
         let e = engine();
         let contexts: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
-        let issued = e.recommend_batch("w", &contexts).unwrap();
+        let issued =
+            e.recommend_batch_frame("w", &FeatureFrame::from_rows(&contexts).unwrap()).unwrap();
         assert_eq!(issued.len(), 10);
         assert_eq!(e.open_tickets("w").len(), 10);
         let outcomes: Vec<(Ticket, f64)> =

@@ -11,8 +11,10 @@
 //!   different keys proceed in parallel. Rounds are ticketed
 //!   ([`banditware_core::Ticket`]): recommendations and runtime reports may
 //!   overlap arbitrarily and arrive out of order. Batched
-//!   `recommend_batch`/`record_batch_frame` take each shard lock **once per
-//!   batch** instead of once per call.
+//!   `recommend_batch_frame`/`record_batch_frame` take each shard lock
+//!   **once per batch** instead of once per call; the frame path equals
+//!   per-row `select` (the scaler wrapper: absorb the whole burst, then
+//!   standardize).
 //! * [`builder`] — construct any named policy
 //!   (`"epsilon-greedy"`, `"linucb"`, `"thompson"`, …) from a
 //!   [`banditware_core::BanditConfig`] at runtime; the engine stores policies

@@ -11,7 +11,7 @@
 //! single-threaded legacy loop (see the crate's integration tests).
 
 use crate::engine::Engine;
-use banditware_core::{Result, Ticket};
+use banditware_core::{FeatureFrame, Result, Ticket};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -90,10 +90,12 @@ pub fn drive_key(engine: &Engine, plan: &StressPlan, key: &str) -> Result<usize>
     let mut rng = plan.key_rng(key);
     let mut recorded = 0;
     let mut remaining = plan.rounds_per_key;
+    let mut frame = FeatureFrame::new();
     while remaining > 0 {
         let batch = plan.batch_size.max(1).min(remaining);
         let contexts: Vec<Vec<f64>> = (0..batch).map(|_| draw_context(&mut rng)).collect();
-        let issued = engine.recommend_batch(key, &contexts)?;
+        frame.fill_from_rows(&contexts)?;
+        let issued = engine.recommend_batch_frame(key, &frame)?;
         let outcomes: Vec<(Ticket, f64)> = issued
             .iter()
             .zip(&contexts)

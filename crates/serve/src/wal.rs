@@ -1140,18 +1140,6 @@ impl DurableEngine {
         self.engine.recommend(key, features).map_err(Into::into)
     }
 
-    /// Batched recommend for `key` (not logged).
-    ///
-    /// # Errors
-    /// Propagates policy validation.
-    pub fn recommend_batch(
-        &self,
-        key: &str,
-        contexts: &[Vec<f64>],
-    ) -> ServeResult<Vec<(Ticket, Recommendation)>> {
-        self.engine.recommend_batch(key, contexts).map_err(Into::into)
-    }
-
     /// Batched recommend for `key` over a columnar frame (not logged).
     ///
     /// # Errors

@@ -2,12 +2,15 @@
 //!
 //! The contract: a seeded run through [`Engine`] with N threads and batch
 //! size B is **indistinguishable, shard by shard**, from the same per-key
-//! round streams driven single-threaded through the legacy [`BanditWare`]
-//! facade — and checkpoints taken from engine shards replay into
-//! recommenders that keep emitting identical recommendations.
+//! round streams driven single-threaded through the [`BanditWare`] facade
+//! one round at a time — the engine recommends each burst as one
+//! `FeatureFrame`, the facade twin calls `recommend_ticketed` per row (the
+//! frame path equals per-row `select`) — and checkpoints taken from engine
+//! shards replay into recommenders that keep emitting identical
+//! recommendations.
 
 use banditware_core::persist;
-use banditware_core::{ArmSpec, BanditConfig, BanditWare, Observation, Policy, Ticket};
+use banditware_core::{ArmSpec, BanditConfig, BanditWare, Observation, Policy};
 use banditware_serve::builder::build_policy;
 use banditware_serve::stress::{draw_context, true_runtime};
 use banditware_serve::{run_stress, Engine, StressPlan};
@@ -39,21 +42,21 @@ fn shard_twin(e: &Engine, key: &str) -> BanditWare<Box<dyn Policy>> {
     BanditWare::new(policy, specs())
 }
 
-/// The legacy single-threaded loop for one key: the exact round stream the
-/// stress harness drives, replayed through the core facade.
+/// The single-threaded per-row loop for one key: the exact round stream
+/// the stress harness drives (a burst of contexts, then their runtimes),
+/// replayed through the core facade one `recommend_ticketed` and one
+/// `record_ticket` per round.
 fn legacy_loop(twin: &mut BanditWare<Box<dyn Policy>>, plan: &StressPlan, key: &str) {
     let mut rng = plan.key_rng(key);
     let mut remaining = plan.rounds_per_key;
     while remaining > 0 {
         let batch = plan.batch_size.max(1).min(remaining);
         let contexts: Vec<Vec<f64>> = (0..batch).map(|_| draw_context(&mut rng)).collect();
-        let issued = twin.recommend_batch(&contexts).unwrap();
-        let outcomes: Vec<(Ticket, f64)> = issued
-            .iter()
-            .zip(&contexts)
-            .map(|((t, rec), x)| (*t, true_runtime(rec.arm, x, &mut rng)))
-            .collect();
-        twin.record_batch_frame(&outcomes).unwrap();
+        let issued: Vec<_> = contexts.iter().map(|x| twin.recommend_ticketed(x).unwrap()).collect();
+        for ((ticket, rec), x) in issued.iter().zip(&contexts) {
+            let rt = true_runtime(rec.arm, x, &mut rng);
+            twin.record_ticket(*ticket, rt).unwrap();
+        }
         remaining -= batch;
     }
 }
@@ -79,7 +82,12 @@ fn n_threads_batched_matches_single_threaded_legacy_loop() {
         legacy_loop(&mut twin, &plan, key);
         let shard = concurrent.history(key).unwrap();
         assert_eq!(shard.len(), 48);
-        assert_eq!(shard, twin.history(), "shard {key} diverged from the legacy loop");
+        assert_eq!(shard, twin.history(), "shard {key} diverged from the per-row loop");
+        assert_eq!(
+            concurrent.with_shard(key, |s| s.policy().snapshot()).unwrap(),
+            twin.policy().snapshot(),
+            "shard {key} policy state diverged from the per-row loop"
+        );
     }
 }
 

@@ -247,11 +247,13 @@ fn probe_predictions(engine: &Engine, key: &str) -> Vec<u64> {
     bits
 }
 
-/// One `DurableEngine` records every round with a per-ticket `record`
-/// (one append per observation), the other absorbs each burst with
-/// `record_batch_frame` (one grouped append per burst, grouped rank-k
-/// absorption). The models, the round counters, and the **WAL segment
-/// bytes** — seqs, lines, CRCs — must come out identical.
+/// One `DurableEngine` recommends every round with a per-request
+/// `recommend` and records it with a per-ticket `record` (one append per
+/// observation); the other recommends each burst as one frame and absorbs
+/// it with `record_batch_frame` (one grouped append per burst, grouped
+/// rank-k absorption). The recommendations, the models, the round
+/// counters, and the **WAL segment bytes** — seqs, lines, CRCs — must come
+/// out identical.
 #[test]
 fn durable_record_frame_wal_bytes_match_row_path() {
     let dir_rows = tmp_dir("pr8-record-rows");
@@ -259,14 +261,21 @@ fn durable_record_frame_wal_bytes_match_row_path() {
     let (rows, _) = DurableEngine::open(builder(), WalOptions::new(&dir_rows)).unwrap();
     let (framed, _) = DurableEngine::open(builder(), WalOptions::new(&dir_frame)).unwrap();
 
+    let mut frame = FeatureFrame::new();
     for (round, &n) in BURSTS.iter().enumerate() {
         let contexts: Vec<Vec<f64>> = (0..n).map(|r| context(round, r, M)).collect();
-        let via_rows = rows.recommend_batch("w", &contexts).unwrap();
-        let via_frame = framed.recommend_batch("w", &contexts).unwrap();
+        let via_rows: Vec<_> = contexts.iter().map(|x| rows.recommend("w", x).unwrap()).collect();
+        frame.fill_from_rows(&contexts).unwrap();
+        let via_frame = framed.recommend_batch_frame("w", &frame).unwrap();
         assert_eq!(via_rows.len(), via_frame.len(), "round {round}: burst size");
         for ((ta, ra), (tb, rb)) in via_rows.iter().zip(&via_frame) {
-            assert_eq!(ra.arm, rb.arm, "round {round}: selections diverged");
             assert_eq!(ta.id(), tb.id(), "round {round}: ticket ids diverged");
+            assert_eq!((ra.arm, ra.explored), (rb.arm, rb.explored), "round {round}: selections");
+            assert_eq!(
+                ra.predicted_runtime.to_bits(),
+                rb.predicted_runtime.to_bits(),
+                "round {round}: predicted runtime bits"
+            );
         }
         for (i, &(ticket, _)) in via_rows.iter().enumerate() {
             let rt = runtime(via_rows[i].1.arm, &contexts[i]);

@@ -3,7 +3,7 @@
 //! the recorded state — through bare segments, snapshot + tail, rotation,
 //! and a torn final line.
 
-use banditware_core::{ArmSpec, BanditConfig, Retention, Ticket};
+use banditware_core::{ArmSpec, BanditConfig, FeatureFrame, Retention, Ticket};
 use banditware_serve::{DurableEngine, Engine, EngineBuilder, ServeError, WalOptions};
 use std::path::PathBuf;
 
@@ -92,7 +92,9 @@ fn compaction_supersedes_segments_and_restores_bitwise() {
 
     for i in 0..40 {
         let contexts: Vec<Vec<f64>> = (0..4).map(|j| context(i * 4 + j)).collect();
-        let issued = engine.recommend_batch("w", &contexts).unwrap();
+        let issued = engine
+            .recommend_batch_frame("w", &FeatureFrame::from_rows(&contexts).unwrap())
+            .unwrap();
         let outcomes: Vec<(Ticket, f64)> =
             issued.iter().map(|(t, r)| (*t, 10.0 + r.arm as f64)).collect();
         engine.record_batch_frame("w", &outcomes).unwrap();
@@ -437,7 +439,8 @@ fn batch_record_is_one_group_commit_and_validates_atomically() {
     let dir = tmp_dir("batch");
     let (engine, _) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
     let contexts: Vec<Vec<f64>> = (0..6).map(context).collect();
-    let issued = engine.recommend_batch("k", &contexts).unwrap();
+    let issued =
+        engine.recommend_batch_frame("k", &FeatureFrame::from_rows(&contexts).unwrap()).unwrap();
     let (t0, t1) = (issued[0].0, issued[1].0);
 
     // A malformed batch leaves engine AND log untouched.

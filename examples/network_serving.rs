@@ -88,7 +88,10 @@ fn main() {
     println!("  ... {matches}/20 rounds bitwise-identical to in-process");
 
     // Phase 2: a pipelined burst. All requests go out before any reply is
-    // read; the server coalesces them into one recommend_batch.
+    // read; the server coalesces them into one `recommend_batch_frame`.
+    // The frame path equals per-row `select` (the scaler wrapper: absorb
+    // the whole burst, then standardize), so per-request in-process
+    // recommends are its bitwise reference.
     println!("\n-- phase 2: one pipelined burst of 16 rounds --");
     let ids: Vec<(usize, u64)> =
         (20..36).map(|round| (round, client.send_recommend(KEY, &[workload(round)]))).collect();
