@@ -455,7 +455,7 @@ impl UpdatableCholesky {
             // (`crate::simd`), never a fused multiply-add — and every
             // explicit `[f64; 4]` block variant measured 30–45% *slower*
             // (the unrolled body falls back to the weaker SLP vectorizer).
-            // See BENCH_PR7.json `cholupdate_m64`.
+            // See `cholupdate_m64` in the README's "Perf trajectory" table.
             let row = self.lt.row_mut(j);
             for (lji, wi) in row[j + 1..].iter_mut().zip(&mut self.work[j + 1..]) {
                 *wi -= p * *lji;

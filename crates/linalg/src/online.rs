@@ -407,8 +407,8 @@ impl NormalEquations {
     /// `update`); the Gram matrix folds in 4×4 register tiles whose entries
     /// each accumulate in row order, and a one-row block folds with
     /// `push`'s own kernel (the tiles cannot amortize a single row).
-    /// Refactorizing once per block instead was measured at m=64
-    /// (`BENCH_PR8.json`) and rejected: a fresh decomposition is not the
+    /// Refactorizing once per block instead was measured at m=64 (README,
+    /// "Perf trajectory", PR 8) and rejected: a fresh decomposition is not the
     /// same arithmetic as `k` rank-1 updates, so its low bits differ.
     ///
     /// `panel` is caller-owned scratch for the panel kernel, grown to

@@ -50,8 +50,9 @@
 //! (unsealed) segment are invisible to the follower until a rotation seals
 //! them or a ship with `seal_active` forces one. Follower staleness is
 //! therefore bounded by the segment rotation threshold — the
-//! `BENCH_PR5.json` trajectory pins catch-up throughput and the staleness
-//! bound across rotation sizes.
+//! `no_seal_ship_leaves_under_two_segments_behind` test pins the staleness
+//! bound across rotation sizes, and the README's "Perf trajectory" table
+//! keeps the last measured catch-up throughput.
 
 use crate::builder::EngineBuilder;
 use crate::crc::crc32;

@@ -18,6 +18,8 @@ use banditware_serve::{
     WalOptions,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 
 const KEYS: [&str; 2] = ["tenant-a", "tenant-b"];
@@ -366,4 +368,54 @@ fn catch_up_is_incremental_across_ship_cycles() {
     assert_eq!(follower.watermark("tenant-a"), Some(45));
     let _ = std::fs::remove_dir_all(&primary_dir);
     let _ = std::fs::remove_dir_all(&replica_dir);
+}
+
+/// What a follower can lose is bounded by the rotation threshold: a ship
+/// without `seal_active` leaves only the primary's active segment behind.
+/// At every rotation size, 20 000 recorded rounds leave fewer than two
+/// segments' worth of records unreplicated. The staleness is a count that
+/// repeats exactly for these seeds (20, 3 and 291 rounds against bounds of
+/// about 42, 169 and 679).
+#[test]
+fn no_seal_ship_leaves_under_two_segments_behind() {
+    const M: usize = 8;
+    const ROUNDS: usize = 20_000;
+    let builder = || {
+        Engine::builder(ArmSpec::unit_costs(4), M)
+            .config(BanditConfig::paper().with_epsilon0(0.1).with_seed(5))
+    };
+    for rotate_bytes in [4 * 1024, 16 * 1024, 64 * 1024] {
+        let primary_dir = tmp_dir("staleness-primary", rotate_bytes);
+        let replica_dir = tmp_dir("staleness-replica", rotate_bytes);
+        let options = WalOptions::new(&primary_dir).segment_max_bytes(rotate_bytes);
+        let (primary, _) = DurableEngine::open(builder(), options).unwrap();
+        let mut rng = StdRng::seed_from_u64(71);
+        for _ in 0..ROUNDS {
+            let x: Vec<f64> = (0..M).map(|_| rng.gen_range(0.1..100.0)).collect();
+            let (t, rec) = primary.recommend("tenant", &x).unwrap();
+            primary.record("tenant", t, 10.0 + rec.arm as f64 + x[0] * 0.1).unwrap();
+        }
+        // Records vary in size (shortest round-trip floats), so the bound
+        // takes the observed mean.
+        let wal_bytes: u64 = std::fs::read_dir(primary_dir.join("ktenant"))
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_string_lossy().starts_with("wal-"))
+            .map(|e| e.metadata().unwrap().len())
+            .sum();
+        let records_per_segment = rotate_bytes as f64 / (wal_bytes as f64 / ROUNDS as f64);
+        Replicator::new(FsTransport::new(&replica_dir)).ship_all(&primary, false).unwrap();
+
+        let (follower, report) =
+            FollowerEngine::open(builder(), WalOptions::new(&replica_dir)).unwrap();
+        assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+        let staleness = ROUNDS - follower.watermark("tenant").unwrap_or(0);
+        assert!(
+            (staleness as f64) < 2.0 * records_per_segment,
+            "rotation {rotate_bytes} B: {staleness} records behind, bound {:.0}",
+            2.0 * records_per_segment
+        );
+        let _ = std::fs::remove_dir_all(&primary_dir);
+        let _ = std::fs::remove_dir_all(&replica_dir);
+    }
 }
