@@ -93,12 +93,15 @@ cargo run --release --example replication_failover >/dev/null
 # per-request `Engine::recommend` loop and the columnar record round <= 1.0x
 # a per-ticket `record` loop, both at batch 64; `push_block` runs >= 0.95x
 # the speed of 64 sequential pushes; v3 restore after 100k rounds takes
-# < 2x the restore after 1k; the TCP front-end sustains >= 50k rounds/s
-# at 8 loopback connections; and a 1024-connection fan-out driven by one
-# client thread is served to completion. The binary runs every gate and
-# exits 1 if any failed. (The follower-staleness bound is a count, not a
-# timing, so it is a test in crates/serve/tests/replication.rs.)
-echo "==> perf gates (refit/record, frame/rows, push_block, restore, net throughput, 1024-conn fan-out)"
+# < 2x the restore after 1k; `load_checkpoint` of 1024 m=7 tenant
+# checkpoints costs <= 2x `str::parse::<f64>` over their numeric fields
+# (the text reader stays near its float-conversion floor); the TCP
+# front-end sustains >= 50k rounds/s at 8 loopback connections; and a
+# 1024-connection fan-out driven by one client thread is served to
+# completion. The binary runs every gate and exits 1 if any failed. (The
+# follower-staleness bound is a count, not a timing, so it is a test in
+# crates/serve/tests/replication.rs.)
+echo "==> perf gates (refit/record, frame/rows, push_block, restore, checkpoint parse, net throughput, 1024-conn fan-out)"
 cargo run --release -p banditware-bench --bin perf_gates
 
 echo "==> all green"

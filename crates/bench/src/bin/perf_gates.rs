@@ -8,6 +8,7 @@
 //! | `frame_record_over_rows` | `record_batch_frame` round / per-ticket `record` loop, batch 64 | ≤ 1.0 |
 //! | `push_block_speedup` | 64 sequential `push` calls / one rank-64 `push_block`, m=64 | ≥ 0.95 |
 //! | `restore_100k_over_1k` | v3 snapshot restore after 100k rounds / after 1k rounds | < 2 |
+//! | `checkpoint_parse_over_float_parse` | `load_checkpoint` of 1024 m=7 tenant checkpoints / `str::parse::<f64>` of their numeric fields | ≤ 2 |
 //! | `rounds_per_s_8_conns` | pipelined recommend→record rounds/s over 8 loopback connections | ≥ 50 000 |
 //! | `fanout_1024_rounds_served` | rounds answered when one client thread drives 1024 connections | all of them |
 //!
@@ -231,6 +232,55 @@ fn bench_restore(bytes: &[u8], n: usize) -> f64 {
     })
 }
 
+/// v3 checkpoints shaped like the ones the `paper-tenants` bench workload
+/// restores at set-up: 1024 ε-greedy tenants at m=7 with three arms, 64
+/// warm-up rounds each, and a 16-round history tail.
+fn tenant_checkpoints() -> Vec<Vec<u8>> {
+    const M: usize = 7;
+    let engine = Engine::builder(ArmSpec::unit_costs(3), M)
+        .policy("epsilon-greedy")
+        .config(BanditConfig::paper().with_seed(13))
+        .retention(Retention::Tail(16))
+        .build()
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(61);
+    (0..1024)
+        .map(|k| {
+            let key = format!("tenant-{k:04}");
+            for _ in 0..64 {
+                let x = context(M, &mut rng);
+                let (t, rec) = engine.recommend(&key, &x).unwrap();
+                engine.record(&key, t, 5.0 + rec.arm as f64 + x[0] * 0.1).unwrap();
+            }
+            let mut bytes = Vec::new();
+            engine.save_shard_checkpoint(&key, &mut bytes).unwrap();
+            bytes
+        })
+        .collect()
+}
+
+/// Wall time (ns) of `load_checkpoint` over every checkpoint.
+fn bench_checkpoint_parse(checkpoints: &[Vec<u8>]) -> f64 {
+    let start = Instant::now();
+    for bytes in checkpoints {
+        std::hint::black_box(load_checkpoint(bytes.as_slice()).unwrap());
+    }
+    start.elapsed().as_nanos() as f64
+}
+
+/// Wall time (ns) of `str::parse::<f64>` over `fields`, the numeric fields
+/// of the checkpoints: the floor of any reader that converts each of them
+/// with the standard parser.
+fn bench_float_parse(fields: &[&str]) -> f64 {
+    let start = Instant::now();
+    let mut sum = 0.0;
+    for f in fields {
+        sum += std::hint::black_box(f).parse::<f64>().unwrap();
+    }
+    std::hint::black_box(sum);
+    start.elapsed().as_nanos() as f64
+}
+
 fn serve(m: usize) -> NetServer {
     NetServer::bind(Arc::new(engine(m)), "127.0.0.1:0", ServerConfig::default())
         .expect("bind loopback")
@@ -375,8 +425,11 @@ impl fmt::Display for Bar {
     }
 }
 
+/// A gate's name, its bar, and the measurement checked against it.
+type Gate = (&'static str, Bar, fn() -> f64);
+
 fn main() {
-    let gates: [(&str, Bar, fn() -> f64); 7] = [
+    let gates: [Gate; 8] = [
         ("refit_over_record", Bar::AtLeast(8.0), || {
             1.0 / paired_ratio(PAIRS, || bench_record(64), || bench_refactor(65))
         }),
@@ -400,6 +453,21 @@ fn main() {
         ("restore_100k_over_1k", Bar::Below(2.0), || {
             let (small, large) = (v3_snapshot(1_000), v3_snapshot(100_000));
             paired_ratio(PAIRS, || bench_restore(&large, 100_000), || bench_restore(&small, 1_000))
+        }),
+        ("checkpoint_parse_over_float_parse", Bar::AtMost(2.0), || {
+            let checkpoints = tenant_checkpoints();
+            let text: Vec<&str> =
+                checkpoints.iter().map(|b| std::str::from_utf8(b).unwrap()).collect();
+            let numeric: Vec<&str> = text
+                .iter()
+                .flat_map(|t| t.split(['\n', ',']))
+                .filter(|f| f.parse::<f64>().is_ok())
+                .collect();
+            paired_ratio(
+                PAIRS,
+                || bench_checkpoint_parse(&checkpoints),
+                || bench_float_parse(&numeric),
+            )
         }),
         ("rounds_per_s_8_conns", Bar::AtLeast(50_000.0), || net_rounds_per_s(8)),
         (

@@ -42,9 +42,11 @@
 use crate::bandit::{BanditWare, Observation, Ticket};
 use crate::error::CoreError;
 use crate::policy::Policy;
-use crate::snapshot::{parse_policy_state, write_policy_state, LineCursor, PolicyState};
+use crate::snapshot::{
+    parse_policy_state, push_f64s, write_policy_state, FieldCursor, LineCursor, PolicyState,
+};
 use crate::Result;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 
 const MAGIC_V1: &str = "banditware-history v1";
 const MAGIC_V2: &str = "banditware-history v2";
@@ -157,32 +159,47 @@ pub fn save_history<P: Policy>(bandit: &BanditWare<P>, mut writer: impl Write) -
     let io = io_err("save");
     writeln!(writer, "{MAGIC_V2}").map_err(&io)?;
     writeln!(writer, "arm,explored,runtime,features...").map_err(&io)?;
+    write_rounds(bandit, &mut writer, "", &io)
+}
+
+/// One round line: `head`, then the features after a comma, then `\n`.
+/// A zero-feature round still writes the comma: one empty field.
+fn write_round_line(
+    writer: &mut impl Write,
+    line: &mut String,
+    head: std::fmt::Arguments<'_>,
+    features: &[f64],
+    io: &impl Fn(std::io::Error) -> CoreError,
+) -> Result<()> {
+    use std::fmt::Write as _;
+    line.clear();
+    let _ = line.write_fmt(head);
+    push_f64s(line, features);
+    line.push('\n');
+    writer.write_all(line.as_bytes()).map_err(io)
+}
+
+/// The history rows (each after `prefix`), the open-ticket table and the
+/// ticket counter: the part v2 logs and v3 checkpoints share.
+fn write_rounds<P: Policy>(
+    bandit: &BanditWare<P>,
+    writer: &mut impl Write,
+    prefix: &str,
+    io: &impl Fn(std::io::Error) -> CoreError,
+) -> Result<()> {
+    let mut line = String::new();
     for o in bandit.history() {
-        let features: Vec<String> = o.features.iter().map(|f| format!("{f}")).collect();
-        writeln!(
-            writer,
-            "{},{},{},{}",
-            o.arm,
-            if o.explored { 1 } else { 0 },
-            o.runtime,
-            features.join(",")
-        )
-        .map_err(&io)?;
+        let explored = u8::from(o.explored);
+        let head = format_args!("{prefix}{},{explored},{}", o.arm, o.runtime);
+        write_round_line(writer, &mut line, head, &o.features, io)?;
     }
     for (ticket, round) in bandit.open_rounds() {
-        let features: Vec<String> = round.features.iter().map(|f| format!("{f}")).collect();
-        writeln!(
-            writer,
-            "open,{},{},{},{}",
-            ticket.id(),
-            round.arm,
-            if round.explored { 1 } else { 0 },
-            features.join(",")
-        )
-        .map_err(&io)?;
+        let explored = u8::from(round.explored);
+        let head = format_args!("open,{},{},{explored}", ticket.id(), round.arm);
+        write_round_line(writer, &mut line, head, round.features, io)?;
     }
     if bandit.next_ticket_id() > 0 {
-        writeln!(writer, "next,{}", bandit.next_ticket_id()).map_err(&io)?;
+        writeln!(writer, "next,{}", bandit.next_ticket_id()).map_err(io)?;
     }
     Ok(())
 }
@@ -196,14 +213,15 @@ fn parse_err(line: usize, detail: String) -> CoreError {
 /// prefix). The writers join features after a trailing comma, so a
 /// zero-feature round (a non-contextual policy's empty context) is one
 /// empty field and reads back as no features.
-fn parse_features(fields: &[&str], line: usize) -> Result<Vec<f64>> {
-    if fields == [""] {
+fn parse_features(fields: FieldCursor<'_>, line: usize) -> Result<Vec<f64>> {
+    if fields.rest().is_none_or(str::is_empty) {
         return Ok(Vec::new());
     }
-    fields
-        .iter()
-        .map(|f| f.parse::<f64>().map_err(|e| parse_err(line, format!("bad feature: {e}"))))
-        .collect()
+    let mut features = Vec::with_capacity(fields.remaining());
+    for f in fields {
+        features.push(f.parse().map_err(|e| parse_err(line, format!("bad feature: {e}")))?);
+    }
+    Ok(features)
 }
 
 fn parse_explored(field: &str, line: usize) -> Result<bool> {
@@ -214,6 +232,59 @@ fn parse_explored(field: &str, line: usize) -> Result<bool> {
     }
 }
 
+/// A round line with fewer than `need` fields.
+fn too_few(line: usize, content: &str, what: &str, need: usize) -> CoreError {
+    let found = FieldCursor::new(content).count();
+    parse_err(line, format!("{what} >= {need} fields, found {found}"))
+}
+
+/// `<arm>,<explored>,<runtime>,<features…>`: a v1/v2 round line, or a v3
+/// `tail` line after its tag (`what` and `need` word the too-short error
+/// for each). Its round number is left at 0.
+fn parse_observation(
+    mut fields: FieldCursor<'_>,
+    content: &str,
+    line: usize,
+    (what, need): (&str, usize),
+) -> Result<Observation> {
+    let [arm, explored, runtime] =
+        fields.next_n().ok_or_else(|| too_few(line, content, what, need))?;
+    let arm = arm.parse().map_err(|e| parse_err(line, format!("bad arm: {e}")))?;
+    let explored = parse_explored(explored, line)?;
+    let runtime = runtime.parse().map_err(|e| parse_err(line, format!("bad runtime: {e}")))?;
+    let features = parse_features(fields, line)?;
+    Ok(Observation { round: 0, arm, features, runtime, explored })
+}
+
+/// `open,<ticket>,<arm>,<explored>,<features…>` after its tag (v2 and v3).
+fn parse_open(mut fields: FieldCursor<'_>, content: &str, line: usize) -> Result<OpenRound> {
+    let [ticket, arm, explored] =
+        fields.next_n().ok_or_else(|| too_few(line, content, "open ticket needs", 4))?;
+    let ticket = ticket.parse().map_err(|e| parse_err(line, format!("bad ticket: {e}")))?;
+    let arm = arm.parse().map_err(|e| parse_err(line, format!("bad arm: {e}")))?;
+    let explored = parse_explored(explored, line)?;
+    let features = parse_features(fields, line)?;
+    Ok(OpenRound { ticket, arm, features, explored })
+}
+
+/// `next,<id>` after its tag (v2 and v3).
+fn parse_next(mut fields: FieldCursor<'_>, line: usize) -> Result<u64> {
+    let (Some(raw), None) = (fields.next(), fields.next()) else {
+        return Err(parse_err(line, "ticket counter needs exactly 2 fields".into()));
+    };
+    raw.parse().map_err(|e| parse_err(line, format!("bad ticket counter: {e}")))
+}
+
+fn read_text(mut reader: impl Read) -> Result<String> {
+    let mut text = String::new();
+    reader.read_to_string(&mut text).map_err(|e| CoreError::Io {
+        op: "load",
+        kind: e.kind(),
+        message: e.to_string(),
+    })?;
+    Ok(text)
+}
+
 /// Parse a v1 **or** v2 history file into a full snapshot (observations plus
 /// open tickets; round numbers are assigned sequentially).
 ///
@@ -221,13 +292,12 @@ fn parse_explored(field: &str, line: usize) -> Result<bool> {
 /// [`CoreError::Io`] on read failures, [`CoreError::InvalidParameter`] on
 /// format violations with the offending line number in the message.
 pub fn load_snapshot(reader: impl Read) -> Result<HistorySnapshot> {
-    let buf = BufReader::new(reader);
-    let mut lines = buf.lines().enumerate();
-    let read_err =
-        |e: std::io::Error| CoreError::Io { op: "load", kind: e.kind(), message: e.to_string() };
+    parse_history(&read_text(reader)?)
+}
 
+fn parse_history(text: &str) -> Result<HistorySnapshot> {
+    let mut lines = text.lines().enumerate();
     let (i, first) = lines.next().ok_or_else(|| parse_err(0, "empty input".into()))?;
-    let first = first.map_err(read_err)?;
     let v2 = match first.trim() {
         MAGIC_V1 => false,
         MAGIC_V2 => true,
@@ -247,65 +317,37 @@ pub fn load_snapshot(reader: impl Read) -> Result<HistorySnapshot> {
         }
     };
     // Column header line (ignored beyond existence).
-    let (_, header) = lines.next().ok_or_else(|| parse_err(1, "missing column header".into()))?;
-    header.map_err(read_err)?;
+    lines.next().ok_or_else(|| parse_err(1, "missing column header".into()))?;
 
     let mut snapshot = HistorySnapshot::default();
     for (i, line) in lines {
-        let line = line.map_err(read_err)?;
         if line.trim().is_empty() {
             continue;
         }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields[0] == "open" {
-            if !v2 {
-                return Err(parse_err(i, "open-ticket line in a v1 file".into()));
+        let mut fields = FieldCursor::new(line);
+        match fields.next() {
+            Some("open") => {
+                if !v2 {
+                    return Err(parse_err(i, "open-ticket line in a v1 file".into()));
+                }
+                snapshot.open_rounds.push(parse_open(fields, line, i)?);
             }
-            if fields.len() < 4 {
-                return Err(parse_err(
-                    i,
-                    format!("open ticket needs >= 4 fields, found {}", fields.len()),
-                ));
+            Some("next") => {
+                if !v2 {
+                    return Err(parse_err(i, "ticket-counter line in a v1 file".into()));
+                }
+                snapshot.next_ticket = snapshot.next_ticket.max(parse_next(fields, i)?);
             }
-            let ticket: u64 =
-                fields[1].parse().map_err(|e| parse_err(i, format!("bad ticket: {e}")))?;
-            let arm: usize =
-                fields[2].parse().map_err(|e| parse_err(i, format!("bad arm: {e}")))?;
-            let explored = parse_explored(fields[3], i)?;
-            let features = parse_features(&fields[4..], i)?;
-            snapshot.open_rounds.push(OpenRound { ticket, arm, features, explored });
-            continue;
-        }
-        if fields[0] == "next" {
-            if !v2 {
-                return Err(parse_err(i, "ticket-counter line in a v1 file".into()));
+            _ => {
+                if !snapshot.open_rounds.is_empty() {
+                    return Err(parse_err(i, "observation after open-ticket section".into()));
+                }
+                // A round line has no tag: its first field is the arm.
+                let mut o = parse_observation(FieldCursor::new(line), line, i, ("expected", 3))?;
+                o.round = snapshot.observations.len();
+                snapshot.observations.push(o);
             }
-            if fields.len() != 2 {
-                return Err(parse_err(i, "ticket counter needs exactly 2 fields".into()));
-            }
-            let next: u64 =
-                fields[1].parse().map_err(|e| parse_err(i, format!("bad ticket counter: {e}")))?;
-            snapshot.next_ticket = snapshot.next_ticket.max(next);
-            continue;
         }
-        if !snapshot.open_rounds.is_empty() {
-            return Err(parse_err(i, "observation after open-ticket section".into()));
-        }
-        if fields.len() < 3 {
-            return Err(parse_err(i, format!("expected >= 3 fields, found {}", fields.len())));
-        }
-        let arm: usize = fields[0].parse().map_err(|e| parse_err(i, format!("bad arm: {e}")))?;
-        let explored = parse_explored(fields[1], i)?;
-        let runtime: f64 =
-            fields[2].parse().map_err(|e| parse_err(i, format!("bad runtime: {e}")))?;
-        let features = parse_features(&fields[3..], i)?;
-        snapshot.observations.push(Observation {
-            round: snapshot.observations.len(),
-            arm,
-            features,
-            runtime,
-            explored,
-        });
     }
     Ok(snapshot)
 }
@@ -362,25 +404,6 @@ pub fn restore_snapshot<P: Policy>(
     Ok(())
 }
 
-fn write_obs_line(
-    writer: &mut impl Write,
-    prefix: &str,
-    arm: usize,
-    explored: bool,
-    runtime: f64,
-    features: &[f64],
-    io: &impl Fn(std::io::Error) -> CoreError,
-) -> Result<()> {
-    let features: Vec<String> = features.iter().map(|f| format!("{f}")).collect();
-    writeln!(
-        writer,
-        "{prefix}{arm},{},{runtime},{}",
-        if explored { 1 } else { 0 },
-        features.join(",")
-    )
-    .map_err(io)
-}
-
 /// Serialize a recommender as a **v3 statistics snapshot**: the policy's
 /// exact state, the absolute round counter, whatever history tail the
 /// recommender retains, the open-ticket table, and the ticket counter.
@@ -404,24 +427,7 @@ pub fn save_checkpoint<P: Policy>(bandit: &BanditWare<P>, mut writer: impl Write
     writeln!(buf, "{V3_DESCRIPTOR}").map_err(&io)?;
     writeln!(buf, "rounds,{}", bandit.rounds()).map_err(&io)?;
     write_policy_state(&state, &mut buf)?;
-    for o in bandit.history() {
-        write_obs_line(&mut buf, "tail,", o.arm, o.explored, o.runtime, &o.features, &io)?;
-    }
-    for (ticket, round) in bandit.open_rounds() {
-        let features: Vec<String> = round.features.iter().map(|f| format!("{f}")).collect();
-        writeln!(
-            buf,
-            "open,{},{},{},{}",
-            ticket.id(),
-            round.arm,
-            if round.explored { 1 } else { 0 },
-            features.join(",")
-        )
-        .map_err(&io)?;
-    }
-    if bandit.next_ticket_id() > 0 {
-        writeln!(buf, "next,{}", bandit.next_ticket_id()).map_err(&io)?;
-    }
+    write_rounds(bandit, &mut buf, "tail,", &io)?;
     writer.write_all(&buf).map_err(&io)
 }
 
@@ -433,31 +439,23 @@ pub fn save_checkpoint<P: Policy>(bandit: &BanditWare<P>, mut writer: impl Write
 /// [`CoreError::Io`] on read failures, [`CoreError::InvalidParameter`] on
 /// format violations with the offending line number in the message.
 pub fn load_checkpoint(reader: impl Read) -> Result<Checkpoint> {
-    let read_err =
-        |e: std::io::Error| CoreError::Io { op: "load", kind: e.kind(), message: e.to_string() };
-    let mut text = String::new();
-    BufReader::new(reader).read_to_string(&mut text).map_err(read_err)?;
+    let text = read_text(reader)?;
     let first = text.lines().next().unwrap_or("").trim();
     if first == MAGIC_V3 {
         parse_v3(&text).map(Checkpoint::Stats)
     } else {
-        load_snapshot(text.as_bytes()).map(Checkpoint::Replay)
+        parse_history(&text).map(Checkpoint::Replay)
     }
 }
 
 fn parse_v3(text: &str) -> Result<StateSnapshot> {
-    let lines: Vec<(usize, String)> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| (i, l.to_string()))
-        .collect();
+    let lines: Vec<(usize, &str)> =
+        text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty()).collect();
     // Header (validated by the caller) + descriptor + rounds lines.
-    if lines.len() < 3 {
+    let [_, _, (no, rounds_line), ..] = lines[..] else {
         return Err(parse_err(lines.len(), "truncated v3 header".into()));
-    }
+    };
     // rounds,<total>
-    let (no, rounds_line) = (lines[2].0, lines[2].1.as_str());
     let total_rounds = rounds_line
         .strip_prefix("rounds,")
         .ok_or_else(|| parse_err(no, format!("expected \"rounds,<n>\", found {rounds_line:?}")))?
@@ -472,50 +470,16 @@ fn parse_v3(text: &str) -> Result<StateSnapshot> {
     let mut open_rounds: Vec<OpenRound> = Vec::new();
     let mut next_ticket = 0u64;
     while let Some((i, line)) = cur.next_line() {
-        let fields: Vec<&str> = line.split(',').collect();
-        match fields[0] {
+        let mut fields = FieldCursor::new(line);
+        match fields.next().unwrap_or_default() {
             "tail" => {
                 if !open_rounds.is_empty() {
                     return Err(parse_err(i, "tail line after open-ticket section".into()));
                 }
-                if fields.len() < 4 {
-                    return Err(parse_err(
-                        i,
-                        format!("tail needs >= 4 fields, found {}", fields.len()),
-                    ));
-                }
-                let arm: usize =
-                    fields[1].parse().map_err(|e| parse_err(i, format!("bad arm: {e}")))?;
-                let explored = parse_explored(fields[2], i)?;
-                let runtime: f64 =
-                    fields[3].parse().map_err(|e| parse_err(i, format!("bad runtime: {e}")))?;
-                let features = parse_features(&fields[4..], i)?;
-                tail.push(Observation { round: 0, arm, features, runtime, explored });
+                tail.push(parse_observation(fields, line, i, ("tail needs", 4))?);
             }
-            "open" => {
-                if fields.len() < 4 {
-                    return Err(parse_err(
-                        i,
-                        format!("open ticket needs >= 4 fields, found {}", fields.len()),
-                    ));
-                }
-                let ticket: u64 =
-                    fields[1].parse().map_err(|e| parse_err(i, format!("bad ticket: {e}")))?;
-                let arm: usize =
-                    fields[2].parse().map_err(|e| parse_err(i, format!("bad arm: {e}")))?;
-                let explored = parse_explored(fields[3], i)?;
-                let features = parse_features(&fields[4..], i)?;
-                open_rounds.push(OpenRound { ticket, arm, features, explored });
-            }
-            "next" => {
-                if fields.len() != 2 {
-                    return Err(parse_err(i, "ticket counter needs exactly 2 fields".into()));
-                }
-                let next: u64 = fields[1]
-                    .parse()
-                    .map_err(|e| parse_err(i, format!("bad ticket counter: {e}")))?;
-                next_ticket = next_ticket.max(next);
-            }
+            "open" => open_rounds.push(parse_open(fields, line, i)?),
+            "next" => next_ticket = next_ticket.max(parse_next(fields, i)?),
             other => return Err(parse_err(i, format!("unexpected line kind {other:?}"))),
         }
     }
@@ -629,8 +593,8 @@ mod tests {
         assert_eq!(snapshot.open_rounds[0].ticket, open.id());
         assert!(snapshot.open_rounds[0].features.is_empty());
         // A non-empty field list is still parsed strictly.
-        assert!(parse_features(&["1.5", ""], 0).is_err());
-        assert_eq!(parse_features(&["1.5", "-2"], 0).unwrap(), vec![1.5, -2.0]);
+        assert!(parse_features(FieldCursor::new("1.5,"), 0).is_err());
+        assert_eq!(parse_features(FieldCursor::new("1.5,-2"), 0).unwrap(), vec![1.5, -2.0]);
     }
 
     #[test]
@@ -981,6 +945,101 @@ mod tests {
         let mut v2 = Vec::new();
         save_history(&source, &mut v2).unwrap();
         assert!(matches!(load_checkpoint(v2.as_slice()).unwrap(), Checkpoint::Replay(_)));
+    }
+
+    #[test]
+    fn malformed_round_lines_keep_their_errors() {
+        // Every `tail`/`open`/`next` (v3) and round/`open`/`next` (v2) line
+        // outcome below was recorded from the reader before the field cursor
+        // replaced `split(',')` collected into a `Vec<&str>`: the same lines
+        // must fail at the same line with the same message, and the rest
+        // still load.
+        const V3: &str = "banditware-history v3\n\
+            stats snapshot: rounds + policy state + tail + open tickets\n\
+            rounds,5\np,kind,ucb1,2,1\np,arm,0,mean,2,5.0\np,end\n";
+        const V2: &str = "banditware-history v2\narm,explored,runtime,features...\n";
+        let v3: &[(&str, Option<&str>)] = &[
+            ("tail", Some("line 7: tail needs >= 4 fields, found 1")),
+            ("tail,0,0", Some("line 7: tail needs >= 4 fields, found 3")),
+            ("tail,x,0,5.0,1.0", Some("line 7: bad arm: invalid digit found in string")),
+            ("tail,,0,5.0,1.0", Some("line 7: bad arm: cannot parse integer from empty string")),
+            ("tail,0,2,5.0,1.0", Some("line 7: bad explored flag \"2\"")),
+            ("tail,0,,5.0,1.0", Some("line 7: bad explored flag \"\"")),
+            ("tail,0,0,abc,1.0", Some("line 7: bad runtime: invalid float literal")),
+            ("tail,0,0,5.0,zz", Some("line 7: bad feature: invalid float literal")),
+            (
+                "tail,0,0,5.0,1.0,",
+                Some("line 7: bad feature: cannot parse float from empty string"),
+            ),
+            (
+                "tail,0,0,5.0,1.0,,2.0",
+                Some("line 7: bad feature: cannot parse float from empty string"),
+            ),
+            ("tail,0,0,5.0,1.0,2.0x", Some("line 7: bad feature: invalid float literal")),
+            ("tail,0,0,5.0", None),
+            ("tail,0,0,5.0,", None),
+            ("tail,0,0,5.0,1.0,2.0", None),
+            ("open", Some("line 7: open ticket needs >= 4 fields, found 1")),
+            ("open,1,0", Some("line 7: open ticket needs >= 4 fields, found 3")),
+            ("open,x,0,0,1.0", Some("line 7: bad ticket: invalid digit found in string")),
+            ("open,1,y,0,1.0", Some("line 7: bad arm: invalid digit found in string")),
+            ("open,1,0,7,1.0", Some("line 7: bad explored flag \"7\"")),
+            ("open,1,0,0,1.0.0", Some("line 7: bad feature: invalid float literal")),
+            ("open,1,0,0,1.0,", Some("line 7: bad feature: cannot parse float from empty string")),
+            ("open,1,0,0", None),
+            ("open,1,0,0,", None),
+            ("open,-1,0,0,1.0", Some("line 7: bad ticket: invalid digit found in string")),
+            ("next", Some("line 7: ticket counter needs exactly 2 fields")),
+            ("next,", Some("line 7: bad ticket counter: cannot parse integer from empty string")),
+            ("next,abc", Some("line 7: bad ticket counter: invalid digit found in string")),
+            ("next,3,4", Some("line 7: ticket counter needs exactly 2 fields")),
+            ("next,-1", Some("line 7: bad ticket counter: invalid digit found in string")),
+            ("next,7", None),
+            ("blorp,1", Some("line 7: unexpected line kind \"blorp\"")),
+            (",", Some("line 7: unexpected line kind \"\"")),
+            ("", None),
+            ("p,end", Some("line 7: unexpected line kind \"p\"")),
+            ("tail,0,0,5.0,1.0\u{e9}", Some("line 7: bad feature: invalid float literal")),
+            ("t\u{e9}il,0,0,5.0", Some("line 7: unexpected line kind \"téil\"")),
+        ];
+        let v2: &[(&str, Option<&str>)] = &[
+            ("0", Some("line 3: expected >= 3 fields, found 1")),
+            ("0,1", Some("line 3: expected >= 3 fields, found 2")),
+            ("x,1,5.0,1.0", Some("line 3: bad arm: invalid digit found in string")),
+            ("0,yes,5.0,1.0", Some("line 3: bad explored flag \"yes\"")),
+            ("0,1,abc,1.0", Some("line 3: bad runtime: invalid float literal")),
+            ("0,1,5.0,zz", Some("line 3: bad feature: invalid float literal")),
+            ("0,1,5.0,1.0,", Some("line 3: bad feature: cannot parse float from empty string")),
+            ("0,1,5.0", None),
+            ("0,1,5.0,", None),
+            ("open", Some("line 3: open ticket needs >= 4 fields, found 1")),
+            ("open,1,0", Some("line 3: open ticket needs >= 4 fields, found 3")),
+            ("open,x,0,0,1.0", Some("line 3: bad ticket: invalid digit found in string")),
+            ("open,1,y,0,1.0", Some("line 3: bad arm: invalid digit found in string")),
+            ("open,1,0,7,1.0", Some("line 3: bad explored flag \"7\"")),
+            ("open,1,0,0,1.0,", Some("line 3: bad feature: cannot parse float from empty string")),
+            ("open,1,0,0", None),
+            ("next", Some("line 3: ticket counter needs exactly 2 fields")),
+            ("next,abc", Some("line 3: bad ticket counter: invalid digit found in string")),
+            ("next,3,4", Some("line 3: ticket counter needs exactly 2 fields")),
+            (",", Some("line 3: expected >= 3 fields, found 2")),
+            ("0,1,5.0,1.0\u{e9}", Some("line 3: bad feature: invalid float literal")),
+        ];
+        let check = |line: &str, expected: Option<&str>, got: Result<()>| match (expected, got) {
+            (None, Ok(())) => {}
+            (Some(want), Err(CoreError::InvalidParameter { name: "history", detail })) => {
+                assert_eq!(detail, want, "{line:?}")
+            }
+            (want, got) => panic!("{line:?}: expected {want:?}, got {got:?}"),
+        };
+        for &(line, expected) in v3 {
+            let got = load_checkpoint(format!("{V3}{line}\n").as_bytes()).map(drop);
+            check(line, expected, got);
+        }
+        for &(line, expected) in v2 {
+            let got = load_snapshot(format!("{V2}{line}\n").as_bytes()).map(drop);
+            check(line, expected, got);
+        }
     }
 
     #[test]

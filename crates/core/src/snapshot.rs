@@ -225,22 +225,24 @@ fn io_err(e: std::io::Error) -> CoreError {
     CoreError::Io { op: "save", kind: e.kind(), message: e.to_string() }
 }
 
-fn join_f64s(vs: &[f64]) -> String {
-    let mut out = String::with_capacity(vs.len() * 8);
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// Append `,v0,v1,…` to a line, each float in shortest-round-trip form
+/// and written straight into it. An empty slice still writes its comma.
+pub(crate) fn push_f64s(out: &mut String, vs: &[f64]) {
+    use std::fmt::Write as _;
+    out.push(',');
+    if let Some((first, rest)) = vs.split_first() {
+        let _ = write!(out, "{first}");
+        for v in rest {
+            let _ = write!(out, ",{v}");
         }
-        out.push_str(&v.to_string());
     }
-    out
 }
 
 fn write_neq(out: &mut String, acc: &NormalEqState) {
     use std::fmt::Write as _;
     let _ = write!(out, ",{},{},{}", acc.n_features, acc.n, acc.yty);
-    let _ = write!(out, ",{}", join_f64s(&acc.zty));
-    let _ = write!(out, ",{}", join_f64s(&acc.ztz));
+    push_f64s(out, &acc.zty);
+    push_f64s(out, &acc.ztz);
     match &acc.factor {
         Some(f) => {
             // Flag 1: canonical ridge regularizer (reg[0] = 0, reg[i] = λ) —
@@ -250,11 +252,11 @@ fn write_neq(out: &mut String, acc: &NormalEqState) {
             let canonical = f.reg.first().is_some_and(|&r0| r0 == 0.0)
                 && f.reg[1..].iter().all(|&r| r == f.lambda);
             let _ = write!(out, ",{},{}", if canonical { 1 } else { 2 }, f.lambda);
-            let _ = write!(out, ",{}", join_f64s(&f.parts.lt));
-            let _ = write!(out, ",{}", join_f64s(&f.parts.d));
-            let _ = write!(out, ",{}", join_f64s(&f.parts.dinv));
+            push_f64s(out, &f.parts.lt);
+            push_f64s(out, &f.parts.d);
+            push_f64s(out, &f.parts.dinv);
             if !canonical {
-                let _ = write!(out, ",{}", join_f64s(&f.reg));
+                push_f64s(out, &f.reg);
             }
         }
         None => {
@@ -268,15 +270,15 @@ fn write_fit(out: &mut String, fit: &LinearFit) {
     let _ =
         write!(out, ",{},{},{},{}", fit.intercept, fit.residual_ss, fit.n_obs, fit.weights.len());
     if !fit.weights.is_empty() {
-        let _ = write!(out, ",{}", join_f64s(&fit.weights));
+        push_f64s(out, &fit.weights);
     }
 }
 
 fn write_ridge(out: &mut String, acc: &RankOneState) {
     use std::fmt::Write as _;
     let _ = write!(out, ",{},{}", acc.dim, acc.n);
-    let _ = write!(out, ",{}", join_f64s(&acc.xty));
-    let _ = write!(out, ",{}", join_f64s(&acc.a_inv));
+    push_f64s(out, &acc.xty);
+    push_f64s(out, &acc.a_inv);
 }
 
 fn arm_line(i: usize, arm: &ArmState) -> Result<String> {
@@ -305,20 +307,20 @@ fn arm_line(i: usize, arm: &ArmState) -> Result<String> {
         ArmState::Linear { n_features, data, ys, fit } => {
             let _ = write!(out, ",linear,{n_features},{}", ys.len());
             if !data.is_empty() {
-                let _ = write!(out, ",{}", join_f64s(data));
+                push_f64s(&mut out, data);
             }
             if !ys.is_empty() {
-                let _ = write!(out, ",{}", join_f64s(ys));
+                push_f64s(&mut out, ys);
             }
             write_fit(&mut out, fit);
         }
         ArmState::Windowed { n_features, total_seen, data, ys, acc, fit } => {
             let _ = write!(out, ",windowed,{n_features},{total_seen},{}", ys.len());
             if !data.is_empty() {
-                let _ = write!(out, ",{}", join_f64s(data));
+                push_f64s(&mut out, data);
             }
             if !ys.is_empty() {
-                let _ = write!(out, ",{}", join_f64s(ys));
+                push_f64s(&mut out, ys);
             }
             write_neq(&mut out, acc);
             write_fit(&mut out, fit);
@@ -410,23 +412,111 @@ pub fn write_policy_state(state: &PolicyState, w: &mut impl Write) -> Result<()>
     Ok(())
 }
 
+/// A cursor over the comma-separated fields of one borrowed line, shared by
+/// every text reader of the checkpoint and WAL formats.
+///
+/// It yields exactly the fields `str::split(',')` would: an empty line is
+/// one empty field, and a trailing comma ends the line with one. It finds
+/// each `,` with an inline scan of eight bytes per step ([`find_comma`]).
+/// Most fields are a few to ~20 bytes, and at that length a `memchr` call
+/// per field costs more than the scan.
+#[derive(Debug, Clone)]
+pub struct FieldCursor<'a> {
+    /// The unread rest of the line; `None` once the last field is read.
+    rest: Option<&'a str>,
+}
+
+impl<'a> FieldCursor<'a> {
+    /// A cursor before the first field of `line`.
+    pub fn new(line: &'a str) -> Self {
+        FieldCursor { rest: Some(line) }
+    }
+
+    /// The unread rest of the line: `None` once every field is read,
+    /// `Some("")` when exactly one empty field is left.
+    pub fn rest(&self) -> Option<&'a str> {
+        self.rest
+    }
+
+    /// The number of fields left (one byte scan of the rest).
+    pub fn remaining(&self) -> usize {
+        self.rest.map_or(0, |r| 1 + r.bytes().filter(|&b| b == b',').count())
+    }
+
+    /// The next `N` fields, or `None` when the line ends first.
+    pub fn next_n<const N: usize>(&mut self) -> Option<[&'a str; N]> {
+        let mut out = [""; N];
+        for slot in &mut out {
+            *slot = self.next()?;
+        }
+        Some(out)
+    }
+}
+
+impl<'a> Iterator for FieldCursor<'a> {
+    type Item = &'a str;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a str> {
+        let rest = self.rest?;
+        match find_comma(rest.as_bytes()) {
+            Some(at) => {
+                // A `,` byte is always a char boundary.
+                self.rest = Some(&rest[at + 1..]);
+                Some(&rest[..at])
+            }
+            None => {
+                self.rest = None;
+                Some(rest)
+            }
+        }
+    }
+}
+
+impl std::iter::FusedIterator for FieldCursor<'_> {}
+
+/// The index of the first `,` in `s`. Each step tests one little-endian
+/// 8-byte word: XOR with a word of commas zeroes exactly the comma bytes,
+/// and `(w - 0x01…) & !w & 0x80…` sets the top bit of the lowest zero
+/// byte (a borrow can only mark bytes above it). The tail is scanned
+/// byte by byte.
+#[inline]
+fn find_comma(s: &[u8]) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    const COMMAS: u64 = LO * b',' as u64;
+    let mut chunks = s.chunks_exact(8);
+    let mut base = 0;
+    for c in &mut chunks {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(c);
+        let w = u64::from_le_bytes(word) ^ COMMAS;
+        let z = w.wrapping_sub(LO) & !w & HI;
+        if z != 0 {
+            return Some(base + (z.trailing_zeros() / 8) as usize);
+        }
+        base += 8;
+    }
+    chunks.remainder().iter().position(|&b| b == b',').map(|i| base + i)
+}
+
 /// A cursor over pre-split checkpoint lines (line number + content), shared
 /// by the v3 reader in [`crate::persist`].
 #[derive(Debug)]
 pub struct LineCursor<'a> {
-    lines: &'a [(usize, String)],
+    lines: &'a [(usize, &'a str)],
     pos: usize,
 }
 
 impl<'a> LineCursor<'a> {
     /// Wrap a slice of `(0-based line number, content)` pairs.
-    pub fn new(lines: &'a [(usize, String)]) -> Self {
+    pub fn new(lines: &'a [(usize, &'a str)]) -> Self {
         LineCursor { lines, pos: 0 }
     }
 
     /// The next line without consuming it.
     pub fn peek(&self) -> Option<(usize, &'a str)> {
-        self.lines.get(self.pos).map(|(n, l)| (*n, l.as_str()))
+        self.lines.get(self.pos).copied()
     }
 
     /// Consume and return the next line.
@@ -437,21 +527,27 @@ impl<'a> LineCursor<'a> {
         }
         out
     }
+
+    /// A capacity for `count` items of one line each: a corrupt count
+    /// must not reserve more than the unread lines can hold.
+    fn capacity_for(&self, count: usize) -> usize {
+        count.min(self.lines.len() - self.pos)
+    }
 }
 
 pub(crate) fn parse_err(line: usize, detail: impl std::fmt::Display) -> CoreError {
     CoreError::InvalidParameter { name: "snapshot", detail: format!("line {}: {detail}", line + 1) }
 }
 
-/// Typed field cursor over one comma-separated line.
+/// Typed field reader over one `p,` line of a policy block.
 struct Fields<'a> {
-    it: std::str::Split<'a, char>,
+    it: FieldCursor<'a>,
     line: usize,
 }
 
 impl<'a> Fields<'a> {
     fn new(line_no: usize, content: &'a str) -> Self {
-        Fields { it: content.split(','), line: line_no }
+        Fields { it: FieldCursor::new(content), line: line_no }
     }
 
     fn raw(&mut self, what: &str) -> Result<&'a str> {
@@ -482,7 +578,21 @@ impl<'a> Fields<'a> {
     }
 
     fn f64s(&mut self, count: usize, what: &str) -> Result<Vec<f64>> {
-        (0..count).map(|_| self.f64(what)).collect()
+        // A corrupt count must not reserve more than the line can hold:
+        // every float takes a byte, and all but the last a comma.
+        let room = self.it.rest().map_or(0, |r| r.len().div_ceil(2));
+        let mut out = Vec::with_capacity(count.min(room));
+        for _ in 0..count {
+            out.push(self.f64(what)?);
+        }
+        Ok(out)
+    }
+
+    /// `a × b` elements of a declared block; a product past `usize` is a
+    /// corrupt size, reported as such.
+    fn block(&self, what: &str, a: usize, b: usize) -> Result<usize> {
+        a.checked_mul(b)
+            .ok_or_else(|| parse_err(self.line, format!("{what} size {a} x {b} overflows")))
     }
 
     fn done(mut self) -> Result<()> {
@@ -497,16 +607,19 @@ impl<'a> Fields<'a> {
 
 fn parse_neq(f: &mut Fields) -> Result<NormalEqState> {
     let n_features = f.usize("n_features")?;
-    let dim = n_features + 1;
+    let dim = n_features.checked_add(1).ok_or_else(|| {
+        parse_err(f.line, format!("n_features {n_features} overflows the dimension"))
+    })?;
+    let square = f.block("ztz", dim, dim)?;
     let n = f.usize("n")?;
     let yty = f.f64("yty")?;
     let zty = f.f64s(dim, "zty")?;
-    let ztz = f.f64s(dim * dim, "ztz")?;
+    let ztz = f.f64s(square, "ztz")?;
     let factor = match f.usize("has_factor")? {
         0 => None,
         flag @ (1 | 2) => {
             let lambda = f.f64("lambda")?;
-            let lt = f.f64s(dim * dim, "lt")?;
+            let lt = f.f64s(square, "lt")?;
             let d = f.f64s(dim, "d")?;
             let dinv = f.f64s(dim, "dinv")?;
             let reg = if flag == 2 {
@@ -536,8 +649,9 @@ fn parse_fit(f: &mut Fields) -> Result<LinearFit> {
 fn parse_ridge(f: &mut Fields) -> Result<RankOneState> {
     let dim = f.usize("dim")?;
     let n = f.usize("n")?;
+    let square = f.block("a_inv", dim, dim)?;
     let xty = f.f64s(dim, "xty")?;
-    let a_inv = f.f64s(dim * dim, "a_inv")?;
+    let a_inv = f.f64s(square, "a_inv")?;
     Ok(RankOneState { dim, n, a_inv, xty })
 }
 
@@ -552,7 +666,7 @@ fn parse_arm_state(f: &mut Fields) -> Result<ArmState> {
         "linear" => {
             let n_features = f.usize("n_features")?;
             let rows = f.usize("rows")?;
-            let data = f.f64s(rows * n_features, "design")?;
+            let data = f.f64s(f.block("design", rows, n_features)?, "design")?;
             let ys = f.f64s(rows, "ys")?;
             ArmState::Linear { n_features, data, ys, fit: parse_fit(f)? }
         }
@@ -560,7 +674,7 @@ fn parse_arm_state(f: &mut Fields) -> Result<ArmState> {
             let n_features = f.usize("n_features")?;
             let total_seen = f.usize("total_seen")?;
             let rows = f.usize("window_len")?;
-            let data = f.f64s(rows * n_features, "window contexts")?;
+            let data = f.f64s(f.block("window", rows, n_features)?, "window contexts")?;
             let ys = f.f64s(rows, "window runtimes")?;
             ArmState::Windowed {
                 n_features,
@@ -633,7 +747,7 @@ pub fn parse_policy_state(cur: &mut LineCursor) -> Result<PolicyState> {
             let n_arms = f.usize("n_arms")?;
             f.done()?;
             let rng = parse_rng_line(cur)?;
-            let mut arms = Vec::with_capacity(n_arms);
+            let mut arms = Vec::with_capacity(cur.capacity_for(n_arms));
             for i in 0..n_arms {
                 let mut af = open_arm_line(cur, i)?;
                 let arm = parse_arm_state(&mut af)?;
@@ -652,7 +766,7 @@ pub fn parse_policy_state(cur: &mut LineCursor) -> Result<PolicyState> {
             let n_arms = f.usize("n_arms")?;
             f.done()?;
             let rng = if kind == "plain" { Some(parse_rng_line(cur)?) } else { None };
-            let mut arms = Vec::with_capacity(n_arms);
+            let mut arms = Vec::with_capacity(cur.capacity_for(n_arms));
             for i in 0..n_arms {
                 let mut af = open_arm_line(cur, i)?;
                 af.tag("mean")?;
@@ -668,8 +782,8 @@ pub fn parse_policy_state(cur: &mut LineCursor) -> Result<PolicyState> {
         "linucb" => {
             let n_arms = f.usize("n_arms")?;
             f.done()?;
-            let mut pulls = Vec::with_capacity(n_arms);
-            let mut arms = Vec::with_capacity(n_arms);
+            let mut pulls = Vec::with_capacity(cur.capacity_for(n_arms));
+            let mut arms = Vec::with_capacity(cur.capacity_for(n_arms));
             for i in 0..n_arms {
                 let mut af = open_arm_line(cur, i)?;
                 af.tag("ridge")?;
@@ -683,9 +797,9 @@ pub fn parse_policy_state(cur: &mut LineCursor) -> Result<PolicyState> {
             let n_arms = f.usize("n_arms")?;
             f.done()?;
             let rng = parse_rng_line(cur)?;
-            let mut pulls = Vec::with_capacity(n_arms);
-            let mut sum_sq = Vec::with_capacity(n_arms);
-            let mut arms = Vec::with_capacity(n_arms);
+            let mut pulls = Vec::with_capacity(cur.capacity_for(n_arms));
+            let mut sum_sq = Vec::with_capacity(cur.capacity_for(n_arms));
+            let mut arms = Vec::with_capacity(cur.capacity_for(n_arms));
             for i in 0..n_arms {
                 let mut af = open_arm_line(cur, i)?;
                 af.tag("ridge")?;
@@ -699,7 +813,7 @@ pub fn parse_policy_state(cur: &mut LineCursor) -> Result<PolicyState> {
         "scaled" => {
             let n_features = f.usize("n_features")?;
             f.done()?;
-            let mut scaler = Vec::with_capacity(n_features);
+            let mut scaler = Vec::with_capacity(cur.capacity_for(n_features));
             for i in 0..n_features {
                 let (no, line) = expect_line(cur, "p,welford line")?;
                 let mut wf = Fields::new(no, line);
@@ -757,8 +871,7 @@ mod tests {
         let mut buf = Vec::new();
         write_policy_state(state, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<(usize, String)> =
-            text.lines().enumerate().map(|(i, l)| (i, l.to_string())).collect();
+        let lines: Vec<(usize, &str)> = text.lines().enumerate().collect();
         let mut cur = LineCursor::new(&lines);
         let parsed = parse_policy_state(&mut cur).unwrap();
         assert!(cur.peek().is_none(), "trailing lines after p,end");
@@ -921,10 +1034,8 @@ mod tests {
     #[test]
     fn malformed_blocks_are_rejected_with_line_numbers() {
         let parse = |text: &str| {
-            let lines: Vec<(usize, String)> =
-                text.lines().enumerate().map(|(i, l)| (i, l.to_string())).collect();
-            let mut cur = LineCursor::new(&lines);
-            parse_policy_state(&mut cur)
+            let lines: Vec<(usize, &str)> = text.lines().enumerate().collect();
+            parse_policy_state(&mut LineCursor::new(&lines))
         };
         assert!(parse("").is_err());
         assert!(parse("p,kind,frobnicate,1\np,end\n").is_err());
@@ -939,5 +1050,79 @@ mod tests {
         assert!(err.to_string().contains("line 2"), "{err}");
         // RNG line missing where required.
         assert!(parse("p,kind,plain,0.5,1\np,arm,0,mean,2,5.0\np,end\n").is_err());
+    }
+
+    #[test]
+    fn field_cursor_edge_lines_match_split() {
+        for line in ["", ",", ",,", "a,", ",a", "p,end", "1.5", "\u{e9},\u{20ac}", "\u{e9},"] {
+            let fields: Vec<&str> = line.split(',').collect();
+            assert_eq!(FieldCursor::new(line).collect::<Vec<_>>(), fields, "{line:?}");
+            assert_eq!(FieldCursor::new(line).remaining(), fields.len(), "{line:?}");
+        }
+        let mut cur = FieldCursor::new("a,");
+        assert_eq!(cur.next(), Some("a"));
+        assert_eq!(cur.rest(), Some(""), "one empty field left");
+        assert_eq!(cur.next(), Some(""));
+        assert_eq!((cur.rest(), cur.next(), cur.next()), (None, None, None), "fused");
+    }
+
+    #[test]
+    fn declared_sizes_that_overflow_are_parse_errors() {
+        // A corrupt size must come back as a line-numbered error naming it:
+        // not an arithmetic-overflow panic (debug), not a wrapped size that
+        // blames a later field (release), and not a giant reservation.
+        let parse = |text: &str| {
+            let lines: Vec<(usize, &str)> = text.lines().enumerate().collect();
+            parse_policy_state(&mut LineCursor::new(&lines)).unwrap_err().to_string()
+        };
+        let block = |arm: &str| format!("p,kind,epsilon,0.5,1\np,rng,1,2,3,4\n{arm}\np,end\n");
+        let err = parse(&block(&format!("p,arm,0,recursive,{},0,0", usize::MAX)));
+        assert!(err.contains("line 3: n_features 18446744073709551615 overflows"), "{err}");
+        let err = parse(&block("p,arm,0,linear,8589934592,2147483648,1.0"));
+        assert!(err.contains("line 3: design size 2147483648 x 8589934592 overflows"), "{err}");
+        let err = parse(&block("p,arm,0,windowed,4294967296,0,4294967296,1.0"));
+        assert!(err.contains("line 3: window size 4294967296 x 4294967296 overflows"), "{err}");
+        let err = parse(&block("p,arm,0,discounted,4294967296,0,0"));
+        assert!(err.contains("line 3: ztz size 4294967297 x 4294967297 overflows"), "{err}");
+        let ridge = "p,kind,linucb,1\np,arm,0,ridge,0,4294967296,0\np,end\n";
+        assert!(parse(ridge).contains("line 2: a_inv size 4294967296 x 4294967296 overflows"));
+        // Counts that fit but exceed the line end at the first missing field,
+        // and a huge arm count reserves no more than the lines present.
+        let err = parse(&block("p,arm,0,linear,1,4611686018427387904,1.0"));
+        assert!(err.contains("line 3: missing field: design"), "{err}");
+        let err = parse(&format!("p,kind,ucb1,3,{}\np,arm,0,mean,2,5.0\np,end\n", usize::MAX));
+        assert!(err.contains("line 3: expected \"arm\", found \"end\""), "{err}");
+    }
+
+    #[test]
+    fn floats_are_written_as_display_formats_them() {
+        // `push_f64s` writes into the line; the bytes must be exactly the
+        // old per-float `to_string()` join.
+        let edge = [
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 1024.0,
+            f64::from_bits(1),
+            1e300,
+            -1e-300,
+            1e-7,
+            1e16,
+            3.0,
+            -42.0,
+            0.1 + 0.2,
+            1.0 / 3.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let old = |vs: &[f64]| {
+            let strings: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
+            format!(",{}", strings.join(","))
+        };
+        for n in 0..=edge.len() {
+            let mut line = String::from("p,arm,0");
+            push_f64s(&mut line, &edge[..n]);
+            assert_eq!(line, format!("p,arm,0{}", old(&edge[..n])), "{n} values");
+        }
     }
 }

@@ -2,6 +2,7 @@
 //! exact/incremental arm equivalence.
 
 use banditware_core::arm::{ArmEstimator, LinearArm, RecursiveArm};
+use banditware_core::snapshot::FieldCursor;
 use banditware_core::tolerance::{tolerant_select, Tolerance};
 use banditware_core::{ArmSpec, BanditConfig, DecayingEpsilonGreedy, Policy};
 use proptest::prelude::*;
@@ -136,5 +137,28 @@ proptest! {
             n += 1;
         }
         prop_assert_eq!(p.pulls().iter().sum::<usize>(), n);
+    }
+
+    /// The checkpoint field cursor yields exactly what `str::split(',')`
+    /// does on any line: empty fields, a trailing comma, the lone empty
+    /// field of an empty line, and multi-byte text next to the commas.
+    #[test]
+    fn field_cursor_matches_split(
+        line in "[,,,,a1.e\u{e9}\u{20ac}\u{1f980} -]{0,40}",
+        at in 0usize..8,
+    ) {
+        let fields: Vec<&str> = line.split(',').collect();
+        prop_assert_eq!(FieldCursor::new(&line).collect::<Vec<_>>(), fields.clone());
+        prop_assert_eq!(FieldCursor::new(&line).remaining(), fields.len());
+        // Part-way through, the rest, the count and the next pair agree too.
+        let k = at.min(fields.len());
+        let mut cur = FieldCursor::new(&line);
+        let head: Vec<&str> = cur.by_ref().take(k).collect();
+        prop_assert_eq!(&head[..], &fields[..k]);
+        prop_assert_eq!(cur.remaining(), fields.len() - k);
+        let rest: Option<Vec<&str>> = cur.rest().map(|r| r.split(',').collect());
+        prop_assert_eq!(rest, (k < fields.len()).then(|| fields[k..].to_vec()));
+        let pair = cur.next_n::<2>().map(|f| f.to_vec());
+        prop_assert_eq!(pair, (k + 2 <= fields.len()).then(|| fields[k..k + 2].to_vec()));
     }
 }

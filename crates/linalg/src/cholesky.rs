@@ -355,11 +355,15 @@ impl UpdatableCholesky {
     /// stored pivot is not a positive finite number.
     pub fn from_parts(parts: &FactorParts) -> Result<Self> {
         let n = parts.dim;
-        if parts.lt.len() != n * n || parts.d.len() != n || parts.dinv.len() != n {
+        let Some(square) = n.checked_mul(n) else {
             return Err(LinalgError::ShapeMismatch(format!(
-                "factor parts for dim {n}: lt {} (want {}), d {} / dinv {} (want {n})",
+                "factor parts for dim {n} overflow their size"
+            )));
+        };
+        if parts.lt.len() != square || parts.d.len() != n || parts.dinv.len() != n {
+            return Err(LinalgError::ShapeMismatch(format!(
+                "factor parts for dim {n}: lt {} (want {square}), d {} / dinv {} (want {n})",
                 parts.lt.len(),
-                n * n,
                 parts.d.len(),
                 parts.dinv.len()
             )));

@@ -38,7 +38,7 @@ impl Matrix {
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(LinalgError::ShapeMismatch(format!(
                 "buffer of {} elements cannot form a {rows}x{cols} matrix",
                 data.len()
@@ -464,6 +464,7 @@ mod tests {
     #[test]
     fn from_vec_validates_shape() {
         assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
+        assert!(Matrix::from_vec(1 << 32, 1 << 32, vec![]).is_err(), "overflowing shape");
         assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
     }
 

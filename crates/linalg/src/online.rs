@@ -802,14 +802,20 @@ impl NormalEquations {
     /// [`LinalgError::ShapeMismatch`] on inconsistent buffer lengths,
     /// [`LinalgError::NotPositiveDefinite`] on a corrupt stored factor.
     pub fn from_state(state: &NormalEqState) -> Result<Self> {
-        let dim = state.n_features + 1;
-        if state.zty.len() != dim || state.ztz.len() != dim * dim {
+        // A corrupt feature count must be a shape error, not an overflow.
+        let sizes = state.n_features.checked_add(1).and_then(|d| Some((d, d.checked_mul(d)?)));
+        let Some((dim, square)) = sizes else {
             return Err(LinalgError::ShapeMismatch(format!(
-                "normal-equations state for {} features: zty {} (want {dim}), ztz {} (want {})",
+                "normal-equations state for {} features overflows its dimension",
+                state.n_features
+            )));
+        };
+        if state.zty.len() != dim || state.ztz.len() != square {
+            return Err(LinalgError::ShapeMismatch(format!(
+                "normal-equations state for {} features: zty {} (want {dim}), ztz {} (want {square})",
                 state.n_features,
                 state.zty.len(),
                 state.ztz.len(),
-                dim * dim
             )));
         }
         let factor = match &state.factor {
@@ -1000,11 +1006,15 @@ impl RankOneInverse {
     /// [`LinalgError::ShapeMismatch`] on inconsistent buffer lengths.
     pub fn from_state(state: &RankOneState) -> Result<Self> {
         let dim = state.dim;
-        if state.a_inv.len() != dim * dim || state.xty.len() != dim {
+        let Some(square) = dim.checked_mul(dim) else {
             return Err(LinalgError::ShapeMismatch(format!(
-                "rank-one state for dim {dim}: a_inv {} (want {}), xty {} (want {dim})",
+                "rank-one state for dim {dim} overflows its size"
+            )));
+        };
+        if state.a_inv.len() != square || state.xty.len() != dim {
+            return Err(LinalgError::ShapeMismatch(format!(
+                "rank-one state for dim {dim}: a_inv {} (want {square}), xty {} (want {dim})",
                 state.a_inv.len(),
-                dim * dim,
                 state.xty.len()
             )));
         }
@@ -1512,11 +1522,23 @@ mod tests {
             f.parts.dim = 99;
         }
         assert!(NormalEquations::from_state(&bad).is_err());
-        let mut bad = state;
+        let mut bad = state.clone();
         if let Some(f) = &mut bad.factor {
             f.reg.pop();
         }
         assert!(NormalEquations::from_state(&bad).is_err());
+        // Sizes past `usize` are shape errors, not overflow panics.
+        for n_features in [usize::MAX, 1 << 32] {
+            let bad = NormalEqState { n_features, ..state.clone() };
+            let err = NormalEquations::from_state(&bad).unwrap_err().to_string();
+            assert!(err.contains("overflows its dimension"), "{err}");
+        }
+        let mut bad = state;
+        if let Some(f) = &mut bad.factor {
+            f.parts.dim = 1 << 32;
+            let err = UpdatableCholesky::from_parts(&f.parts).unwrap_err().to_string();
+            assert!(err.contains("overflow their size"), "{err}");
+        }
     }
 
     #[test]
@@ -1543,9 +1565,12 @@ mod tests {
                 restored.quad_form(&z).unwrap().to_bits()
             );
         }
-        let mut bad = state;
+        let mut bad = state.clone();
         bad.xty.pop();
         assert!(RankOneInverse::from_state(&bad).is_err());
+        let bad = RankOneState { dim: 1 << 32, ..state };
+        let err = RankOneInverse::from_state(&bad).unwrap_err().to_string();
+        assert!(err.contains("overflows its size"), "{err}");
     }
 
     #[test]

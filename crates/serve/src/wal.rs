@@ -71,10 +71,11 @@ use crate::crc::{crc32, Crc32};
 use crate::engine::Engine;
 use crate::error::{ServeError, ServeResult};
 use banditware_core::persist;
+use banditware_core::snapshot::FieldCursor;
 use banditware_core::{CoreError, Observation, Recommendation, Ticket};
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -260,7 +261,7 @@ impl Manifest {
                 verified = true;
                 break;
             }
-            let mut fields = line.split(',');
+            let mut fields = FieldCursor::new(line);
             match fields.next() {
                 Some("floor") => {
                     manifest.floor = fields
@@ -292,7 +293,7 @@ impl Manifest {
     }
 }
 
-fn parse_meta(fields: &mut std::str::Split<'_, char>) -> Result<FileMeta, String> {
+fn parse_meta(fields: &mut FieldCursor<'_>) -> Result<FileMeta, String> {
     let bytes: u64 =
         fields.next().and_then(|f| f.parse().ok()).ok_or_else(|| "bad byte count".to_string())?;
     let crc = fields
@@ -346,7 +347,7 @@ fn parse_segment_header(line: &str, expected_idx: u64) -> Result<SegmentVersion,
     let Some(rest) = line.strip_prefix(WAL_MAGIC_V2) else {
         return Err(format!("bad segment header {line:?}"));
     };
-    let mut fields = rest.strip_prefix(',').unwrap_or("").split(',');
+    let mut fields = FieldCursor::new(rest.strip_prefix(',').unwrap_or(""));
     let idx: u64 = fields
         .next()
         .and_then(|f| f.parse().ok())
@@ -403,24 +404,28 @@ fn parse_wal_line(line: &str, with_crc: bool) -> Result<WalRecord, String> {
         line
     };
     let parse = || -> Option<WalRecord> {
-        let mut fields = body.split(',');
-        if fields.next() != Some("obs") {
+        let mut fields = FieldCursor::new(body);
+        let [tag, seq, ticket, arm, explored, runtime] = fields.next_n()?;
+        if tag != "obs" {
             return None;
         }
-        let seq: usize = fields.next()?.parse().ok()?;
-        let ticket: u64 = fields.next()?.parse().ok()?;
-        let arm: usize = fields.next()?.parse().ok()?;
-        let explored = match fields.next()? {
+        let seq: usize = seq.parse().ok()?;
+        let ticket: u64 = ticket.parse().ok()?;
+        let arm: usize = arm.parse().ok()?;
+        let explored = match explored {
             "0" => false,
             "1" => true,
             _ => return None,
         };
-        let runtime: f64 = fields.next()?.parse().ok()?;
-        let features: Option<Vec<f64>> = fields.map(|f| f.parse().ok()).collect();
+        let runtime: f64 = runtime.parse().ok()?;
+        let mut features = Vec::with_capacity(fields.remaining());
+        for f in fields {
+            features.push(f.parse().ok()?);
+        }
         Some(WalRecord {
             seq,
             ticket,
-            obs: Observation { round: seq, arm, features: features?, runtime, explored },
+            obs: Observation { round: seq, arm, features, runtime, explored },
         })
     };
     parse().ok_or_else(|| "unparseable record".into())
@@ -897,15 +902,15 @@ pub(crate) fn replay_segment(
         line,
         detail,
     };
-    let file = fs::File::open(path).map_err(&io)?;
-    let mut lines = BufReader::new(file).lines().enumerate();
-    let version = match lines.next() {
-        Some((_, Ok(first))) => {
-            parse_segment_header(first.trim_end(), idx).map_err(|detail| corrupt(1, detail))?
-        }
-        Some((_, Err(e))) => return Err(io(e)),
-        None => return Ok(()), // empty file: a segment created then never written
+    // Segments rotate at `segment_max_bytes` (1 MiB by default), so one is
+    // read whole and walked as borrowed lines.
+    let text = fs::read_to_string(path).map_err(&io)?;
+    let mut lines = text.lines().enumerate();
+    let Some((_, first)) = lines.next() else {
+        return Ok(()); // empty file: a segment created then never written
     };
+    let version =
+        parse_segment_header(first.trim_end(), idx).map_err(|detail| corrupt(1, detail))?;
     let with_crc = version == SegmentVersion::V2;
     let mut apply = |line_no: usize, line: &str| -> ServeResult<()> {
         let record =
@@ -917,16 +922,14 @@ pub(crate) fn replay_segment(
         }
         Ok(())
     };
-    let mut pending: Option<(usize, String)> = None;
+    let mut pending: Option<(usize, &str)> = None;
     for (line_no, line) in lines {
-        let line = line.map_err(&io)?;
-        if let Some((prev_no, prev)) = pending.take() {
-            apply(prev_no, &prev)?;
+        if let Some((prev_no, prev)) = pending.replace((line_no, line)) {
+            apply(prev_no, prev)?;
         }
-        pending = Some((line_no, line));
     }
     if let Some((line_no, last)) = pending {
-        match parse_wal_line(&last, with_crc) {
+        match parse_wal_line(last, with_crc) {
             Ok(record) => {
                 if apply_record(engine, key, &record)? {
                     stats.replayed += 1;
