@@ -36,13 +36,15 @@ cargo test --workspace -q
 # The bitwise suites once more on the opt-level-3 build that serves: the
 # dispatched kernels' twin-vs-baseline tests, frame-vs-per-row
 # equivalence, the zero-allocation pins, the record-frame equivalence,
-# and the facade-vs-engine frame contract (engine bursts vs per-row
-# `recommend_ticketed`). The workspace run above builds them under the
-# test profile only.
-echo "==> bitwise suites under --release (simd twins, frame equivalence, alloc pins, facade-vs-engine)"
+# the facade-vs-engine frame contract (engine bursts vs per-row
+# `recommend_ticketed`), interleaved shards on one thread's workspace vs
+# each shard alone, and the per-shard live-heap bound. The workspace run
+# above builds them under the test profile only.
+echo "==> bitwise suites under --release (simd twins, frame equivalence, alloc pins, workspace sharing, shard footprint, facade-vs-engine)"
 cargo test --release -q -p banditware-linalg simd
-cargo test --release -q -p banditware-core --test frame_equivalence --test alloc_free
-cargo test --release -q -p banditware-serve --test record_frame_equivalence --test engine_equivalence
+cargo test --release -q -p banditware-core --test frame_equivalence --test alloc_free --test workspace
+cargo test --release -q -p banditware-serve --test record_frame_equivalence --test engine_equivalence \
+    --test shard_footprint
 
 echo "==> cargo build --examples --release (examples smoke check)"
 cargo build --examples --release

@@ -52,8 +52,8 @@ fn bench_online(c: &mut Criterion) {
     let z: Vec<f64> = (0..m + 1).map(|_| rng.gen_range(-5.0..5.0)).collect();
 
     group.bench_function("normal_equations_push", |b| {
-        let mut acc = NormalEquations::new(m);
-        b.iter(|| acc.push(black_box(&x), 7.0).unwrap())
+        let (mut acc, mut aug) = (NormalEquations::new(m), Vec::new());
+        b.iter(|| acc.push_with(black_box(&x), 7.0, &mut aug).unwrap())
     });
     group.bench_function("normal_equations_push_solve", |b| {
         let mut acc = NormalEquations::new(m);
@@ -61,14 +61,15 @@ fn bench_online(c: &mut Criterion) {
             let xi: Vec<f64> = (0..m).map(|_| rng.gen_range(-5.0..5.0)).collect();
             acc.push(&xi, rng.gen_range(1.0..100.0)).unwrap();
         }
+        let mut aug = Vec::new();
         b.iter(|| {
-            acc.push(black_box(&x), 7.0).unwrap();
+            acc.push_with(black_box(&x), 7.0, &mut aug).unwrap();
             acc.solve(0.0).unwrap()
         })
     });
     group.bench_function("sherman_morrison_push", |b| {
-        let mut r1 = RankOneInverse::new(m + 1, 1.0);
-        b.iter(|| r1.push(black_box(&z), 7.0).unwrap())
+        let (mut r1, mut az) = (RankOneInverse::new(m + 1, 1.0), Vec::new());
+        b.iter(|| r1.push(black_box(&z), 7.0, &mut az).unwrap())
     });
     group.finish();
 }
@@ -91,8 +92,9 @@ fn bench_record_path_steady_state(c: &mut Criterion) {
 
         let mut full = warm.clone();
         group.bench_with_input(BenchmarkId::new("full_refactor_solve", m), &(), |b, _| {
+            let mut aug = Vec::new();
             b.iter(|| {
-                full.push(black_box(&x), 7.0).unwrap();
+                full.push_with(black_box(&x), 7.0, &mut aug).unwrap();
                 full.solve(0.0).unwrap()
             })
         });
@@ -101,8 +103,9 @@ fn bench_record_path_steady_state(c: &mut Criterion) {
         let mut scratch = SolveScratch::for_features(m);
         inc.solve_with(0.0, &mut scratch).unwrap(); // prime the factor
         group.bench_with_input(BenchmarkId::new("incremental_solve_with", m), &(), |b, _| {
+            let mut aug = Vec::new();
             b.iter(|| {
-                inc.push(black_box(&x), 7.0).unwrap();
+                inc.push_with(black_box(&x), 7.0, &mut aug).unwrap();
                 inc.solve_with(0.0, &mut scratch).unwrap()
             })
         });

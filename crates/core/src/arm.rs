@@ -16,9 +16,10 @@
 
 use crate::error::CoreError;
 use crate::snapshot::ArmState;
+use crate::workspace::Workspace;
 use crate::Result;
 use banditware_linalg::lstsq::{fit_ols, fit_ridge, LinearFit};
-use banditware_linalg::online::{augmented_rows, NormalEquations, SolveScratch};
+use banditware_linalg::online::{augmented_rows, NormalEquations};
 use banditware_linalg::Matrix;
 
 /// A runtime estimator for one hardware arm.
@@ -76,8 +77,9 @@ pub trait ArmEstimator: Send + Sync + std::fmt::Debug {
     /// Absorb a block of `k = ys.len()` observations staged as augmented
     /// rows: row `r` is `zrows[r·(nf+1) .. (r+1)·(nf+1)] = [1, x_r]`, the
     /// layout [`NormalEquations::push_rows`] folds (the leading entry must
-    /// be exactly `1.0`). `panel` is caller-owned scratch for the block
-    /// kernels; a warm buffer keeps the call allocation-free.
+    /// be exactly `1.0`). `ws` is the calling entry point's [`Workspace`]
+    /// (the block kernels' panel and the refit's solve scratch); a warm one
+    /// keeps the call allocation-free.
     ///
     /// **Bitwise contract:** the resulting estimator state is identical —
     /// bit for bit — to `k` sequential [`ArmEstimator::update`] calls in
@@ -96,16 +98,18 @@ pub trait ArmEstimator: Send + Sync + std::fmt::Debug {
         &mut self,
         zrows: &[f64],
         ys: &[f64],
-        _panel: &mut Vec<f64>,
+        ws: &mut Workspace,
         absorbed: &mut usize,
     ) -> Result<()> {
+        let _ = ws;
         update_rows(self, zrows, ys, absorbed)
     }
 
     /// Feature-major adapter over [`ArmEstimator::absorb_rows`]: feature
     /// `f` of the block occupies `xcols[f·k .. (f+1)·k]`, one value per
     /// row in row order. The block is transposed into augmented rows
-    /// (allocating) and absorbed under the same contract.
+    /// (allocating) and absorbed under the same contract, on the thread's
+    /// [`Workspace`].
     ///
     /// # Errors
     /// [`CoreError::FeatureDimMismatch`] when `xcols.len()` is not
@@ -122,7 +126,7 @@ pub trait ArmEstimator: Send + Sync + std::fmt::Debug {
         }
         let mut zrows = Vec::new();
         augmented_rows(xcols, k, &mut zrows);
-        self.absorb_rows(&zrows, ys, &mut Vec::new(), absorbed)
+        Workspace::with(|ws| self.absorb_rows(&zrows, ys, ws, absorbed))
     }
 
     /// Current fitted coefficients.
@@ -253,7 +257,7 @@ impl ArmEstimator for LinearArm {
         &mut self,
         zrows: &[f64],
         ys: &[f64],
-        _panel: &mut Vec<f64>,
+        _ws: &mut Workspace,
         absorbed: &mut usize,
     ) -> Result<()> {
         // `fit_ols` is a pure function of the stored data, so the k−1
@@ -330,16 +334,15 @@ impl ArmEstimator for LinearArm {
 
 /// Incremental arm: normal-equation sufficient statistics with an
 /// incrementally maintained Cholesky factor — O(m²) per update and, in
-/// steady state, **zero heap allocations**: the arm owns one
-/// [`SolveScratch`] workspace and the refit writes into the existing
-/// [`LinearFit`] via [`NormalEquations::solve_into`]. Only the very first
-/// refit (and refits after a `reset`) pays a full factorization.
+/// steady state, **zero heap allocations**: the refit solves in the
+/// thread's [`Workspace`] and writes into the existing [`LinearFit`] via
+/// [`NormalEquations::solve_into`]. Only the very first refit (and refits
+/// after a `reset`) pays a full factorization.
 #[derive(Debug, Clone)]
 pub struct RecursiveArm {
     acc: NormalEquations,
     ridge: f64,
     current: LinearFit,
-    scratch: SolveScratch,
 }
 
 impl RecursiveArm {
@@ -354,8 +357,15 @@ impl RecursiveArm {
             acc: NormalEquations::new(n_features),
             ridge: lambda.max(0.0),
             current: LinearFit::zeros(n_features),
-            scratch: SolveScratch::for_features(n_features),
         }
+    }
+
+    /// [`ArmEstimator::update`] in the caller's workspace.
+    fn update_in(&mut self, x: &[f64], runtime: f64, ws: &mut Workspace) -> Result<()> {
+        validate(x, self.acc.n_features(), runtime)?;
+        self.acc.push_with(x, runtime, &mut ws.aug)?;
+        self.acc.solve_into(self.ridge, &mut ws.solve, &mut self.current)?;
+        Ok(())
     }
 }
 
@@ -377,17 +387,14 @@ impl ArmEstimator for RecursiveArm {
     }
 
     fn update(&mut self, x: &[f64], runtime: f64) -> Result<()> {
-        validate(x, self.acc.n_features(), runtime)?;
-        self.acc.push(x, runtime)?;
-        self.acc.solve_into(self.ridge, &mut self.scratch, &mut self.current)?;
-        Ok(())
+        Workspace::with(|ws| self.update_in(x, runtime, ws))
     }
 
     fn absorb_rows(
         &mut self,
         zrows: &[f64],
         ys: &[f64],
-        panel: &mut Vec<f64>,
+        ws: &mut Workspace,
         absorbed: &mut usize,
     ) -> Result<()> {
         // The block fast path: panel cholupdates + tiled Gram fold + one
@@ -413,17 +420,17 @@ impl ArmEstimator for RecursiveArm {
         }
         let fast =
             self.acc.factor_is_live(self.ridge) && ys.iter().all(|&y| y.is_finite() && y > 0.0);
-        if !fast {
-            return update_rows(self, zrows, ys, absorbed);
+        let mut folded = 0;
+        if fast {
+            folded = self.acc.push_rows(zrows, ys, &mut ws.panel)?;
+            *absorbed = folded;
+            self.acc.solve_into(self.ridge, &mut ws.solve, &mut self.current)?;
         }
-        let folded = self.acc.push_rows(zrows, ys, panel)?;
-        *absorbed = folded;
-        self.acc.solve_into(self.ridge, &mut self.scratch, &mut self.current)?;
-        // A mid-block factor failure (a pivot driven to +inf): the solve
-        // above re-factorized exactly where the sequential path would have;
-        // finish the remainder row by row.
+        // The cold path row by row, or after a mid-block factor failure (a
+        // pivot driven to +inf) the remainder: the solve above
+        // re-factorized exactly where the sequential path would have.
         for (r, z) in zrows.chunks_exact(nf + 1).enumerate().skip(folded) {
-            self.update(&z[1..], ys[r])?;
+            self.update_in(&z[1..], ys[r], ws)?;
             *absorbed = r + 1;
         }
         Ok(())
@@ -566,10 +573,10 @@ impl ArmEstimator for Box<dyn ArmEstimator> {
         &mut self,
         zrows: &[f64],
         ys: &[f64],
-        panel: &mut Vec<f64>,
+        ws: &mut Workspace,
         absorbed: &mut usize,
     ) -> Result<()> {
-        self.as_mut().absorb_rows(zrows, ys, panel, absorbed)
+        self.as_mut().absorb_rows(zrows, ys, ws, absorbed)
     }
 
     fn fit(&self) -> LinearFit {

@@ -23,10 +23,12 @@
 //! A convenience [`BanditWare::run_round`] does recommend + record around a
 //! user-supplied executor closure (e.g. a cluster submission).
 
-use crate::frame::{FeatureFrame, ObservationFrame};
+use crate::frame::FeatureFrame;
 use crate::policy::{ArmSpec, Policy, Selection};
 use crate::tickets::TicketTable;
+use crate::workspace::{Burst, Workspace};
 use crate::{CoreError, Result};
+use std::mem::take;
 
 /// The largest feature magnitude the recommender accepts at ingress. At
 /// this bound even 2⁵³ rows of `x²` sum to a finite Gram entry, so no
@@ -214,20 +216,6 @@ pub struct BanditWare<P: Policy> {
     tickets: TicketTable,
     next_ticket: u64,
     legacy_pending: Option<Ticket>,
-    /// Scratch: batched selections, reused across bursts.
-    batch_sels: Vec<Selection>,
-    /// Scratch: index positions of a record batch's tickets, in input
-    /// order, filled by [`BanditWare::validate_record_batch`].
-    batch_pos: Vec<usize>,
-    /// Scratch: the same positions sorted, for duplicate detection
-    /// (replaces a per-call `HashSet`).
-    batch_sorted: Vec<usize>,
-    /// Scratch: the row-major observation batch
-    /// ([`BanditWare::record_batch_frame`] copies each closed round's arena
-    /// row here, reused across bursts).
-    batch_obs: ObservationFrame,
-    /// Scratch: per-row absorbed flags from the policy's frame observe.
-    batch_absorbed: Vec<bool>,
 }
 
 impl<P: Policy> BanditWare<P> {
@@ -244,11 +232,6 @@ impl<P: Policy> BanditWare<P> {
             tickets: TicketTable::default(),
             next_ticket: 0,
             legacy_pending: None,
-            batch_sels: Vec::new(),
-            batch_pos: Vec::new(),
-            batch_sorted: Vec::new(),
-            batch_obs: ObservationFrame::new(),
-            batch_absorbed: Vec::new(),
         }
     }
 
@@ -370,6 +353,23 @@ impl<P: Policy> BanditWare<P> {
         Ok((ticket, recommendation(&self.specs, sel, predicted)))
     }
 
+    /// The exploitation-only recommendation for `features`: the policy's
+    /// own rule ([`Policy::exploit`], over the arms' resource costs) with
+    /// no exploration draw, no RNG consumption and no ticket opened — the
+    /// read path of a replication follower. Allocation-free once warm.
+    ///
+    /// # Errors
+    /// Propagates policy validation (feature arity).
+    pub fn recommend_exploit(&self, features: &[f64]) -> Result<Recommendation> {
+        let arm = Workspace::with(|ws| {
+            ws.per_arm.clear();
+            ws.per_arm.extend(self.specs.iter().map(|s| s.resource_cost));
+            self.policy.exploit(features, &ws.per_arm)
+        })?;
+        let predicted = self.policy.predict(arm, features).unwrap_or(f64::NAN);
+        Ok(recommendation(&self.specs, Selection { arm, explored: false }, predicted))
+    }
+
     /// [`BanditWare::recommend_batch_frame_into`] into a fresh `Vec`.
     ///
     /// # Errors
@@ -388,8 +388,9 @@ impl<P: Policy> BanditWare<P> {
     /// made against the same model state (for [`crate::ScaledPolicy`] the
     /// scaler runs once for the batch). One transpose of the frame into
     /// the ticket arena (which also runs the ingress check), one policy
-    /// frame pass, and each recommendation's prediction taken from that
-    /// pass ([`Policy::frame_predictions`]) when the policy keeps it. This
+    /// frame pass ([`Policy::select_frame_with`], on the thread's
+    /// [`Workspace`]), and each recommendation's prediction taken from the
+    /// columns that pass computed, when it computed them. This
     /// is the layout the serving front-end builds once per coalesced burst;
     /// for an unwrapped policy the results are bitwise identical to a loop
     /// of [`BanditWare::recommend_ticketed`] over the rows, and a warm
@@ -406,28 +407,33 @@ impl<P: Policy> BanditWare<P> {
         out: &mut Vec<(Ticket, Recommendation)>,
     ) -> Result<()> {
         out.clear();
-        let BanditWare { policy, specs, tickets, next_ticket, batch_sels, .. } = self;
+        let BanditWare { policy, specs, tickets, next_ticket, .. } = self;
         if !tickets.stage(frame, MAX_FEATURE_MAGNITUDE) {
             tickets.unstage();
             return Err(refused_in_frame(frame));
         }
-        if let Err(e) = policy.select_frame_into(frame, batch_sels) {
-            tickets.unstage();
-            return Err(e);
-        }
-        let n = frame.n_rows();
-        let preds = policy.frame_predictions().filter(|p| p.len() == specs.len() * n);
-        out.reserve(batch_sels.len());
-        for (r, (&sel, id)) in batch_sels.iter().zip(*next_ticket..).enumerate() {
-            let predicted = match preds {
-                Some(p) => p[sel.arm * n + r],
-                None => policy.predict(sel.arm, tickets.staged_row(r)).unwrap_or(f64::NAN),
-            };
-            out.push((Ticket(id), recommendation(specs, sel, predicted)));
-        }
-        tickets.commit(*next_ticket, batch_sels);
-        *next_ticket += out.len() as u64;
-        Ok(())
+        Workspace::with(|ws| {
+            let (mut sels, mut cols) = (take(&mut ws.sels), take(&mut ws.cols));
+            let res = policy.select_frame_with(frame, &mut sels, &mut cols, ws);
+            if res.is_ok() {
+                let n = frame.n_rows();
+                let preds = (cols.len() == specs.len() * n).then_some(&cols);
+                out.reserve(sels.len());
+                for (r, (&sel, id)) in sels.iter().zip(*next_ticket..).enumerate() {
+                    let predicted = match preds {
+                        Some(p) => p[sel.arm * n + r],
+                        None => policy.predict(sel.arm, tickets.staged_row(r)).unwrap_or(f64::NAN),
+                    };
+                    out.push((Ticket(id), recommendation(specs, sel, predicted)));
+                }
+                tickets.commit(*next_ticket, &sels);
+                *next_ticket += out.len() as u64;
+            } else {
+                tickets.unstage();
+            }
+            (ws.sels, ws.cols) = (sels, cols);
+            res
+        })
     }
 
     /// Record the observed runtime of an in-flight round. Tickets may be
@@ -467,24 +473,35 @@ impl<P: Policy> BanditWare<P> {
     /// [`crate::CoreError::InvalidRuntime`] for the first offending row (in
     /// input order); [`crate::CoreError::InvalidParameter`] for a ticket
     /// listed twice in the batch.
-    pub fn validate_record_batch(&mut self, outcomes: &[(Ticket, f64)]) -> Result<()> {
-        self.batch_pos.clear();
+    pub fn validate_record_batch(&self, outcomes: &[(Ticket, f64)]) -> Result<()> {
+        Workspace::with(|ws| self.validate_in(outcomes, &mut ws.burst.pos, &mut ws.sorted))
+    }
+
+    /// [`BanditWare::validate_record_batch`] leaving the batch's index
+    /// positions, in input order, in `pos` (`sorted` is scratch).
+    fn validate_in(
+        &self,
+        outcomes: &[(Ticket, f64)],
+        pos: &mut Vec<usize>,
+        sorted: &mut Vec<usize>,
+    ) -> Result<()> {
+        pos.clear();
         for &(ticket, runtime) in outcomes {
-            let pos = self
+            let at = self
                 .tickets
                 .position(ticket.0)
                 .ok_or(CoreError::UnknownTicket { ticket: ticket.0 })?;
             if !runtime.is_finite() || runtime <= 0.0 {
                 return Err(CoreError::InvalidRuntime(runtime));
             }
-            self.batch_pos.push(pos);
+            pos.push(at);
         }
         // Index positions ascend with ticket ids, so the first duplicate
         // found is the smallest duplicated id.
-        self.batch_sorted.clear();
-        self.batch_sorted.extend_from_slice(&self.batch_pos);
-        self.batch_sorted.sort_unstable();
-        for pair in self.batch_sorted.windows(2) {
+        sorted.clear();
+        sorted.extend_from_slice(pos);
+        sorted.sort_unstable();
+        for pair in sorted.windows(2) {
             if pair[0] == pair[1] {
                 return Err(CoreError::InvalidParameter {
                     name: "outcomes",
@@ -504,7 +521,7 @@ impl<P: Policy> BanditWare<P> {
     /// be open (and unique within the batch) and every runtime positive and
     /// finite **before** anything is absorbed, so a malformed call leaves
     /// the recommender untouched. The burst's remembered rounds are then
-    /// staged into a reused [`ObservationFrame`] and handed to the policy
+    /// staged into a reused [`crate::ObservationFrame`] and handed to the policy
     /// as one [`Policy::observe_frame`] pass — for the contextual ε-greedy
     /// family that means per-arm grouped rank-k absorption instead of one
     /// refit per row, bitwise identical to recording the rounds one at a
@@ -554,53 +571,62 @@ impl<P: Policy> BanditWare<P> {
         if outcomes.is_empty() {
             return Ok(());
         }
-        self.validate_record_batch(outcomes)?;
-        let BanditWare {
-            policy,
-            history,
-            tickets,
-            legacy_pending,
-            batch_pos,
-            batch_obs,
-            batch_absorbed,
-            ..
-        } = self;
+        Workspace::with(|ws| {
+            let mut burst = take(&mut ws.burst);
+            let res = self.record_frame_in(outcomes, &mut log, &mut burst, ws);
+            ws.burst = burst;
+            res
+        })
+    }
+
+    /// [`BanditWare::record_batch_frame_logged`] with the burst's buffers
+    /// moved out of the entry point's workspace `ws`, which the policy
+    /// pass takes.
+    fn record_frame_in(
+        &mut self,
+        outcomes: &[(Ticket, f64)],
+        log: &mut impl FnMut(usize, Ticket, &InFlightRound<'_>, f64),
+        Burst { pos, obs, absorbed }: &mut Burst,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        self.validate_in(outcomes, pos, &mut ws.sorted)?;
+        let BanditWare { policy, history, tickets, legacy_pending, .. } = self;
         let nf = policy.n_features();
-        let result = if batch_pos.iter().all(|&pos| tickets.round(pos).features.len() == nf) {
-            batch_obs.begin(outcomes.len(), nf);
-            for (i, (&pos, &(_, runtime))) in batch_pos.iter().zip(outcomes).enumerate() {
-                let round = tickets.round(pos);
-                batch_obs.set_row(i, round.arm, round.features, runtime, round.explored)?;
+        let result = if pos.iter().all(|&at| tickets.round(at).features.len() == nf) {
+            obs.begin(outcomes.len(), nf);
+            for (i, (&at, &(_, runtime))) in pos.iter().zip(outcomes).enumerate() {
+                let round = tickets.round(at);
+                obs.set_row(i, round.arm, round.features, runtime, round.explored)?;
             }
-            policy.observe_frame(batch_obs, batch_absorbed)
+            policy.observe_frame_with(obs, absorbed, ws)
         } else {
             // Ragged remembered widths: absorb row by row up to the first
             // failure (the reference semantics the frame path is pinned
             // against).
-            batch_absorbed.clear();
-            batch_absorbed.resize(outcomes.len(), false);
+            absorbed.clear();
+            absorbed.resize(outcomes.len(), false);
             let mut result = Ok(());
-            for (i, (&pos, &(_, runtime))) in batch_pos.iter().zip(outcomes).enumerate() {
-                let round = tickets.round(pos);
+            for (i, (&at, &(_, runtime))) in pos.iter().zip(outcomes).enumerate() {
+                let round = tickets.round(at);
                 result = policy.observe(round.arm, round.features, runtime);
                 if result.is_err() {
                     break;
                 }
-                batch_absorbed[i] = true;
+                absorbed[i] = true;
             }
             result
         };
-        for (i, (&pos, &(ticket, runtime))) in batch_pos.iter().zip(outcomes).enumerate() {
-            if !batch_absorbed[i] {
+        for (i, (&at, &(ticket, runtime))) in pos.iter().zip(outcomes).enumerate() {
+            if !absorbed[i] {
                 continue;
             }
-            let round = tickets.round(pos);
+            let round = tickets.round(at);
             log(history.rounds(), ticket, &round, runtime);
             if *legacy_pending == Some(ticket) {
                 *legacy_pending = None;
             }
             history.push(round.arm, round.features, runtime, round.explored);
-            tickets.close(pos);
+            tickets.close(at);
         }
         tickets.sweep();
         history.settle();

@@ -7,13 +7,14 @@ use crate::arm::{ArmEstimator, RecursiveArm};
 use crate::error::CoreError;
 use crate::policy::{check_arm, check_features, ArmSpec, Policy, Selection};
 use crate::snapshot::{arm_count_mismatch, kind_mismatch, PolicyState};
+use crate::workspace::Workspace;
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Softmax/Boltzmann contextual policy over linear arms.
 ///
-/// Selection reuses one policy-owned weight buffer for the softmax, so the
+/// Selection computes the softmax in the thread's [`Workspace`], so the
 /// hot path allocates nothing (the public [`Boltzmann::probabilities`]
 /// accessor still returns a fresh vector).
 #[derive(Debug, Clone)]
@@ -27,8 +28,6 @@ pub struct Boltzmann {
     min_temperature: f64,
     rng: StdRng,
     seed: u64,
-    /// Scratch: per-arm predictions → softmax weights → probabilities.
-    probs: Vec<f64>,
 }
 
 impl Boltzmann {
@@ -65,7 +64,6 @@ impl Boltzmann {
                 detail: format!("must be in (0, 1], got {decay}"),
             });
         }
-        let probs = vec![0.0; specs.len()];
         Ok(Boltzmann {
             arms: (0..specs.len()).map(|_| RecursiveArm::new(n_features)).collect(),
             specs,
@@ -76,7 +74,6 @@ impl Boltzmann {
             min_temperature: 1e-6,
             rng: StdRng::seed_from_u64(seed),
             seed,
-            probs,
         })
     }
 
@@ -92,7 +89,7 @@ impl Boltzmann {
     /// [`CoreError::FeatureDimMismatch`].
     pub fn probabilities(&self, x: &[f64]) -> Result<Vec<f64>> {
         check_features(x, self.n_features)?;
-        let mut out = vec![0.0; self.arms.len()];
+        let mut out = Vec::with_capacity(self.arms.len());
         Self::softmax_into(&self.arms, self.temperature.max(self.min_temperature), x, &mut out);
         Ok(out)
     }
@@ -100,12 +97,11 @@ impl Boltzmann {
     /// The one softmax: predictions written in place, exponentiated in
     /// place, normalized in place. Shared by the public
     /// [`Boltzmann::probabilities`] accessor and the allocation-free
-    /// `select` path so the sampling distribution can never diverge from
-    /// what the accessor reports.
-    fn softmax_into(arms: &[RecursiveArm], t: f64, x: &[f64], out: &mut [f64]) {
-        for (p, a) in out.iter_mut().zip(arms) {
-            *p = a.predict(x);
-        }
+    /// `select` and `exploit` paths so the sampling distribution can never
+    /// diverge from what the accessor reports.
+    fn softmax_into(arms: &[RecursiveArm], t: f64, x: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(arms.iter().map(|a| a.predict(x)));
         let min_pred = out.iter().cloned().fold(f64::INFINITY, f64::min);
         for p in out.iter_mut() {
             *p = (-(*p - min_pred) / t).exp();
@@ -132,33 +128,35 @@ impl Policy for Boltzmann {
 
     fn select(&mut self, x: &[f64]) -> Result<Selection> {
         check_features(x, self.n_features)?;
-        // Same softmax as `probabilities`, into the policy's own buffer.
-        Self::softmax_into(
-            &self.arms,
-            self.temperature.max(self.min_temperature),
-            x,
-            &mut self.probs,
-        );
-        let probs = &self.probs;
-        let u: f64 = self.rng.gen();
-        let mut cum = 0.0;
-        let mut pick = probs.len() - 1;
-        for (i, p) in probs.iter().enumerate() {
-            cum += p;
-            if u <= cum {
-                pick = i;
-                break;
+        // Same softmax as `probabilities`, into the workspace.
+        let t = self.temperature.max(self.min_temperature);
+        Workspace::with(|ws| {
+            let probs = &mut ws.per_arm;
+            Self::softmax_into(&self.arms, t, x, probs);
+            let u: f64 = self.rng.gen();
+            let mut cum = 0.0;
+            let mut pick = probs.len() - 1;
+            for (i, p) in probs.iter().enumerate() {
+                cum += p;
+                if u <= cum {
+                    pick = i;
+                    break;
+                }
             }
-        }
-        let greedy = banditware_linalg::vector::argmax(probs).unwrap_or(pick);
-        Ok(Selection { arm: pick, explored: pick != greedy })
+            let greedy = banditware_linalg::vector::argmax(probs).unwrap_or(pick);
+            Ok(Selection { arm: pick, explored: pick != greedy })
+        })
     }
 
     fn exploit(&self, x: &[f64], _costs: &[f64]) -> Result<usize> {
         // The mode of the sampling distribution — i.e. the arm `select`
         // would favor — not a tolerant-selection over raw means.
-        let probs = self.probabilities(x)?;
-        banditware_linalg::vector::argmax(&probs).ok_or(CoreError::NoArms)
+        check_features(x, self.n_features)?;
+        let t = self.temperature.max(self.min_temperature);
+        Workspace::with(|ws| {
+            Self::softmax_into(&self.arms, t, x, &mut ws.per_arm);
+            banditware_linalg::vector::argmax(&ws.per_arm).ok_or(CoreError::NoArms)
+        })
     }
 
     fn observe(&mut self, arm: usize, x: &[f64], runtime: f64) -> Result<()> {

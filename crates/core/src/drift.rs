@@ -24,9 +24,10 @@
 use crate::arm::ArmEstimator;
 use crate::error::CoreError;
 use crate::snapshot::ArmState;
+use crate::workspace::Workspace;
 use crate::Result;
 use banditware_linalg::lstsq::LinearFit;
-use banditware_linalg::online::{NormalEquations, SolveScratch};
+use banditware_linalg::online::NormalEquations;
 use std::collections::VecDeque;
 
 fn validate(x: &[f64], n_features: usize, runtime: f64) -> Result<()> {
@@ -45,7 +46,6 @@ pub struct DiscountedArm {
     acc: NormalEquations,
     gamma: f64,
     current: LinearFit,
-    scratch: SolveScratch,
 }
 
 impl DiscountedArm {
@@ -65,7 +65,6 @@ impl DiscountedArm {
             acc: NormalEquations::new(n_features),
             gamma,
             current: LinearFit::zeros(n_features),
-            scratch: SolveScratch::for_features(n_features),
         })
     }
 
@@ -104,9 +103,11 @@ impl ArmEstimator for DiscountedArm {
     fn update(&mut self, x: &[f64], runtime: f64) -> Result<()> {
         validate(x, self.acc.n_features(), runtime)?;
         self.acc.discount(self.gamma);
-        self.acc.push(x, runtime)?;
-        self.acc.solve_into(0.0, &mut self.scratch, &mut self.current)?;
-        Ok(())
+        Workspace::with(|ws| {
+            self.acc.push_with(x, runtime, &mut ws.aug)?;
+            self.acc.solve_into(0.0, &mut ws.solve, &mut self.current)?;
+            Ok(())
+        })
     }
 
     fn fit(&self) -> LinearFit {
@@ -153,7 +154,6 @@ pub struct WindowedArm {
     total_seen: usize,
     acc: NormalEquations,
     current: LinearFit,
-    scratch: SolveScratch,
 }
 
 impl WindowedArm {
@@ -175,7 +175,6 @@ impl WindowedArm {
             total_seen: 0,
             acc: NormalEquations::new(n_features),
             current: LinearFit::zeros(n_features),
-            scratch: SolveScratch::for_features(n_features),
         })
     }
 
@@ -209,15 +208,17 @@ impl ArmEstimator for WindowedArm {
 
     fn update(&mut self, x: &[f64], runtime: f64) -> Result<()> {
         validate(x, self.n_features, runtime)?;
-        if self.window.len() == self.capacity {
-            let (old_x, old_y) = self.window.pop_front().expect("window is full");
-            self.acc.forget(&old_x, old_y)?;
-        }
-        self.window.push_back((x.to_vec(), runtime));
-        self.acc.push(x, runtime)?;
-        self.total_seen += 1;
-        self.acc.solve_into(0.0, &mut self.scratch, &mut self.current)?;
-        Ok(())
+        Workspace::with(|ws| {
+            if self.window.len() == self.capacity {
+                let (old_x, old_y) = self.window.pop_front().expect("window is full");
+                self.acc.forget(&old_x, old_y, &mut ws.aug)?;
+            }
+            self.window.push_back((x.to_vec(), runtime));
+            self.acc.push_with(x, runtime, &mut ws.aug)?;
+            self.total_seen += 1;
+            self.acc.solve_into(0.0, &mut ws.solve, &mut self.current)?;
+            Ok(())
+        })
     }
 
     fn fit(&self) -> LinearFit {

@@ -23,6 +23,7 @@ use crate::frame::FeatureFrame;
 use crate::policy::{check_arm, check_features, ArmSpec, Policy, Selection};
 use crate::snapshot::{arm_count_mismatch, kind_mismatch, PolicyState};
 use crate::tolerance::tolerant_select;
+use crate::workspace::{Grouping, Workspace};
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,22 +63,6 @@ pub struct DecayingEpsilonGreedy<A: ArmEstimator> {
     /// Resource costs cached from `specs` at construction (tolerant
     /// selection reads them every exploit round).
     costs: Vec<f64>,
-    /// Reusable per-arm prediction buffer: `select` allocates nothing.
-    preds: Vec<f64>,
-    /// Columnar batch scratch: per-arm prediction columns (`n_arms × n_rows`,
-    /// arm-major) filled by [`Policy::select_frame_into`].
-    frame_preds: Vec<f64>,
-    /// Record-path scratches for [`Policy::observe_frame`]'s per-arm
-    /// grouping (counting-sort offsets/cursors, row permutation, the
-    /// per-arm block staged as augmented rows `[1, x]`, and the block
-    /// kernels' panel buffer) — all reused, so batched absorption
-    /// allocates nothing once warm.
-    group_offsets: Vec<usize>,
-    group_cursor: Vec<usize>,
-    group_rows: Vec<u32>,
-    block_rows: Vec<f64>,
-    block_ys: Vec<f64>,
-    block_panel: Vec<f64>,
 }
 
 /// The default instantiation (incremental arms).
@@ -124,7 +109,6 @@ impl<A: ArmEstimator> DecayingEpsilonGreedy<A> {
         config.validate()?;
         let arms: Vec<A> = (0..specs.len()).map(|_| factory(n_features)).collect();
         let costs: Vec<f64> = specs.iter().map(|s| s.resource_cost).collect();
-        let preds = vec![0.0; specs.len()];
         Ok(DecayingEpsilonGreedy {
             arms,
             specs,
@@ -133,14 +117,6 @@ impl<A: ArmEstimator> DecayingEpsilonGreedy<A> {
             config,
             n_features,
             costs,
-            preds,
-            frame_preds: Vec::new(),
-            group_offsets: Vec::new(),
-            group_cursor: Vec::new(),
-            group_rows: Vec::new(),
-            block_rows: Vec::new(),
-            block_ys: Vec::new(),
-            block_panel: Vec::new(),
         })
     }
 
@@ -177,8 +153,12 @@ impl<A: ArmEstimator> DecayingEpsilonGreedy<A> {
     /// [`CoreError::FeatureDimMismatch`].
     pub fn exploit(&self, x: &[f64]) -> Result<usize> {
         check_features(x, self.n_features)?;
-        let preds: Vec<f64> = self.arms.iter().map(|a| a.predict(x)).collect();
-        tolerant_select(&preds, &self.costs, self.config.tolerance)
+        Workspace::with(|ws| {
+            let preds = &mut ws.per_arm;
+            preds.clear();
+            preds.extend(self.arms.iter().map(|a| a.predict(x)));
+            tolerant_select(preds, &self.costs, self.config.tolerance)
+        })
     }
 }
 
@@ -202,21 +182,23 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             let arm = self.rng.gen_range(0..self.arms.len());
             return Ok(Selection { arm, explored: true });
         }
-        // Step 7: tolerant selection over current predictions, written into
-        // the policy's own buffer — the exploit path allocates nothing.
-        for (p, a) in self.preds.iter_mut().zip(&self.arms) {
-            *p = a.predict(x);
-        }
-        let arm = tolerant_select(&self.preds, &self.costs, self.config.tolerance)?;
-        Ok(Selection { arm, explored: false })
+        // Step 7: tolerant selection over current predictions (the
+        // workspace-backed exploit rule allocates nothing).
+        Ok(Selection { arm: self.exploit(x)?, explored: false })
     }
 
-    fn select_frame_into(&mut self, frame: &FeatureFrame, out: &mut Vec<Selection>) -> Result<()> {
+    fn select_frame_with(
+        &mut self,
+        frame: &FeatureFrame,
+        out: &mut Vec<Selection>,
+        cols: &mut Vec<f64>,
+        ws: &mut Workspace,
+    ) -> Result<()> {
+        out.clear();
+        cols.clear();
         if frame.n_rows() == 0 {
             // Mirror the row path on an empty burst: no selections, no RNG
             // consumed, no width check (an empty frame carries no width).
-            out.clear();
-            self.frame_preds.clear();
             return Ok(());
         }
         if frame.n_features() != self.n_features {
@@ -229,7 +211,6 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
         // Pass 1 — the schedule: draw per-row explore decisions in row
         // order, exactly the RNG stream per-row `select` consumes (the
         // draws never depend on predictions, so hoisting them is exact).
-        out.clear();
         out.reserve(n);
         for _ in 0..n {
             if self.rng.gen::<f64>() < self.epsilon {
@@ -240,46 +221,41 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             }
         }
         if out.iter().all(|s| s.explored) {
-            // No prediction was needed, so none is kept.
-            self.frame_preds.clear();
+            // No prediction was needed, so none is made.
             return Ok(());
         }
         // Pass 2 — the models: one prediction column per arm, each computed
         // by the columnar kernel when the arm is affine (every in-tree
         // linear-family arm is) and by row-gather otherwise.
-        let DecayingEpsilonGreedy { arms, frame_preds, preds, costs, config, .. } = self;
-        frame_preds.clear();
-        frame_preds.resize(arms.len() * n, 0.0);
+        let DecayingEpsilonGreedy { arms, costs, config, .. } = self;
+        let Workspace { rows, per_arm: preds, .. } = ws;
+        cols.resize(arms.len() * n, 0.0);
         for (a, arm) in arms.iter().enumerate() {
-            let col = &mut frame_preds[a * n..(a + 1) * n];
+            let col = &mut cols[a * n..(a + 1) * n];
             if let Some((w, b)) = arm.linear_coeffs() {
                 frame.predict_into(w, b, col);
             } else {
                 let m = frame.n_features();
-                frame.with_row_major(|rows| {
-                    for (r, p) in col.iter_mut().enumerate() {
-                        *p = arm.predict(&rows[r * m..(r + 1) * m]);
-                    }
-                });
+                frame.rows_into(rows);
+                for (r, p) in col.iter_mut().enumerate() {
+                    *p = arm.predict(&rows[r * m..(r + 1) * m]);
+                }
             }
         }
         // Pass 3 — tolerant selection per exploit row, gathering that row's
-        // per-arm predictions into the same buffer `select` uses.
+        // per-arm predictions into one buffer.
+        preds.clear();
+        preds.resize(arms.len(), 0.0);
         for (r, sel) in out.iter_mut().enumerate() {
             if sel.explored {
                 continue;
             }
             for (a, p) in preds.iter_mut().enumerate() {
-                *p = frame_preds[a * n + r];
+                *p = cols[a * n + r];
             }
             sel.arm = tolerant_select(preds, costs, config.tolerance)?;
         }
         Ok(())
-    }
-
-    fn frame_predictions(&self) -> Option<&[f64]> {
-        // Empty after an all-explore pass (see `select_frame_into`).
-        (!self.frame_preds.is_empty()).then_some(&self.frame_preds[..])
     }
 
     fn exploit(&self, x: &[f64], _costs: &[f64]) -> Result<usize> {
@@ -298,10 +274,11 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
         Ok(())
     }
 
-    fn observe_frame(
+    fn observe_frame_with(
         &mut self,
         frame: &crate::ObservationFrame,
         absorbed: &mut Vec<bool>,
+        ws: &mut Workspace,
     ) -> Result<()> {
         let n = frame.n_rows();
         absorbed.clear();
@@ -317,18 +294,12 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             // produces.
             return crate::policy::observe_frame_rows(self, frame, absorbed);
         }
-        let DecayingEpsilonGreedy {
-            arms,
-            config,
-            epsilon,
-            group_offsets,
-            group_cursor,
-            group_rows,
-            block_rows,
-            block_ys,
-            block_panel,
-            ..
-        } = self;
+        let DecayingEpsilonGreedy { arms, config, epsilon, .. } = self;
+        // The grouping buffers leave the workspace while the arms, which
+        // take it for their panel and solve scratch, absorb.
+        let mut g = std::mem::take(&mut ws.grouping);
+        let Grouping { offsets: group_offsets, cursor: group_cursor, rows: group_rows, block, ys } =
+            &mut g;
         // Group rows by arm with a stable counting sort: per-arm row order
         // equals frame row order, so each arm's estimator sees the exact
         // observation sequence the row loop feeds it — arm updates commute
@@ -359,15 +330,15 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
             }
             // Stage this arm's rows once, as augmented rows `[1, x]`:
             // one contiguous copy per frame row.
-            block_rows.clear();
+            block.clear();
             for &r in grp {
-                block_rows.push(1.0);
-                block_rows.extend_from_slice(frame.row(r as usize));
+                block.push(1.0);
+                block.extend_from_slice(frame.row(r as usize));
             }
-            block_ys.clear();
-            block_ys.extend(grp.iter().map(|&r| frame.outcome(r as usize)));
+            ys.clear();
+            ys.extend(grp.iter().map(|&r| frame.outcome(r as usize)));
             let mut sub = 0;
-            let res = arm.absorb_rows(block_rows, block_ys, block_panel, &mut sub);
+            let res = arm.absorb_rows(block, ys, ws, &mut sub);
             for &r in &grp[..sub] {
                 absorbed[r as usize] = true;
             }
@@ -385,6 +356,7 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
         for _ in 0..n_absorbed {
             *epsilon *= config.decay;
         }
+        ws.grouping = g;
         result
     }
 

@@ -211,23 +211,13 @@ impl FeatureFrame {
         fits
     }
 
-    /// Run `f` on the whole frame as one row-major buffer
-    /// (`n_rows × n_features`): the row view for policies without a
-    /// columnar kernel. The buffer is kept per thread and reused, so a warm
-    /// caller allocates nothing.
-    pub(crate) fn with_row_major<R>(&self, f: impl FnOnce(&[f64]) -> R) -> R {
-        thread_local! {
-            static ROWS: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
-        }
-        // Taken, not borrowed: a nested call from inside `f` starts from an
-        // empty buffer instead of failing.
-        let mut rows = ROWS.take();
+    /// The whole frame as one row-major buffer (`n_rows × n_features`) in
+    /// `rows` (overwritten): the row view for policies without a columnar
+    /// kernel. A warm buffer (the thread's workspace) allocates nothing.
+    pub(crate) fn rows_into(&self, rows: &mut Vec<f64>) {
         rows.clear();
         rows.resize(self.n_rows * self.n_features, 0.0);
-        self.transpose_into(&mut rows, self.n_features, |r| r, f64::INFINITY);
-        let out = f(&rows);
-        ROWS.set(rows);
-        out
+        self.transpose_into(rows, self.n_features, |r| r, f64::INFINITY);
     }
 
     /// Affine prediction of every row against one arm's coefficients:

@@ -31,6 +31,9 @@
 //! * [`snapshot`] — exact policy-state snapshots ([`snapshot::PolicyState`]):
 //!   sufficient statistics, schedules, and RNG stream positions, restored
 //!   bitwise.
+//! * [`workspace`] — the per-thread scratch [`workspace::Workspace`]: the
+//!   buffers every call needs only while it runs, shared by all the
+//!   recommenders a thread serves.
 //! * [`persist`] — the three checkpoint formats: v1/v2 observation logs
 //!   (restore by replay) and v3 statistics snapshots (restore in O(m²),
 //!   independent of history length).
@@ -57,6 +60,7 @@ pub mod thompson;
 mod tickets;
 pub mod tolerance;
 pub mod ucb;
+pub mod workspace;
 
 pub use arm::{ArmEstimator, LinearArm, RecursiveArm};
 pub use bandit::Retention;
@@ -71,6 +75,7 @@ pub use policy::{ArmSpec, Policy, Selection};
 pub use scaler::{ScaledPolicy, StandardScaler};
 pub use snapshot::{ArmState, PolicyState, WelfordState};
 pub use tolerance::Tolerance;
+pub use workspace::Workspace;
 
 /// Result alias for bandit operations.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -10,6 +10,7 @@
 use crate::error::CoreError;
 use crate::policy::{check_arm, check_features, ArmSpec, Policy, Selection};
 use crate::snapshot::{arm_count_mismatch, kind_mismatch, PolicyState};
+use crate::workspace::Workspace;
 use crate::Result;
 use banditware_linalg::online::RankOneInverse;
 use banditware_linalg::vector;
@@ -17,14 +18,11 @@ use banditware_linalg::vector;
 /// LinUCB policy (minimization form).
 ///
 /// The point estimates `θᵢ` are cached (recomputed only when an arm
-/// observes), and the augmented context / `A⁻¹z` intermediates live in
-/// per-policy scratch buffers — the select and observe hot paths perform
-/// zero heap allocations. The **read path** (`&self` —
-/// [`LinUcb::lcb`], [`Policy::predict`]) is allocation-free too, via a
-/// mutex-guarded policy-owned scratch: the lock is uncontended in the
-/// single-writer serving model (shards own their policies) and costs a
-/// couple of atomic operations, not an allocator round trip.
-#[derive(Debug)]
+/// observes), and the augmented context / `A⁻¹z` intermediates live in the
+/// thread's [`Workspace`]: select, observe and the `&self` read path
+/// ([`LinUcb::lcb`], [`Policy::predict`]) perform zero heap allocations
+/// once warm.
+#[derive(Debug, Clone)]
 pub struct LinUcb {
     arms: Vec<RankOneInverse>,
     thetas: Vec<Vec<f64>>,
@@ -35,40 +33,6 @@ pub struct LinUcb {
     alpha: f64,
     /// Ridge prior λ for each arm's design matrix.
     lambda: f64,
-    /// Scratch: augmented context `z = [1, x]`.
-    z: Vec<f64>,
-    /// Scratch: `A⁻¹z` for the confidence widths.
-    az: Vec<f64>,
-    /// Read-path scratch (`&self` receivers): augmented context + `A⁻¹z`.
-    read: std::sync::Mutex<ReadScratch>,
-}
-
-/// Buffers for the `&self` scoring accessors (same arithmetic as the
-/// mutable hot path, so results are identical to materializing `[1, x]`
-/// fresh).
-#[derive(Debug, Default)]
-struct ReadScratch {
-    z: Vec<f64>,
-    az: Vec<f64>,
-}
-
-impl Clone for LinUcb {
-    fn clone(&self) -> Self {
-        LinUcb {
-            arms: self.arms.clone(),
-            thetas: self.thetas.clone(),
-            pulls: self.pulls.clone(),
-            specs: self.specs.clone(),
-            n_features: self.n_features,
-            alpha: self.alpha,
-            lambda: self.lambda,
-            z: self.z.clone(),
-            az: self.az.clone(),
-            // Scratch contents are meaningless between calls; a clone gets
-            // fresh (empty) buffers.
-            read: std::sync::Mutex::new(ReadScratch::default()),
-        }
-    }
 }
 
 impl LinUcb {
@@ -106,16 +70,7 @@ impl LinUcb {
             n_features,
             alpha,
             lambda,
-            z: vec![0.0; dim],
-            az: vec![0.0; dim],
-            read: std::sync::Mutex::new(ReadScratch { z: vec![0.0; dim], az: vec![0.0; dim] }),
         })
-    }
-
-    /// Lock the read-path scratch (recovering from a poisoned lock — the
-    /// scratch holds no invariants worth propagating a panic for).
-    fn read_scratch(&self) -> std::sync::MutexGuard<'_, ReadScratch> {
-        self.read.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The lower confidence bound of an arm for a context.
@@ -125,13 +80,11 @@ impl LinUcb {
     pub fn lcb(&self, arm: usize, x: &[f64]) -> Result<f64> {
         check_arm(arm, self.arms.len())?;
         check_features(x, self.n_features)?;
-        let mut s = self.read_scratch();
-        let ReadScratch { z, az } = &mut *s;
-        z.resize(x.len() + 1, 0.0);
-        z[0] = 1.0;
-        z[1..].copy_from_slice(x);
-        Self::mean_and_lcb(&self.arms[arm], &self.thetas[arm], self.alpha, z, az)
-            .map(|(_, lcb)| lcb)
+        Workspace::with(|ws| {
+            ws.stage_aug(x);
+            Self::mean_and_lcb(&self.arms[arm], &self.thetas[arm], self.alpha, &ws.z, &mut ws.az)
+                .map(|(_, lcb)| lcb)
+        })
     }
 
     /// The one LCB formula, shared by the public [`LinUcb::lcb`] accessor
@@ -147,6 +100,38 @@ impl LinUcb {
         let mean = vector::dot(theta, z);
         let width = arm.quad_form_with(z, az)?.max(0.0).sqrt();
         Ok((mean, mean - alpha * width))
+    }
+
+    /// The LCB argmin for `x`, reported as a selection whose `explored`
+    /// flag says whether it differs from the greedy (lowest-mean) arm.
+    fn lcb_argmin(&self, x: &[f64]) -> Result<Selection> {
+        check_features(x, self.n_features)?;
+        Workspace::with(|ws| {
+            ws.stage_aug(x);
+            let mut best = 0usize;
+            let mut best_lcb = f64::INFINITY;
+            // Greedy tracker mirrors `vector::argmin` over the means (first
+            // minimum wins, NaNs lose every comparison).
+            let mut greedy: Option<(usize, f64)> = None;
+            for (i, (arm, theta)) in self.arms.iter().zip(&self.thetas).enumerate() {
+                let (mean, lcb) = Self::mean_and_lcb(arm, theta, self.alpha, &ws.z, &mut ws.az)?;
+                if lcb < best_lcb {
+                    best_lcb = lcb;
+                    best = i;
+                }
+                if !mean.is_nan() {
+                    match greedy {
+                        Some((_, gv)) if gv <= mean => {}
+                        _ => greedy = Some((i, mean)),
+                    }
+                }
+            }
+            // LinUCB is deterministic: "exploration" is implicit in the
+            // width term, so a selection counts as explored only when its
+            // mean was not actually the lowest.
+            let greedy = greedy.map_or(best, |(i, _)| i);
+            Ok(Selection { arm: best, explored: best != greedy })
+        })
     }
 }
 
@@ -164,55 +149,14 @@ impl Policy for LinUcb {
     }
 
     fn select(&mut self, x: &[f64]) -> Result<Selection> {
-        check_features(x, self.n_features)?;
-        self.z[0] = 1.0;
-        self.z[1..].copy_from_slice(x);
-        let LinUcb { arms, thetas, alpha, z, az, .. } = self;
-        let mut best = 0usize;
-        let mut best_lcb = f64::INFINITY;
-        // Greedy tracker mirrors `vector::argmin` over the means (first
-        // minimum wins, NaNs lose every comparison).
-        let mut greedy: Option<(usize, f64)> = None;
-        for (i, (arm, theta)) in arms.iter().zip(thetas.iter()).enumerate() {
-            let (mean, lcb) = Self::mean_and_lcb(arm, theta, *alpha, z, az)?;
-            if lcb < best_lcb {
-                best_lcb = lcb;
-                best = i;
-            }
-            if !mean.is_nan() {
-                match greedy {
-                    Some((_, gv)) if gv <= mean => {}
-                    _ => greedy = Some((i, mean)),
-                }
-            }
-        }
-        // LinUCB is deterministic: "exploration" is implicit in the width
-        // term, so we report explored = (the chosen arm has fewer pulls than
-        // the max) only when its mean was not actually the lowest.
-        let greedy = greedy.map_or(best, |(i, _)| i);
-        Ok(Selection { arm: best, explored: best != greedy })
+        self.lcb_argmin(x)
     }
 
     fn exploit(&self, x: &[f64], _costs: &[f64]) -> Result<usize> {
         // LinUCB's deterministic rule *is* the LCB argmin — a follower
         // answering from means alone would diverge from the primary whenever
         // the width term flips the ranking.
-        check_features(x, self.n_features)?;
-        let mut s = self.read_scratch();
-        let ReadScratch { z, az } = &mut *s;
-        z.resize(x.len() + 1, 0.0);
-        z[0] = 1.0;
-        z[1..].copy_from_slice(x);
-        let mut best = 0usize;
-        let mut best_lcb = f64::INFINITY;
-        for (i, (arm, theta)) in self.arms.iter().zip(self.thetas.iter()).enumerate() {
-            let (_, lcb) = Self::mean_and_lcb(arm, theta, self.alpha, z, az)?;
-            if lcb < best_lcb {
-                best_lcb = lcb;
-                best = i;
-            }
-        }
-        Ok(best)
+        self.lcb_argmin(x).map(|sel| sel.arm)
     }
 
     fn observe(&mut self, arm: usize, x: &[f64], runtime: f64) -> Result<()> {
@@ -221,24 +165,22 @@ impl Policy for LinUcb {
         if !runtime.is_finite() || runtime <= 0.0 {
             return Err(CoreError::InvalidRuntime(runtime));
         }
-        self.z[0] = 1.0;
-        self.z[1..].copy_from_slice(x);
-        let LinUcb { arms, thetas, pulls, z, .. } = self;
-        arms[arm].push(z, runtime)?;
-        arms[arm].theta_into(&mut thetas[arm])?;
-        pulls[arm] += 1;
-        Ok(())
+        Workspace::with(|ws| {
+            ws.stage_aug(x);
+            self.arms[arm].push(&ws.z, runtime, &mut ws.az)?;
+            self.arms[arm].theta_into(&mut self.thetas[arm])?;
+            self.pulls[arm] += 1;
+            Ok(())
+        })
     }
 
     fn predict(&self, arm: usize, x: &[f64]) -> Result<f64> {
         check_arm(arm, self.arms.len())?;
         check_features(x, self.n_features)?;
-        let mut s = self.read_scratch();
-        let z = &mut s.z;
-        z.resize(x.len() + 1, 0.0);
-        z[0] = 1.0;
-        z[1..].copy_from_slice(x);
-        Ok(vector::dot(&self.thetas[arm], z))
+        Workspace::with(|ws| {
+            ws.stage_aug(x);
+            Ok(vector::dot(&self.thetas[arm], &ws.z))
+        })
     }
 
     fn pulls(&self) -> Vec<usize> {

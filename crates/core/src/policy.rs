@@ -1,6 +1,7 @@
 //! The [`Policy`] trait shared by every bandit algorithm, plus arm metadata.
 
 use crate::snapshot::PolicyState;
+use crate::workspace::Workspace;
 use crate::Result;
 
 /// Metadata about one arm (hardware setting), independent of any concrete
@@ -70,10 +71,34 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
 
     /// Choose arms for a whole batch of contexts ([`crate::FeatureFrame`])
     /// against the **same model state**: one selection per frame row, into
-    /// `out` (cleared first). This is the one batch select entry point;
-    /// serving layers reuse the frame and `out` across bursts, so the
-    /// steady-state batch path performs no heap allocation (pinned by
-    /// `alloc_free.rs`).
+    /// `out` (cleared first). This is [`Policy::select_frame_with`] on the
+    /// thread's [`Workspace`], with the prediction columns discarded; a
+    /// warm caller reusing `out` performs no heap allocation (pinned by
+    /// `alloc_free.rs`). Policies override `select_frame_with`, not this.
+    ///
+    /// # Errors
+    /// As [`Policy::select_frame_with`].
+    fn select_frame_into(
+        &mut self,
+        frame: &crate::FeatureFrame,
+        out: &mut Vec<Selection>,
+    ) -> Result<()> {
+        Workspace::with(|ws| {
+            let mut cols = std::mem::take(&mut ws.cols);
+            let res = self.select_frame_with(frame, out, &mut cols, ws);
+            ws.cols = cols;
+            res
+        })
+    }
+
+    /// The one batch select entry point: one selection per row of `frame`
+    /// into `out` (cleared first), and the per-arm predictions it computed
+    /// into the caller-owned `cols` (cleared first), arm-major
+    /// (`n_arms × n_rows`: arm `a`, row `r` at `a·n_rows + r`), each bitwise
+    /// equal to [`Policy::predict`] on that row against the model after the
+    /// call. `cols` is left empty when the policy computes no columns (the
+    /// default, and an all-explore pass); callers then fall back to
+    /// `predict`. `ws` is the calling entry point's [`Workspace`].
     ///
     /// **Bitwise contract:** the selections and the RNG stream consumption
     /// equal a loop of [`Policy::select`] over the rows in order (the
@@ -87,31 +112,23 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
     /// # Errors
     /// Propagates [`Policy::select`] validation; on error the buffer
     /// contents are unspecified (randomness may have been consumed).
-    fn select_frame_into(
+    fn select_frame_with(
         &mut self,
         frame: &crate::FeatureFrame,
         out: &mut Vec<Selection>,
+        cols: &mut Vec<f64>,
+        ws: &mut Workspace,
     ) -> Result<()> {
         out.clear();
+        cols.clear();
         out.reserve(frame.n_rows());
         let m = frame.n_features();
-        frame.with_row_major(|rows| {
-            for r in 0..frame.n_rows() {
-                out.push(self.select(&rows[r * m..(r + 1) * m])?);
-            }
-            Ok(())
-        })
-    }
-
-    /// The per-arm predictions the most recent
-    /// [`Policy::select_frame_into`] computed, arm-major (`n_arms × n_rows`:
-    /// arm `a`, row `r` at `a·n_rows + r`), each bitwise equal to
-    /// [`Policy::predict`] on that row against the current model. `None`
-    /// (the default) when the policy keeps no such columns or the last
-    /// frame pass predicted nothing; callers then fall back to `predict`.
-    /// Only valid until the policy next changes state.
-    fn frame_predictions(&self) -> Option<&[f64]> {
-        None
+        let mut rows = std::mem::take(&mut ws.rows);
+        frame.rows_into(&mut rows);
+        let res = (0..frame.n_rows())
+            .try_for_each(|r| self.select(&rows[r * m..(r + 1) * m]).map(|s| out.push(s)));
+        ws.rows = rows;
+        res
     }
 
     /// Record the observed runtime of `arm` on context `x` and refit.
@@ -124,7 +141,21 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
 
     /// Absorb a whole batch of completed observations
     /// ([`crate::ObservationFrame`]) — the record-side twin of
-    /// [`Policy::select_frame_into`].
+    /// [`Policy::select_frame_into`]: [`Policy::observe_frame_with`] on the
+    /// thread's [`Workspace`]. Policies override `observe_frame_with`.
+    ///
+    /// # Errors
+    /// As [`Policy::observe_frame_with`].
+    fn observe_frame(
+        &mut self,
+        frame: &crate::ObservationFrame,
+        absorbed: &mut Vec<bool>,
+    ) -> Result<()> {
+        Workspace::with(|ws| self.observe_frame_with(frame, absorbed, ws))
+    }
+
+    /// The one batch observe entry point, with the calling entry point's
+    /// [`Workspace`].
     ///
     /// `absorbed` is cleared, resized to `n_rows`, and set `true` for every
     /// row whose observation was fully taken; callers use it to decide
@@ -146,11 +177,13 @@ pub trait Policy: Send + Sync + std::fmt::Debug {
     ///
     /// # Errors
     /// See [`Policy::observe`].
-    fn observe_frame(
+    fn observe_frame_with(
         &mut self,
         frame: &crate::ObservationFrame,
         absorbed: &mut Vec<bool>,
+        ws: &mut Workspace,
     ) -> Result<()> {
+        let _ = ws;
         observe_frame_rows(self, frame, absorbed)
     }
 
@@ -277,16 +310,14 @@ impl Policy for Box<dyn Policy> {
         (**self).select(x)
     }
 
-    fn select_frame_into(
+    fn select_frame_with(
         &mut self,
         frame: &crate::FeatureFrame,
         out: &mut Vec<Selection>,
+        cols: &mut Vec<f64>,
+        ws: &mut Workspace,
     ) -> Result<()> {
-        (**self).select_frame_into(frame, out)
-    }
-
-    fn frame_predictions(&self) -> Option<&[f64]> {
-        (**self).frame_predictions()
+        (**self).select_frame_with(frame, out, cols, ws)
     }
 
     fn exploit(&self, x: &[f64], costs: &[f64]) -> Result<usize> {
@@ -297,12 +328,13 @@ impl Policy for Box<dyn Policy> {
         (**self).observe(arm, x, runtime)
     }
 
-    fn observe_frame(
+    fn observe_frame_with(
         &mut self,
         frame: &crate::ObservationFrame,
         absorbed: &mut Vec<bool>,
+        ws: &mut Workspace,
     ) -> Result<()> {
-        (**self).observe_frame(frame, absorbed)
+        (**self).observe_frame_with(frame, absorbed, ws)
     }
 
     fn warm_start(&mut self, arm: usize, x: &[f64], runtime: f64) -> Result<()> {

@@ -12,6 +12,7 @@ use crate::error::CoreError;
 use crate::frame::FeatureFrame;
 use crate::policy::{ArmSpec, Policy, Selection};
 use crate::snapshot::{kind_mismatch, PolicyState, WelfordState};
+use crate::workspace::Workspace;
 use crate::Result;
 use banditware_linalg::stats::Welford;
 
@@ -206,50 +207,18 @@ impl StandardScaler {
 ///
 /// Both the mutable hot path and the `&self` read path
 /// ([`Policy::predict`], [`Policy::predict_all_into`]) are allocation-free:
-/// the former scales into policy-owned buffers, the latter into a
-/// mutex-guarded read scratch (uncontended in the shard-per-policy serving
-/// model).
-#[derive(Debug)]
+/// both standardize into the thread's [`Workspace`].
+#[derive(Debug, Clone)]
 pub struct ScaledPolicy<P: Policy> {
     inner: P,
     scaler: StandardScaler,
-    /// Scratch: one standardized context (select/observe scale in place
-    /// here instead of allocating a fresh vector per call).
-    zbuf: Vec<f64>,
-    /// Read-path scratch: one standardized context for `&self` receivers.
-    read_z: std::sync::Mutex<Vec<f64>>,
-    /// Scratch: a whole standardized batch in columnar layout.
-    zframe: FeatureFrame,
-    /// Scratch: a whole standardized *observation* batch (the record-path
-    /// counterpart to `zframe`).
-    zobs: crate::ObservationFrame,
-}
-
-impl<P: Policy + Clone> Clone for ScaledPolicy<P> {
-    fn clone(&self) -> Self {
-        ScaledPolicy {
-            inner: self.inner.clone(),
-            scaler: self.scaler.clone(),
-            zbuf: self.zbuf.clone(),
-            read_z: std::sync::Mutex::new(Vec::new()),
-            zframe: self.zframe.clone(),
-            zobs: self.zobs.clone(),
-        }
-    }
 }
 
 impl<P: Policy> ScaledPolicy<P> {
     /// Wrap a policy.
     pub fn new(inner: P) -> Self {
         let n = inner.n_features();
-        ScaledPolicy {
-            inner,
-            scaler: StandardScaler::new(n),
-            zbuf: Vec::with_capacity(n),
-            read_z: std::sync::Mutex::new(Vec::with_capacity(n)),
-            zframe: FeatureFrame::new(),
-            zobs: crate::ObservationFrame::new(),
-        }
+        ScaledPolicy { inner, scaler: StandardScaler::new(n) }
     }
 
     /// The wrapped policy.
@@ -261,6 +230,20 @@ impl<P: Policy> ScaledPolicy<P> {
     pub fn scaler(&self) -> &StandardScaler {
         &self.scaler
     }
+}
+
+/// Run `f` on `x` standardized with `scaler`'s current statistics, in a
+/// buffer moved out of the thread's [`Workspace`] for the call: the
+/// workspace itself stays free for the inner policy's entry point.
+fn standardized<R>(
+    scaler: &StandardScaler,
+    x: &[f64],
+    f: impl FnOnce(&[f64]) -> Result<R>,
+) -> Result<R> {
+    let mut z = Workspace::with(|ws| std::mem::take(&mut ws.scaled));
+    let res = scaler.transform_into(x, &mut z).and_then(|()| f(&z));
+    Workspace::with(|ws| ws.scaled = z);
+    res
 }
 
 impl<P: Policy> Policy for ScaledPolicy<P> {
@@ -277,65 +260,81 @@ impl<P: Policy> Policy for ScaledPolicy<P> {
     }
 
     fn select(&mut self, x: &[f64]) -> Result<Selection> {
-        let ScaledPolicy { inner, scaler, zbuf, .. } = self;
-        scaler.observe(x)?;
-        scaler.transform_into(x, zbuf)?;
-        inner.select(zbuf)
+        self.scaler.observe(x)?;
+        standardized(&self.scaler, x, |z| self.inner.select(z))
     }
 
-    fn select_frame_into(&mut self, frame: &FeatureFrame, out: &mut Vec<Selection>) -> Result<()> {
+    fn select_frame_with(
+        &mut self,
+        frame: &FeatureFrame,
+        out: &mut Vec<Selection>,
+        cols: &mut Vec<f64>,
+        ws: &mut Workspace,
+    ) -> Result<()> {
         // One scaler pass for the whole batch: absorb every context first,
         // then standardize them all against the same (post-batch)
-        // statistics — column by column, into a policy-owned scratch frame.
-        // Every request in a burst is standardized identically, and the
-        // scaler is updated once instead of interleaved with selections.
+        // statistics — column by column, into the workspace's frame. Every
+        // request in a burst is standardized identically, and the scaler is
+        // updated once instead of interleaved with selections. The inner
+        // policy's prediction columns are this policy's: `predict`
+        // standardizes with the same statistics, element-wise.
         if frame.n_rows() == 0 {
             out.clear();
+            cols.clear();
             return Ok(());
         }
-        let ScaledPolicy { inner, scaler, zframe, .. } = self;
-        scaler.observe_frame(frame)?;
-        scaler.transform_frame(frame, zframe)?;
-        inner.select_frame_into(zframe, out)
+        self.scaler.observe_frame(frame)?;
+        let mut zframe = std::mem::take(&mut ws.zframe);
+        let res = match self.scaler.transform_frame(frame, &mut zframe) {
+            Ok(()) => self.inner.select_frame_with(&zframe, out, cols, ws),
+            Err(e) => Err(e),
+        };
+        ws.zframe = zframe;
+        res
     }
 
     fn observe(&mut self, arm: usize, x: &[f64], runtime: f64) -> Result<()> {
-        // The matching select/select_frame_into already absorbed this context;
-        // only transform here. Contexts arriving *without* a selection go
-        // through warm_start below.
-        let ScaledPolicy { inner, scaler, zbuf, .. } = self;
-        scaler.transform_into(x, zbuf)?;
-        inner.observe(arm, zbuf, runtime)
+        // The matching select/select_frame_with already absorbed this
+        // context; only transform here. Contexts arriving *without* a
+        // selection go through warm_start below.
+        standardized(&self.scaler, x, |z| self.inner.observe(arm, z, runtime))
     }
 
-    fn observe_frame(
+    fn observe_frame_with(
         &mut self,
         frame: &crate::ObservationFrame,
         absorbed: &mut Vec<bool>,
+        ws: &mut Workspace,
     ) -> Result<()> {
         // The batch twin of `observe`: the matching select path already
         // absorbed these contexts into the scaler, so this only transforms
         // a copy of the frame, row by row, against the *fixed* current
         // statistics — `observe`'s own transform, so bitwise identical to
         // the row loop; the bookkeeping lanes pass through untouched.
-        let ScaledPolicy { inner, scaler, zbuf, zobs, .. } = self;
+        let ScaledPolicy { inner, scaler } = self;
         let n = frame.n_features();
+        let mut zobs = std::mem::take(&mut ws.zobs);
         let transformed = if n == scaler.n_features() {
             zobs.copy_from(frame);
+            let z = &mut ws.scaled;
             zobs.rows_mut().chunks_exact_mut(n.max(1)).try_for_each(|row| {
-                scaler.transform_into(row, zbuf)?;
-                row.copy_from_slice(zbuf);
+                scaler.transform_into(row, z)?;
+                row.copy_from_slice(z);
                 Ok(())
             })
         } else {
             Err(CoreError::FeatureDimMismatch { got: n, expected: scaler.n_features() })
         };
-        if let Err(e) = transformed {
-            absorbed.clear();
-            absorbed.resize(frame.n_rows(), false);
-            return Err(e);
-        }
-        inner.observe_frame(zobs, absorbed)
+        let res = match transformed {
+            Ok(()) => inner.observe_frame_with(&zobs, absorbed, ws),
+            Err(e) => {
+                absorbed.clear();
+                absorbed.resize(frame.n_rows(), false);
+                Err(e)
+            }
+        };
+        ws.zobs = zobs;
+        res
     }
 
     fn warm_start(&mut self, arm: usize, x: &[f64], runtime: f64) -> Result<()> {
@@ -343,37 +342,27 @@ impl<P: Policy> Policy for ScaledPolicy<P> {
         // context, so absorb it first — a replayed recommender rebuilds the
         // same standardization statistics the live one accumulated, in the
         // same absorb-then-transform order per context.
-        let ScaledPolicy { inner, scaler, zbuf, .. } = self;
-        scaler.observe(x)?;
-        scaler.transform_into(x, zbuf)?;
-        inner.warm_start(arm, zbuf, runtime)
+        self.scaler.observe(x)?;
+        standardized(&self.scaler, x, |z| self.inner.warm_start(arm, z, runtime))
     }
 
     fn exploit(&self, x: &[f64], costs: &[f64]) -> Result<usize> {
         // Standardize exactly as the live select path would, then let the
         // wrapped policy apply its own exploitation rule.
-        let mut z = self.read_z.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.scaler.transform_into(x, &mut z)?;
-        self.inner.exploit(&z, costs)
+        standardized(&self.scaler, x, |z| self.inner.exploit(z, costs))
     }
 
     fn predict(&self, arm: usize, x: &[f64]) -> Result<f64> {
-        let mut z = self.read_z.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.scaler.transform_into(x, &mut z)?;
-        self.inner.predict(arm, &z)
+        standardized(&self.scaler, x, |z| self.inner.predict(arm, z))
     }
 
     fn predict_all(&self, x: &[f64]) -> Result<Vec<f64>> {
         // One scaler transform for the whole sweep instead of one per arm.
-        let mut z = self.read_z.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.scaler.transform_into(x, &mut z)?;
-        self.inner.predict_all(&z)
+        standardized(&self.scaler, x, |z| self.inner.predict_all(z))
     }
 
     fn predict_all_into(&self, x: &[f64], out: &mut Vec<f64>) -> Result<()> {
-        let mut z = self.read_z.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.scaler.transform_into(x, &mut z)?;
-        self.inner.predict_all_into(&z, out)
+        standardized(&self.scaler, x, |z| self.inner.predict_all_into(z, out))
     }
 
     fn pulls(&self) -> Vec<usize> {

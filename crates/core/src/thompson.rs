@@ -8,10 +8,11 @@
 use crate::error::CoreError;
 use crate::policy::{check_arm, check_features, ArmSpec, Policy, Selection};
 use crate::snapshot::{arm_count_mismatch, kind_mismatch, PolicyState};
+use crate::workspace::Workspace;
 use crate::Result;
 use banditware_linalg::online::RankOneInverse;
 use banditware_linalg::vector;
-use banditware_linalg::{Cholesky, Matrix};
+use banditware_linalg::Cholesky;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,12 +20,11 @@ use rand::{Rng, SeedableRng};
 ///
 /// All per-round intermediates — the augmented context, the scaled
 /// covariance, its Cholesky factor, the Gaussian draw and the sampled
-/// weight vector — live in policy-owned scratch buffers, so steady-state
-/// `select`/`observe` perform zero heap allocations (the rare
-/// collapsed-covariance jitter fallback is the only allocating escape
-/// hatch). The `&self` read path ([`Policy::predict`]) borrows a
-/// mutex-guarded scratch instead of materializing `[1, x]` per call.
-#[derive(Debug)]
+/// weight vector — live in the thread's [`Workspace`], so steady-state
+/// `select`/`observe` and the `&self` read path ([`Policy::predict`])
+/// perform zero heap allocations (the rare collapsed-covariance jitter
+/// fallback is the only allocating escape hatch).
+#[derive(Debug, Clone)]
 pub struct LinThompson {
     arms: Vec<RankOneInverse>,
     thetas: Vec<Vec<f64>>,
@@ -38,41 +38,6 @@ pub struct LinThompson {
     scale: f64,
     rng: StdRng,
     seed: u64,
-    /// Scratch: augmented context `z = [1, x]`.
-    z: Vec<f64>,
-    /// Scratch: posterior covariance σ̂²A⁻¹ of the arm being sampled.
-    cov: Matrix,
-    /// Scratch: Cholesky factor of the covariance.
-    cov_l: Matrix,
-    /// Scratch: standard-normal draw ξ.
-    xi: Vec<f64>,
-    /// Scratch: sampled weights θ̃ = θ̂ + Lξ.
-    draw: Vec<f64>,
-    /// Read-path scratch (`&self` receivers): augmented context.
-    read_z: std::sync::Mutex<Vec<f64>>,
-}
-
-impl Clone for LinThompson {
-    fn clone(&self) -> Self {
-        LinThompson {
-            arms: self.arms.clone(),
-            thetas: self.thetas.clone(),
-            sum_sq: self.sum_sq.clone(),
-            pulls: self.pulls.clone(),
-            specs: self.specs.clone(),
-            n_features: self.n_features,
-            lambda: self.lambda,
-            scale: self.scale,
-            rng: self.rng.clone(),
-            seed: self.seed,
-            z: self.z.clone(),
-            cov: self.cov.clone(),
-            cov_l: self.cov_l.clone(),
-            xi: self.xi.clone(),
-            draw: self.draw.clone(),
-            read_z: std::sync::Mutex::new(Vec::new()),
-        }
-    }
 }
 
 impl LinThompson {
@@ -119,12 +84,6 @@ impl LinThompson {
             scale,
             rng: StdRng::seed_from_u64(seed),
             seed,
-            z: vec![0.0; dim],
-            cov: Matrix::zeros(dim, dim),
-            cov_l: Matrix::zeros(dim, dim),
-            xi: vec![0.0; dim],
-            draw: vec![0.0; dim],
-            read_z: std::sync::Mutex::new(vec![0.0; dim]),
         })
     }
 
@@ -140,30 +99,34 @@ impl LinThompson {
         var.sqrt() * 0.1 + 1e-3
     }
 
-    /// Draw θ̃ for one arm into the `draw` scratch buffer.
-    fn sample_theta_into_scratch(&mut self, arm: usize) -> Result<()> {
+    /// Draw θ̃ for one arm into the workspace's `draw` buffer.
+    fn sample_theta(&mut self, arm: usize, ws: &mut Workspace) -> Result<()> {
         let dim = self.n_features + 1;
         // Cholesky of the covariance σ²·A⁻¹ (A⁻¹ is SPD by construction),
-        // built and factorized entirely inside the policy's scratch.
+        // built and factorized entirely inside the workspace.
         let sigma = self.sigma(arm) * self.scale;
-        self.cov.copy_from(self.arms[arm].a_inv());
-        self.cov.scale_mut(sigma * sigma);
-        if Cholesky::factor_into(&self.cov, &mut self.cov_l).is_err() {
+        let Workspace { cov, cov_l, az: xi, draw, .. } = ws;
+        if cov.shape() != (dim, dim) {
+            cov.reset_zeroed(dim, dim);
+        }
+        cov.copy_from(self.arms[arm].a_inv());
+        cov.scale_mut(sigma * sigma);
+        if Cholesky::factor_into(cov, cov_l).is_err() {
             // Guard against a fully-collapsed covariance (e.g. scale = 0):
             // the rare allocating fallback, mirroring `decompose_jittered`.
-            let (ch, _) = Cholesky::decompose_jittered(&self.cov, 1e-12, 12)?;
-            self.cov_l.copy_from(ch.l());
+            let (ch, _) = Cholesky::decompose_jittered(cov, 1e-12, 12)?;
+            cov_l.copy_from(ch.l());
         }
-        for xi in &mut self.xi {
-            *xi = banditware_workload_free_gaussian(&mut self.rng);
-        }
-        self.draw.copy_from_slice(&self.thetas[arm]);
+        xi.clear();
+        xi.extend((0..dim).map(|_| banditware_workload_free_gaussian(&mut self.rng)));
+        draw.clear();
+        draw.extend_from_slice(&self.thetas[arm]);
         for i in 0..dim {
             let mut s = 0.0;
             for j in 0..=i {
-                s += self.cov_l[(i, j)] * self.xi[j];
+                s += cov_l[(i, j)] * xi[j];
             }
-            self.draw[i] += s;
+            draw[i] += s;
         }
         Ok(())
     }
@@ -192,29 +155,30 @@ impl Policy for LinThompson {
 
     fn select(&mut self, x: &[f64]) -> Result<Selection> {
         check_features(x, self.n_features)?;
-        self.z[0] = 1.0;
-        self.z[1..].copy_from_slice(x);
-        let mut best = 0;
-        let mut best_draw = f64::INFINITY;
-        // Greedy tracker mirrors `vector::argmin` over the posterior means.
-        let mut greedy: Option<(usize, f64)> = None;
-        for arm in 0..self.arms.len() {
-            self.sample_theta_into_scratch(arm)?;
-            let draw = vector::dot(&self.draw, &self.z);
-            if draw < best_draw {
-                best_draw = draw;
-                best = arm;
-            }
-            let mean = vector::dot(&self.thetas[arm], &self.z);
-            if !mean.is_nan() {
-                match greedy {
-                    Some((_, gv)) if gv <= mean => {}
-                    _ => greedy = Some((arm, mean)),
+        Workspace::with(|ws| {
+            ws.stage_aug(x);
+            let mut best = 0;
+            let mut best_draw = f64::INFINITY;
+            // Greedy tracker mirrors `vector::argmin` over the posterior means.
+            let mut greedy: Option<(usize, f64)> = None;
+            for arm in 0..self.arms.len() {
+                self.sample_theta(arm, ws)?;
+                let draw = vector::dot(&ws.draw, &ws.z);
+                if draw < best_draw {
+                    best_draw = draw;
+                    best = arm;
+                }
+                let mean = vector::dot(&self.thetas[arm], &ws.z);
+                if !mean.is_nan() {
+                    match greedy {
+                        Some((_, gv)) if gv <= mean => {}
+                        _ => greedy = Some((arm, mean)),
+                    }
                 }
             }
-        }
-        let greedy = greedy.map_or(best, |(i, _)| i);
-        Ok(Selection { arm: best, explored: best != greedy })
+            let greedy = greedy.map_or(best, |(i, _)| i);
+            Ok(Selection { arm: best, explored: best != greedy })
+        })
     }
 
     fn exploit(&self, x: &[f64], _costs: &[f64]) -> Result<usize> {
@@ -222,21 +186,20 @@ impl Policy for LinThompson {
         // the arm `select` tracks as "greedy" — with no posterior draw and
         // no RNG consumption.
         check_features(x, self.n_features)?;
-        let mut z = self.read_z.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        z.resize(x.len() + 1, 0.0);
-        z[0] = 1.0;
-        z[1..].copy_from_slice(x);
-        let mut greedy: Option<(usize, f64)> = None;
-        for (arm, theta) in self.thetas.iter().enumerate() {
-            let mean = vector::dot(theta, &z);
-            if !mean.is_nan() {
-                match greedy {
-                    Some((_, gv)) if gv <= mean => {}
-                    _ => greedy = Some((arm, mean)),
+        Workspace::with(|ws| {
+            ws.stage_aug(x);
+            let mut greedy: Option<(usize, f64)> = None;
+            for (arm, theta) in self.thetas.iter().enumerate() {
+                let mean = vector::dot(theta, &ws.z);
+                if !mean.is_nan() {
+                    match greedy {
+                        Some((_, gv)) if gv <= mean => {}
+                        _ => greedy = Some((arm, mean)),
+                    }
                 }
             }
-        }
-        Ok(greedy.map_or(0, |(i, _)| i))
+            Ok(greedy.map_or(0, |(i, _)| i))
+        })
     }
 
     fn observe(&mut self, arm: usize, x: &[f64], runtime: f64) -> Result<()> {
@@ -245,24 +208,23 @@ impl Policy for LinThompson {
         if !runtime.is_finite() || runtime <= 0.0 {
             return Err(CoreError::InvalidRuntime(runtime));
         }
-        self.z[0] = 1.0;
-        self.z[1..].copy_from_slice(x);
-        let LinThompson { arms, thetas, sum_sq, pulls, z, .. } = self;
-        arms[arm].push(z, runtime)?;
-        arms[arm].theta_into(&mut thetas[arm])?;
-        sum_sq[arm] += runtime * runtime;
-        pulls[arm] += 1;
-        Ok(())
+        Workspace::with(|ws| {
+            ws.stage_aug(x);
+            self.arms[arm].push(&ws.z, runtime, &mut ws.az)?;
+            self.arms[arm].theta_into(&mut self.thetas[arm])?;
+            self.sum_sq[arm] += runtime * runtime;
+            self.pulls[arm] += 1;
+            Ok(())
+        })
     }
 
     fn predict(&self, arm: usize, x: &[f64]) -> Result<f64> {
         check_arm(arm, self.arms.len())?;
         check_features(x, self.n_features)?;
-        let mut z = self.read_z.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        z.resize(x.len() + 1, 0.0);
-        z[0] = 1.0;
-        z[1..].copy_from_slice(x);
-        Ok(vector::dot(&self.thetas[arm], &z))
+        Workspace::with(|ws| {
+            ws.stage_aug(x);
+            Ok(vector::dot(&self.thetas[arm], &ws.z))
+        })
     }
 
     fn pulls(&self) -> Vec<usize> {

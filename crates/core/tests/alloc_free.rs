@@ -112,6 +112,8 @@ fn steady_state_record_path_is_allocation_free() {
         fill_context(&mut x, round);
         policy.observe(round % 5, &x, 10.0 + (round % 17) as f64).unwrap();
     }
+    // Select's buffers live in the thread's workspace: warm them once.
+    policy.select(&x).unwrap();
     let n = count_allocs(200, |round| {
         fill_context(&mut x, 100 + round);
         let sel = policy.select(&x).unwrap();
@@ -159,6 +161,7 @@ fn steady_state_record_path_is_allocation_free() {
         fill_context(&mut x, round);
         policy.observe(round % 4, &x, 10.0 + (round % 13) as f64).unwrap();
     }
+    policy.select(&x).unwrap();
     let n = count_allocs(100, |round| {
         fill_context(&mut x, 50 + round);
         let sel = policy.select(&x).unwrap();
@@ -172,6 +175,7 @@ fn steady_state_record_path_is_allocation_free() {
         fill_context(&mut x, round);
         policy.observe(round % 5, &x, 10.0 + (round % 13) as f64).unwrap();
     }
+    policy.select(&x).unwrap();
     let n = count_allocs(200, |round| {
         fill_context(&mut x, 50 + round);
         let sel = policy.select(&x).unwrap();
@@ -240,6 +244,26 @@ fn read_path_is_allocation_free() {
         policy.predict_all_into(&x, &mut preds).unwrap();
     });
     assert_eq!(n, 0, "scaled read path allocated {n} times in 200 sweeps");
+
+    // --- ε-greedy exploit, and the exploit-only recommendation a
+    // replication follower serves (`BanditWare::recommend_exploit`: the
+    // policy's rule over the arms' costs, plus the chosen arm's
+    // prediction). ---
+    let specs = ArmSpec::unit_costs(4);
+    let config = BanditConfig::paper().with_epsilon0(0.1).with_seed(14);
+    let policy = DecayingEpsilonGreedy::<RecursiveArm>::new(specs.clone(), M, config).unwrap();
+    let mut bandit = BanditWare::new(policy, specs).with_retention(Retention::Tail(8));
+    for round in 0..50 {
+        fill_context(&mut x, round);
+        bandit.run_round(&x, |r| 10.0 + ((round + r.arm) % 13) as f64).unwrap();
+    }
+    bandit.recommend_exploit(&x).unwrap();
+    let n = count_allocs(200, |round| {
+        fill_context(&mut x, 50 + round);
+        bandit.policy().exploit(&x).unwrap();
+        bandit.recommend_exploit(&x).unwrap();
+    });
+    assert_eq!(n, 0, "ε-greedy exploit / exploit-only recommend allocated {n} times in 200 sweeps");
 }
 
 /// The batched-select pin: refilling a reused `FeatureFrame` in place and

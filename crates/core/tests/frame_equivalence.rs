@@ -1,6 +1,6 @@
 //! Bitwise equivalence of the columnar batch path and per-row references.
 //!
-//! The contract: driving a policy through `select_frame_into` (a
+//! The contract: driving a policy through `select_frame_with` (a
 //! struct-of-arrays [`FeatureFrame`], blocked predict kernels, hoisted RNG
 //! draws) produces the *same* selections, the *same* RNG stream, and
 //! bit-for-bit the *same* predictions as one [`Policy::select`] per row in
@@ -17,7 +17,7 @@ use banditware_core::linucb::LinUcb;
 use banditware_core::scaler::scaled_epsilon_greedy;
 use banditware_core::{
     ArmSpec, BanditConfig, BanditWare, FeatureFrame, Policy, PolicyState, Recommendation,
-    Selection, StandardScaler,
+    Selection, StandardScaler, Workspace,
 };
 
 const M: usize = 7; // deliberately not a multiple of 4: exercises kernel tails
@@ -159,34 +159,34 @@ impl<P: Policy> RowReference for ScaledRows<P> {
     }
 }
 
-/// Drive `framed` through `select_frame_into` and `reference` through its
+/// Drive `framed` through `select_frame_with` and `reference` through its
 /// per-row loop on the same bursts at width `m`. Selections must match
 /// exactly (same arms, same explore draws — the same RNG stream); where
-/// the frame pass kept its per-arm predictions (`frame_preds`, arm-major),
-/// each must equal the reference's prediction on the row it selected with
-/// to the bit; both twins are trained identically between bursts, and the
-/// final states must be equal. Returns the number of bursts whose
-/// predictions were compared, or the first divergence.
+/// the frame pass computed per-arm prediction columns (arm-major, into the
+/// caller's buffer), each must equal the reference's prediction on the row
+/// it selected with to the bit; both twins are trained identically between
+/// bursts, and the final states must be equal. Returns the number of
+/// bursts whose predictions were compared, or the first divergence.
 fn check_frame_against<P: Policy, R: RowReference>(
     mut reference: R,
     mut framed: P,
     m: usize,
-    frame_preds: impl Fn(&P) -> Option<&[f64]>,
 ) -> Result<usize, String> {
     let mut frame = FeatureFrame::new();
     let mut sels: Vec<Selection> = Vec::new();
+    let mut cols: Vec<f64> = Vec::new();
     let mut compared = 0;
     for (round, &n) in BURSTS.iter().enumerate() {
         let contexts: Vec<Vec<f64>> = (0..n).map(|r| context(round, r, m)).collect();
         let want = reference.select_rows(&contexts);
         frame.fill_from_rows(&contexts).unwrap();
-        framed.select_frame_into(&frame, &mut sels).unwrap();
+        Workspace::with(|ws| framed.select_frame_with(&frame, &mut sels, &mut cols, ws)).unwrap();
 
         if want != sels {
             return Err(format!("m={m} round {round}: selections {want:?} vs {sels:?}"));
         }
         let n_arms = framed.n_arms();
-        if let Some(preds) = frame_preds(&framed).filter(|p| n > 0 && p.len() == n_arms * n) {
+        if let Some(preds) = Some(&cols).filter(|p| n > 0 && p.len() == n_arms * n) {
             for arm in 0..n_arms {
                 for r in 0..n {
                     let (a, b) = (reference.predict_row(arm, r), preds[arm * n + r]);
@@ -216,13 +216,9 @@ fn check_frame_against<P: Policy, R: RowReference>(
 
 #[test]
 fn plain_epsilon_frame_selects_bitwise_like_per_row_select() {
-    let compared = check_frame_against(
-        PerRow::new(epsilon_greedy(M, SEED)),
-        epsilon_greedy(M, SEED),
-        M,
-        |p| p.frame_predictions(),
-    )
-    .unwrap();
+    let compared =
+        check_frame_against(PerRow::new(epsilon_greedy(M, SEED)), epsilon_greedy(M, SEED), M)
+            .unwrap();
     assert!(compared > 0, "no burst compared frame predictions");
 }
 
@@ -232,7 +228,6 @@ fn scaled_epsilon_frame_selects_bitwise_like_absorb_then_standardize() {
         ScaledRows::new(epsilon_greedy(M, SEED), false),
         scaled_epsilon_greedy(specs(), M, BanditConfig::paper().with_seed(SEED)).unwrap(),
         M,
-        |p| p.inner().frame_predictions(),
     )
     .unwrap();
     assert!(compared > 0, "no burst compared frame predictions");
@@ -248,7 +243,6 @@ fn scaled_frame_matches_reference_across_feature_widths() {
             ScaledRows::new(epsilon_greedy(m, seed), false),
             scaled_epsilon_greedy(specs(), m, BanditConfig::paper().with_seed(seed)).unwrap(),
             m,
-            |p| p.inner().frame_predictions(),
         )
         .unwrap();
     }
@@ -264,7 +258,6 @@ fn interleaved_scaled_reference_diverges_from_frame() {
         ScaledRows::new(epsilon_greedy(M, SEED), true),
         scaled_epsilon_greedy(specs(), M, BanditConfig::paper().with_seed(SEED)).unwrap(),
         M,
-        |p| p.inner().frame_predictions(),
     );
     assert!(verdict.is_err(), "interleaved observe/transform matched the frame path");
 }
@@ -274,7 +267,7 @@ fn interleaved_scaled_reference_diverges_from_frame() {
 /// selects deterministically from its confidence bounds.
 #[test]
 fn default_frame_gather_matches_per_row_select_for_linucb() {
-    check_frame_against(PerRow::new(linucb()), linucb(), M, |p| p.frame_predictions()).unwrap();
+    check_frame_against(PerRow::new(linucb()), linucb(), M).unwrap();
 }
 
 fn assert_recs_bitwise_eq(a: &Recommendation, b: &Recommendation, ctx: &str) {

@@ -9,7 +9,7 @@ use banditware_core::persist::{load_checkpoint, restore_checkpoint, save_checkpo
 use banditware_core::plain::PlainEpsilonGreedy;
 use banditware_core::{
     ArmSpec, BanditConfig, BanditWare, CoreError, FeatureFrame, ObservationFrame, Policy,
-    PolicyState, Retention, Selection, Ticket,
+    PolicyState, Retention, Selection, Ticket, Workspace,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -42,15 +42,14 @@ impl Policy for Brittle {
     fn select(&mut self, x: &[f64]) -> banditware_core::Result<Selection> {
         self.0.select(x)
     }
-    fn select_frame_into(
+    fn select_frame_with(
         &mut self,
         frame: &FeatureFrame,
         out: &mut Vec<Selection>,
+        cols: &mut Vec<f64>,
+        ws: &mut Workspace,
     ) -> banditware_core::Result<()> {
-        self.0.select_frame_into(frame, out)
-    }
-    fn frame_predictions(&self) -> Option<&[f64]> {
-        self.0.frame_predictions()
+        self.0.select_frame_with(frame, out, cols, ws)
     }
     fn observe(&mut self, arm: usize, x: &[f64], runtime: f64) -> banditware_core::Result<()> {
         if runtime > FAIL_ABOVE {
@@ -61,10 +60,11 @@ impl Policy for Brittle {
         }
         self.0.observe(arm, x, runtime)
     }
-    fn observe_frame(
+    fn observe_frame_with(
         &mut self,
         frame: &ObservationFrame,
         absorbed: &mut Vec<bool>,
+        _ws: &mut Workspace,
     ) -> banditware_core::Result<()> {
         absorbed.clear();
         absorbed.resize(frame.n_rows(), false);

@@ -240,8 +240,10 @@ pub struct FactorParts {
 /// * [`UpdatableCholesky::scale`] applies `A ← γA` exactly as `L ← √γ·L`
 ///   (the exponential-discount path of drift-aware arms).
 ///
-/// The struct owns a scratch buffer so the steady-state operations perform
-/// zero heap allocations.
+/// The factor holds no scratch: the crate's record path sweeps a
+/// caller-owned copy of `w` (see `rank_one_inline`), so the steady-state
+/// operations perform zero heap allocations. The public `update` and
+/// `downdate` take `&[f64]` and copy it first.
 ///
 /// **Representation.** Internally the factor is the root-free `A = LDLᵀ`
 /// with unit-triangular `L` and positive diagonal `D` (the
@@ -263,7 +265,6 @@ pub struct UpdatableCholesky {
     /// Cached reciprocals `1/dᵢ` (FP division doesn't pipeline; the hot
     /// loops multiply by these instead).
     dinv: Vec<f64>,
-    work: Vec<f64>,
 }
 
 impl UpdatableCholesky {
@@ -283,12 +284,8 @@ impl UpdatableCholesky {
     pub fn from_factor(l: Matrix) -> Self {
         assert_eq!(l.rows(), l.cols(), "factor must be square");
         let n = l.rows();
-        let mut this = UpdatableCholesky {
-            lt: Matrix::zeros(n, n),
-            d: vec![0.0; n],
-            dinv: vec![0.0; n],
-            work: vec![0.0; n],
-        };
+        let mut this =
+            UpdatableCholesky { lt: Matrix::zeros(n, n), d: vec![0.0; n], dinv: vec![0.0; n] };
         this.absorb_cholesky(&l);
         this
     }
@@ -377,7 +374,6 @@ impl UpdatableCholesky {
             lt: Matrix::from_vec(n, n, parts.lt.clone())?,
             d: parts.d.clone(),
             dinv: parts.dinv.clone(),
-            work: vec![0.0; n],
         })
     }
 
@@ -395,16 +391,18 @@ impl UpdatableCholesky {
     }
 
     /// Rank-1 update `A ← A + wwᵀ` in O(m²): the root-free GGMS sweep — no
-    /// square roots, one division per column, contiguous row access.
+    /// square roots, one division per column, contiguous row access. The
+    /// sweep runs on a copy of `w` (one allocation per call).
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] if `w.len() != dim` (the factor is
     /// untouched in that case).
     pub fn update(&mut self, w: &[f64]) -> Result<()> {
-        self.rank_one(w, 1.0)
+        self.rank_one_inline(&mut w.to_vec(), 1.0)
     }
 
-    /// Rank-1 downdate `A ← A − wwᵀ` (root-free hyperbolic sweep).
+    /// Rank-1 downdate `A ← A − wwᵀ` (root-free hyperbolic sweep, on a
+    /// copy of `w`).
     ///
     /// # Errors
     /// * [`LinalgError::ShapeMismatch`] if `w.len() != dim` (factor
@@ -415,30 +413,25 @@ impl UpdatableCholesky {
     ///   from the true matrix (which is what
     ///   [`crate::online::NormalEquations`] does behind its dirty flag).
     pub fn downdate(&mut self, w: &[f64]) -> Result<()> {
-        self.rank_one(w, -1.0)
+        self.rank_one_inline(&mut w.to_vec(), -1.0)
     }
 
-    /// The GGMS rank-1 sweep for `A ← A + α·wwᵀ`, `α = ±1`.
-    fn rank_one(&mut self, w: &[f64], alpha: f64) -> Result<()> {
-        self.rank_one_inline(w, alpha)
-    }
-
-    /// [`UpdatableCholesky::rank_one`], always inlined: the dispatched
-    /// record path (`crate::simd`) calls it so that it compiles at its
-    /// instruction set.
+    /// The GGMS rank-1 sweep for `A ← A + α·wwᵀ`, `α = ±1`, using `w`
+    /// itself as the working vector (it is overwritten). Always inlined:
+    /// the dispatched record path (`crate::simd`) calls it so that it
+    /// compiles at its instruction set.
     #[inline(always)]
-    pub(crate) fn rank_one_inline(&mut self, w: &[f64], alpha: f64) -> Result<()> {
+    pub(crate) fn rank_one_inline(&mut self, work: &mut [f64], alpha: f64) -> Result<()> {
         let n = self.lt.rows();
-        if w.len() != n {
+        if work.len() != n {
             return Err(LinalgError::ShapeMismatch(format!(
                 "rank-1 factor update: vector of length {} against {n}x{n} factor",
-                w.len()
+                work.len()
             )));
         }
-        self.work.copy_from_slice(w);
         let mut a = alpha;
         for j in 0..n {
-            let p = self.work[j];
+            let p = work[j];
             let d_old = self.d[j];
             let d_new = d_old + a * p * p;
             // A pivot collapsing below this relative floor (only reachable
@@ -461,7 +454,7 @@ impl UpdatableCholesky {
             // (the unrolled body falls back to the weaker SLP vectorizer).
             // See `cholupdate_m64` in the README's "Perf trajectory" table.
             let row = self.lt.row_mut(j);
-            for (lji, wi) in row[j + 1..].iter_mut().zip(&mut self.work[j + 1..]) {
+            for (lji, wi) in row[j + 1..].iter_mut().zip(&mut work[j + 1..]) {
                 *wi -= p * *lji;
                 *lji += b * *wi;
             }

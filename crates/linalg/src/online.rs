@@ -145,7 +145,7 @@ fn gram_tile<const DIAG: bool>(data: &mut [f64], zrows: &[f64], n: usize, i: usi
 
 /// Apply `zrows` (augmented rows of width `dim`) to a live factor in row
 /// order: four at a time through [`UpdatableCholesky::update_panel`], the
-/// remainder through `update`'s sweep. Returns the first row whose update
+/// remainder through `update`'s sweep on a copy in `panel`. Returns the first row whose update
 /// failed (the factor is invalid from there), or `None`.
 #[inline(always)]
 fn factor_rows(
@@ -165,12 +165,23 @@ fn factor_rows(
         }
     }
     let base = (zrows.len() - panels.remainder().len()) / dim;
+    if panel.len() < dim {
+        panel.resize(dim, 0.0);
+    }
     for (r, z) in panels.remainder().chunks_exact(dim).enumerate() {
-        if chol.rank_one_inline(z, 1.0).is_err() {
+        panel[..dim].copy_from_slice(z);
+        if chol.rank_one_inline(&mut panel[..dim], 1.0).is_err() {
             return Ok(Some(base + r));
         }
     }
     Ok(None)
+}
+
+/// Stage the augmented vector `z = [1, x]` in `aug`.
+fn stage_aug(x: &[f64], aug: &mut Vec<f64>) {
+    aug.clear();
+    aug.push(1.0);
+    aug.extend_from_slice(x);
 }
 
 /// Transpose a feature-major block — feature `f` of `k` rows at
@@ -333,9 +344,6 @@ pub struct NormalEquations {
     /// `None` is the dirty state (re-factorized lazily by the next
     /// factor-based solve).
     factor: Option<IncrementalFactor>,
-    /// Fixed buffer for the augmented vector `[1, x]` during factor
-    /// updates (keeps `push`/`forget` allocation-free).
-    aug: Vec<f64>,
 }
 
 impl NormalEquations {
@@ -349,7 +357,6 @@ impl NormalEquations {
             yty: 0.0,
             n: 0,
             factor: None,
-            aug: vec![0.0; dim],
         }
     }
 
@@ -363,11 +370,22 @@ impl NormalEquations {
         self.n
     }
 
-    /// Absorb one `(x, y)` observation.
+    /// Absorb one `(x, y)` observation ([`NormalEquations::push_with`] on
+    /// a fresh buffer: one allocation per call).
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] if `x.len() != n_features`.
     pub fn push(&mut self, x: &[f64], y: f64) -> Result<()> {
+        self.push_with(x, y, &mut Vec::new())
+    }
+
+    /// Absorb one `(x, y)` observation, staging the augmented vector
+    /// `[1, x]` in the caller-owned `aug` (overwritten; a warm buffer keeps
+    /// the call allocation-free).
+    ///
+    /// # Errors
+    /// [`LinalgError::ShapeMismatch`] if `x.len() != n_features`.
+    pub fn push_with(&mut self, x: &[f64], y: f64, aug: &mut Vec<f64>) -> Result<()> {
         if x.len() + 1 != self.dim {
             return Err(LinalgError::ShapeMismatch(format!(
                 "push: {} features into accumulator of {}",
@@ -378,16 +396,16 @@ impl NormalEquations {
         // z = [1, x]; the Gram update runs contiguous rank-4 row panels
         // (each entry still receives the single product z_i·z_j, so the
         // statistics are bit-identical to the triangular formulation).
-        self.aug[0] = 1.0;
-        self.aug[1..].copy_from_slice(x);
-        gram_rank_one(&mut self.ztz, &self.aug, 1.0);
-        vector::axpy(y, &self.aug, &mut self.zty);
+        stage_aug(x, aug);
+        gram_rank_one(&mut self.ztz, aug, 1.0);
+        vector::axpy(y, aug, &mut self.zty);
         self.yty += y * y;
         self.n += 1;
         // Keep the live factor live: adding zzᵀ is a rank-1 cholupdate,
-        // independent of the ridge folded into the factor.
+        // independent of the ridge folded into the factor. The sweep
+        // consumes `aug` as its working vector.
         if let Some(f) = &mut self.factor {
-            if f.chol.update(&self.aug).is_err() {
+            if f.chol.rank_one_inline(aug, 1.0).is_err() {
                 self.factor = None;
             }
         }
@@ -511,12 +529,13 @@ impl NormalEquations {
     ///
     /// The caller is responsible for only forgetting observations that were
     /// actually pushed; forgetting anything else produces statistics that
-    /// no longer correspond to a real dataset.
+    /// no longer correspond to a real dataset. `[1, x]` is staged in the
+    /// caller-owned `aug`, as [`NormalEquations::push_with`] does.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] on a wrong-arity context,
     /// [`LinalgError::InsufficientData`] when the accumulator is empty.
-    pub fn forget(&mut self, x: &[f64], y: f64) -> Result<()> {
+    pub fn forget(&mut self, x: &[f64], y: f64, aug: &mut Vec<f64>) -> Result<()> {
         if x.len() + 1 != self.dim {
             return Err(LinalgError::ShapeMismatch(format!(
                 "forget: {} features into accumulator of {}",
@@ -527,14 +546,13 @@ impl NormalEquations {
         if self.n == 0 {
             return Err(LinalgError::InsufficientData { have: 0, need: 1 });
         }
-        self.aug[0] = 1.0;
-        self.aug[1..].copy_from_slice(x);
-        gram_rank_one(&mut self.ztz, &self.aug, -1.0);
-        vector::axpy(-y, &self.aug, &mut self.zty);
+        stage_aug(x, aug);
+        gram_rank_one(&mut self.ztz, aug, -1.0);
+        vector::axpy(-y, aug, &mut self.zty);
         self.yty -= y * y;
         self.n -= 1;
         if let Some(f) = &mut self.factor {
-            if f.chol.downdate(&self.aug).is_err() {
+            if f.chol.rank_one_inline(aug, -1.0).is_err() {
                 self.factor = None;
             }
         }
@@ -847,7 +865,6 @@ impl NormalEquations {
             yty: state.yty,
             n: state.n,
             factor,
-            aug: vec![0.0; dim],
         })
     }
 
@@ -912,9 +929,6 @@ pub struct RankOneInverse {
     a_inv: Matrix,
     xty: Vec<f64>,
     n: usize,
-    /// Fixed buffer for `A⁻¹z` so the Sherman–Morrison update allocates
-    /// nothing.
-    az: Vec<f64>,
 }
 
 impl RankOneInverse {
@@ -926,7 +940,7 @@ impl RankOneInverse {
         assert!(lambda > 0.0, "RankOneInverse requires a positive ridge prior");
         let mut a_inv = Matrix::identity(dim);
         a_inv.scale_mut(1.0 / lambda);
-        RankOneInverse { dim, a_inv, xty: vec![0.0; dim], n: 0, az: vec![0.0; dim] }
+        RankOneInverse { dim, a_inv, xty: vec![0.0; dim], n: 0 }
     }
 
     /// Vector dimension.
@@ -945,11 +959,12 @@ impl RankOneInverse {
     }
 
     /// Sherman–Morrison update for one observation `(z, y)`:
-    /// `A⁻¹ ← A⁻¹ − (A⁻¹ z zᵀ A⁻¹) / (1 + zᵀ A⁻¹ z)`.
+    /// `A⁻¹ ← A⁻¹ − (A⁻¹ z zᵀ A⁻¹) / (1 + zᵀ A⁻¹ z)`, with `A⁻¹z` in the
+    /// caller-owned `az` (overwritten; a warm buffer allocates nothing).
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] if `z.len() != dim`.
-    pub fn push(&mut self, z: &[f64], y: f64) -> Result<()> {
+    pub fn push(&mut self, z: &[f64], y: f64, az: &mut Vec<f64>) -> Result<()> {
         if z.len() != self.dim {
             return Err(LinalgError::ShapeMismatch(format!(
                 "push: vector of {} into accumulator of {}",
@@ -957,7 +972,8 @@ impl RankOneInverse {
                 self.dim
             )));
         }
-        let RankOneInverse { dim, a_inv, xty, az, n } = self;
+        let RankOneInverse { dim, a_inv, xty, n } = self;
+        az.resize(*dim, 0.0);
         a_inv.mul_vec_into(z, az)?;
         let denom = 1.0 + vector::dot(z, az);
         for i in 0..*dim {
@@ -1023,7 +1039,6 @@ impl RankOneInverse {
             a_inv: Matrix::from_vec(dim, dim, state.a_inv.clone())?,
             xty: state.xty.clone(),
             n: state.n,
-            az: vec![0.0; dim],
         })
     }
 
@@ -1376,7 +1391,7 @@ mod tests {
         let before = acc.solve_with(0.0, &mut scratch).unwrap();
         assert!(acc.factor_is_live(0.0));
         acc.push(&[9.0, -3.0], 123.0).unwrap();
-        acc.forget(&[9.0, -3.0], 123.0).unwrap();
+        acc.forget(&[9.0, -3.0], 123.0, &mut Vec::new()).unwrap();
         assert_eq!(acc.n_obs(), data.len());
         let after = acc.solve_with(0.0, &mut scratch).unwrap();
         for (a, b) in before.weights.iter().zip(&after.weights) {
@@ -1385,10 +1400,10 @@ mod tests {
         assert!((before.intercept - after.intercept).abs() < 1e-7);
 
         // Validation mirrors push.
-        assert!(acc.forget(&[1.0], 1.0).is_err());
+        assert!(acc.forget(&[1.0], 1.0, &mut Vec::new()).is_err());
         let mut empty = NormalEquations::new(2);
         assert!(matches!(
-            empty.forget(&[1.0, 2.0], 1.0),
+            empty.forget(&[1.0, 2.0], 1.0, &mut Vec::new()),
             Err(LinalgError::InsufficientData { .. })
         ));
     }
@@ -1410,7 +1425,7 @@ mod tests {
         for i in 0..stream.len() {
             if i >= w {
                 let (ox, oy) = &stream[i - w];
-                acc.forget(ox, *oy).unwrap();
+                acc.forget(ox, *oy, &mut Vec::new()).unwrap();
             }
             let (x, y) = &stream[i];
             acc.push(x, *y).unwrap();
@@ -1492,8 +1507,8 @@ mod tests {
             live.push(&x, y).unwrap();
             restored.push(&x, y).unwrap();
             if i == 10 {
-                live.forget(&x, y).unwrap();
-                restored.forget(&x, y).unwrap();
+                live.forget(&x, y, &mut Vec::new()).unwrap();
+                restored.forget(&x, y, &mut Vec::new()).unwrap();
             }
             let a = live.solve_with(0.0, &mut scratch).unwrap();
             let b = restored.solve_with(0.0, &mut scratch2).unwrap();
@@ -1546,15 +1561,15 @@ mod tests {
         let mut live = RankOneInverse::new(3, 0.5);
         for i in 0..15 {
             let z = [1.0, (i % 4) as f64, (i % 6) as f64 * 0.5];
-            live.push(&z, 2.0 + i as f64).unwrap();
+            live.push(&z, 2.0 + i as f64, &mut Vec::new()).unwrap();
         }
         let state = live.to_state();
         let mut restored = RankOneInverse::from_state(&state).unwrap();
         assert_eq!(restored.n_obs(), live.n_obs());
         for i in 0..20 {
             let z = [1.0, (i % 5) as f64 * 0.3, (i % 3) as f64];
-            live.push(&z, 1.0 + i as f64 * 0.5).unwrap();
-            restored.push(&z, 1.0 + i as f64 * 0.5).unwrap();
+            live.push(&z, 1.0 + i as f64 * 0.5, &mut Vec::new()).unwrap();
+            restored.push(&z, 1.0 + i as f64 * 0.5, &mut Vec::new()).unwrap();
             let ta = live.theta().unwrap();
             let tb = restored.theta().unwrap();
             for (a, b) in ta.iter().zip(&tb) {
@@ -1587,7 +1602,7 @@ mod tests {
         let mut a = Matrix::identity(3);
         a.scale_mut(lambda);
         for z in &zs {
-            r1.push(z, 1.0).unwrap();
+            r1.push(z, 1.0, &mut Vec::new()).unwrap();
             for i in 0..3 {
                 for j in 0..3 {
                     a[(i, j)] += z[i] * z[j];
@@ -1608,7 +1623,7 @@ mod tests {
         let mut r1 = RankOneInverse::new(2, lambda);
         for z in &zs {
             let y = z[0] * true_theta[0] + z[1] * true_theta[1];
-            r1.push(z, y).unwrap();
+            r1.push(z, y, &mut Vec::new()).unwrap();
         }
         let theta = r1.theta().unwrap();
         assert!((theta[0] - 2.0).abs() < 1e-3);
@@ -1620,12 +1635,12 @@ mod tests {
         let mut r1 = RankOneInverse::new(2, 1.0);
         let z = [1.0, 1.0];
         let before = r1.quad_form(&z).unwrap();
-        r1.push(&z, 0.0).unwrap();
+        r1.push(&z, 0.0, &mut Vec::new()).unwrap();
         let after = r1.quad_form(&z).unwrap();
         assert!(before > 0.0 && after > 0.0);
         assert!(after < before, "confidence width must shrink with data");
         assert!(r1.quad_form(&[1.0]).is_err());
-        assert!(r1.push(&[1.0], 0.0).is_err() && r1.dim() == 2);
+        assert!(r1.push(&[1.0], 0.0, &mut Vec::new()).is_err() && r1.dim() == 2);
     }
 
     #[test]

@@ -277,7 +277,9 @@ mod tests {
             let live = warm(nf, dim + 2, seed);
             let mut downdated = live.clone();
             let last = rows(seed, dim + 2, nf).pop().expect("warm rows");
-            downdated.forget(&last, 1.0 + value(seed + 1, dim + 1)).expect("forget");
+            downdated
+                .forget(&last, 1.0 + value(seed + 1, dim + 1), &mut Vec::new())
+                .expect("forget");
             let cold = NormalEquations::new(nf);
             for k in 1..=9usize {
                 let block = rows(seed * 31 + k as u64, k, nf);

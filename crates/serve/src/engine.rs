@@ -9,12 +9,17 @@
 //! dropped tickets, batched recommend/record taking the lock once per
 //! batch.
 //!
-//! **Per-shard scratch.** Every shard owns its policy, and every policy
-//! owns its solve/select workspaces (see `banditware_core`'s scratch-buffer
-//! plumbing and `banditware_linalg::SolveScratch`). The steady-state
-//! recommend/record loop therefore performs zero heap allocations inside
-//! the locks — concurrent tenants never contend on the global allocator,
-//! only on their own stripe.
+//! **No per-shard scratch.** A shard holds its model state, its history
+//! tail and its open tickets. Every buffer a call needs only while it runs
+//! (selections, prediction columns, the staged record burst, the per-arm
+//! grouping, the solve scratch) lives in the serving thread's
+//! [`banditware_core::Workspace`], taken once per call and shared by every
+//! tenant that thread serves, so the few tenants of a burst reuse one warm
+//! set of buffers instead of each keeping its own. Once the thread is warm
+//! the recommend/record loop performs zero heap allocations inside the
+//! locks — concurrent tenants never contend on the global allocator, only
+//! on their own stripe. `tests/shard_footprint.rs` pins the live heap a
+//! restored and served shard holds.
 
 use crate::builder::{build_policy, EngineBuilder};
 use banditware_core::persist::{self, Checkpoint, HistorySnapshot};

@@ -546,7 +546,9 @@ impl FollowerEngine {
                 // damaged segment is applied until a re-ship heals it.
                 break;
             }
-            match replay_segment(&self.engine, key, &path, idx, false, &mut stats) {
+            // Replay the verified bytes: one read, and the replayed file
+            // cannot differ from the checked one.
+            match replay_segment(&self.engine, key, &path, &bytes, idx, false, &mut stats) {
                 Ok(()) => state.applied_seg = idx,
                 Err(ServeError::Corrupt { detail, .. }) => {
                     // Whole-file CRC passed but a line failed: the primary
@@ -589,18 +591,7 @@ impl FollowerEngine {
     /// Feature-arity validation.
     pub fn recommend(&self, key: &str, features: &[f64]) -> ServeResult<Option<Recommendation>> {
         self.engine
-            .with_shard(key, |shard| -> banditware_core::Result<Recommendation> {
-                let costs: Vec<f64> = shard.specs().iter().map(|s| s.resource_cost).collect();
-                let arm = shard.policy().exploit(features, &costs)?;
-                let spec = &shard.specs()[arm];
-                Ok(Recommendation {
-                    arm,
-                    name: spec.name.clone(),
-                    resource_cost: spec.resource_cost,
-                    predicted_runtime: shard.policy().predict(arm, features).unwrap_or(f64::NAN),
-                    explored: false,
-                })
-            })
+            .with_shard(key, |shard| shard.recommend_exploit(features))
             .transpose()
             .map_err(Into::into)
     }

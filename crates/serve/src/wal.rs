@@ -883,28 +883,34 @@ pub(crate) fn apply_record(engine: &Engine, key: &str, record: &WalRecord) -> Se
     Ok(applied)
 }
 
-/// Replay one segment file into `key`'s shard, verifying the header and
-/// every line checksum. With `tolerate_torn_tail` (primary recovery of the
-/// final segment), an unparseable **final** line is discarded and counted
-/// instead of failing — a crash mid-append was never acknowledged. Sealed,
-/// shipped segments are replayed strictly.
+/// Replay one segment file's `bytes` (read whole by the caller: segments
+/// rotate at `segment_max_bytes`, 1 MiB by default) into `key`'s shard,
+/// verifying the header and every line checksum; `path` names the file in
+/// errors. With `tolerate_torn_tail` (primary recovery of the final
+/// segment), an unparseable **final** line is discarded and counted instead
+/// of failing — a crash mid-append was never acknowledged. Sealed, shipped
+/// segments are replayed strictly.
 pub(crate) fn replay_segment(
     engine: &Engine,
     key: &str,
     path: &Path,
+    bytes: &[u8],
     idx: u64,
     tolerate_torn_tail: bool,
     stats: &mut ReplayStats,
 ) -> ServeResult<()> {
-    let io = io_err("wal-recover");
     let corrupt = |line: usize, detail: String| ServeError::Corrupt {
         path: path.display().to_string(),
         line,
         detail,
     };
-    // Segments rotate at `segment_max_bytes` (1 MiB by default), so one is
-    // read whole and walked as borrowed lines.
-    let text = fs::read_to_string(path).map_err(&io)?;
+    // The error `fs::read_to_string` gives a file that is not UTF-8.
+    let text = std::str::from_utf8(bytes).map_err(|_| {
+        io_err("wal-recover")(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "stream did not contain valid UTF-8",
+        ))
+    })?;
     let mut lines = text.lines().enumerate();
     let Some((_, first)) = lines.next() else {
         return Ok(()); // empty file: a segment created then never written
@@ -982,7 +988,8 @@ pub(crate) fn recover_key_dir(
     for (idx, path) in &segments {
         let tolerate =
             tolerate_torn_tail && Some(*idx) == last_segment && !advertised.contains_key(idx);
-        replay_segment(engine, key, path, *idx, tolerate, &mut stats)?;
+        let bytes = fs::read(path).map_err(io_err("wal-recover"))?;
+        replay_segment(engine, key, path, &bytes, *idx, tolerate, &mut stats)?;
     }
     Ok((stats, snapshot_loaded))
 }
@@ -1373,6 +1380,30 @@ mod tests {
         // Legacy v1 lines (no checksum field) still parse in v1 mode.
         assert!(parse_wal_line("obs,1,2,0,1,5.0,2.5", false).is_ok());
         assert!(parse_wal_line("obs,1,2,0,7,5.0", false).is_err(), "bad explored flag");
+    }
+
+    /// Replay takes the bytes its caller read. A segment that is not UTF-8
+    /// fails with the error `fs::read_to_string` gives that file; a UTF-8
+    /// line that fails its checksum is `Corrupt` at its line.
+    #[test]
+    fn replayed_bytes_fail_like_the_file_they_came_from() {
+        let engine = Engine::builder(banditware_core::ArmSpec::unit_costs(2), 1).build().unwrap();
+        let dir = std::env::temp_dir().join(format!("bw-wal-bytes-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(segment_name(1));
+        let replay = |bytes: &[u8]| {
+            replay_segment(&engine, "k", &path, bytes, 1, false, &mut ReplayStats::default())
+        };
+        let mut bytes = segment_header(1).into_bytes();
+        bytes.extend_from_slice(b"obs,\xff\xfe\n");
+        fs::write(&path, &bytes).unwrap();
+        let want = io_err("wal-recover")(fs::read_to_string(&path).unwrap_err());
+        assert_eq!(format!("{:?}", replay(&bytes).unwrap_err()), format!("{want:?}"));
+        let mut bytes = segment_header(1).into_bytes();
+        bytes.extend_from_slice(b"obs,1,2,0,1,5.0,2.5,c00000000\n");
+        let err = replay(&bytes).unwrap_err();
+        assert!(matches!(err, ServeError::Corrupt { line: 2, .. }), "{err:?}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use banditware_core::scaler::scaled_epsilon_greedy;
 use banditware_core::{
     ArmEstimator, ArmSpec, BanditConfig, BanditWare, FeatureFrame, Policy, RecursiveArm, Ticket,
+    Workspace,
 };
 use banditware_serve::{DurableEngine, Engine, EngineBuilder, WalOptions};
 use std::path::{Path, PathBuf};
@@ -163,13 +164,13 @@ fn record_frame_matches_rows_across_feature_widths() {
 }
 
 /// The policy's row-major absorption (`absorb_rows` over augmented rows
-/// `[1, x]`, the panel cholupdate and tiled Gram fold, with one panel
-/// scratch shared across calls) leaves the estimator bit-for-bit where the
+/// `[1, x]`, the panel cholupdate and tiled Gram fold, with one workspace
+/// shared across calls) leaves the estimator bit-for-bit where the
 /// feature-major adapter (`absorb_block`) does — cold,
 /// warm-with-live-factor, and across panel and tile tails.
 #[test]
 fn row_major_absorption_bitwise_matches_feature_major_adapter() {
-    let mut panel = Vec::new();
+    let mut ws = Workspace::default();
     for m in [1usize, 3, 4, 7, 8] {
         let mut feature_major = RecursiveArm::new(m);
         let mut row_major = RecursiveArm::new(m);
@@ -187,7 +188,7 @@ fn row_major_absorption_bitwise_matches_feature_major_adapter() {
             }
             let (mut a, mut b) = (0, 0);
             feature_major.absorb_block(&cols, &ys, &mut a).unwrap();
-            row_major.absorb_rows(&zrows, &ys, &mut panel, &mut b).unwrap();
+            row_major.absorb_rows(&zrows, &ys, &mut ws, &mut b).unwrap();
             assert_eq!(a, b, "m={m} round {round}: absorbed counts");
             assert_eq!(feature_major.state(), row_major.state(), "m={m} round {round}: arm state");
             if k > 0 {
