@@ -38,13 +38,16 @@ cargo test --workspace -q
 # equivalence, the zero-allocation pins, the record-frame equivalence,
 # the facade-vs-engine frame contract (engine bursts vs per-row
 # `recommend_ticketed`), interleaved shards on one thread's workspace vs
-# each shard alone, and the per-shard live-heap bound. The workspace run
+# each shard alone, the per-shard live-heap bound, and the durable TCP
+# gate (a stream served by an `Engine::open`-ed engine, dropped without
+# compacting and reopened, equals its in-process twin). The workspace run
 # above builds them under the test profile only.
-echo "==> bitwise suites under --release (simd twins, frame equivalence, alloc pins, workspace sharing, shard footprint, facade-vs-engine)"
+echo "==> bitwise suites under --release (simd twins, frame equivalence, alloc pins, workspace sharing, shard footprint, facade-vs-engine, durable TCP)"
 cargo test --release -q -p banditware-linalg simd
 cargo test --release -q -p banditware-core --test frame_equivalence --test alloc_free --test workspace
 cargo test --release -q -p banditware-serve --test record_frame_equivalence --test engine_equivalence \
     --test shard_footprint
+cargo test --release -q -p banditware-net --test durable_tcp
 
 echo "==> cargo build --examples --release (examples smoke check)"
 cargo build --examples --release

@@ -146,9 +146,16 @@ impl BudgetedEpsilonGreedy {
     /// # Errors
     /// Propagates prediction failures.
     pub fn exploit(&self, x: &[f64]) -> Result<usize> {
-        let costs: Vec<f64> =
-            (0..self.arms.len()).map(|a| self.predicted_cost(a, x)).collect::<Result<_>>()?;
-        banditware_linalg::vector::argmin(&costs).ok_or(CoreError::NoArms)
+        // A running `vector::argmin` over the arms' costs: a NaN cost never
+        // wins, and the first of tied minima does.
+        let mut best: Option<(usize, f64)> = None;
+        for arm in 0..self.arms.len() {
+            let cost = self.predicted_cost(arm, x)?;
+            if !cost.is_nan() && best.is_none_or(|(_, b)| cost < b) {
+                best = Some((arm, cost));
+            }
+        }
+        best.map(|(arm, _)| arm).ok_or(CoreError::NoArms)
     }
 }
 
@@ -247,6 +254,29 @@ mod tests {
             let x = (i % 10 + 1) as f64;
             let sel = policy.select(&[x]).unwrap();
             policy.observe(sel.arm, &[x], truths[sel.arm] * x).unwrap();
+        }
+    }
+
+    #[test]
+    fn exploit_matches_argmin_over_predicted_costs() {
+        let specs = vec![
+            ArmSpec::new(0, "a", 1.0),
+            ArmSpec::new(1, "b", 2.0),
+            ArmSpec::new(2, "c", 1.0),
+            ArmSpec::new(3, "d", 4.0),
+        ];
+        let objective = Objective::new(1.0, 0.05, 0.0).unwrap();
+        let mut p = BudgetedEpsilonGreedy::new(specs, 1, objective, 0.5, 0.97, 3).unwrap();
+        let reference = |p: &BudgetedEpsilonGreedy, x: f64| {
+            let costs: Vec<f64> = (0..4).map(|a| p.predicted_cost(a, &[x]).unwrap()).collect();
+            banditware_linalg::vector::argmin(&costs).unwrap()
+        };
+        // Untrained arms tie on runtime: the first of the tied minima wins.
+        assert_eq!(p.exploit(&[2.0]).unwrap(), reference(&p, 2.0));
+        train(&mut p, &[9.0, 7.0, 9.0, 5.0]);
+        for i in 0..40 {
+            let x = 0.25 * i as f64;
+            assert_eq!(p.exploit(&[x]).unwrap(), reference(&p, x), "x = {x}");
         }
     }
 

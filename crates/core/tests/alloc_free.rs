@@ -11,6 +11,7 @@ use banditware_core::arm::{ArmEstimator, RecursiveArm};
 use banditware_core::boltzmann::Boltzmann;
 use banditware_core::drift::DiscountedArm;
 use banditware_core::linucb::LinUcb;
+use banditware_core::objective::{BudgetedEpsilonGreedy, Objective};
 use banditware_core::scaler::ScaledPolicy;
 use banditware_core::thompson::LinThompson;
 use banditware_core::{
@@ -266,6 +267,32 @@ fn read_path_is_allocation_free() {
     assert_eq!(n, 0, "ε-greedy exploit / exploit-only recommend allocated {n} times in 200 sweeps");
 }
 
+/// The budgeted policy's exploit round: `select` with ε = 0 scalarizes
+/// every arm's predicted runtime through the objective and keeps a running
+/// argmin, so a warm exploit performs zero heap allocations.
+fn budgeted_exploit_select_is_allocation_free() {
+    const M: usize = 16;
+    let mut x = vec![0.0; M];
+    let specs = vec![
+        ArmSpec::new(0, "small", 1.0),
+        ArmSpec::new(1, "medium", 2.0),
+        ArmSpec::new(2, "large", 4.0),
+    ];
+    let objective = Objective::new(1.0, 0.05, 0.0).unwrap();
+    let mut policy = BudgetedEpsilonGreedy::new(specs, M, objective, 0.0, 1.0, 6).unwrap();
+    for round in 0..50 {
+        fill_context(&mut x, round);
+        policy.observe(round % 3, &x, 10.0 + ((round * 7) % 13) as f64).unwrap();
+    }
+    policy.select(&x).unwrap();
+    let n = count_allocs(200, |round| {
+        fill_context(&mut x, 50 + round);
+        let sel = policy.select(&x).unwrap();
+        assert!(!sel.explored, "ε = 0 must exploit");
+    });
+    assert_eq!(n, 0, "budgeted exploit select allocated {n} times in 200 rounds");
+}
+
 /// The batched-select pin: refilling a reused `FeatureFrame` in place and
 /// selecting through `select_frame_into` over a reused selections buffer —
 /// the path `Engine::recommend_batch_frame_into` drives per coalesced
@@ -473,6 +500,7 @@ fn main() {
             steady_state_record_path_is_allocation_free as fn(),
         ),
         ("read_path_is_allocation_free", read_path_is_allocation_free),
+        ("budgeted_exploit_select_is_allocation_free", budgeted_exploit_select_is_allocation_free),
         ("batched_select_path_is_allocation_free", batched_select_path_is_allocation_free),
         ("batched_record_path_is_allocation_free", batched_record_path_is_allocation_free),
         ("bandit_batch_round_is_allocation_free", bandit_batch_round_is_allocation_free),

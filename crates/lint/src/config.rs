@@ -40,7 +40,8 @@ pub const PINNED_PATHS: &[&str] =
 pub const LOCK_CLASS_RENAMES: &[(&str, &str, &str)] = &[
     // `stripes: Vec<Stripe>` / `fn stripe(..) -> &Stripe` — the shard lock.
     ("crates/serve", "Stripe", "stripe"),
-    // `wal: &Arc<Mutex<KeyWal>>` (DurableEngine::lock_wal) — the appender.
+    // `wal: &Arc<Mutex<KeyWal>>` (`Wal::lock_wal`, the log of an
+    // `Engine::open`-ed engine) — the per-key appender.
     ("crates/serve", "KeyWal", "appender"),
 ];
 

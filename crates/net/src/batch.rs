@@ -288,7 +288,7 @@ impl Responder<'_> {
         });
     }
 
-    fn error(&mut self, item: &Pending, code: ErrorCode, err: &CoreError) {
+    fn error(&mut self, item: &Pending, code: ErrorCode, err: &dyn std::fmt::Display) {
         self.send(item.slot, |p| encode_error(item.id, code, &err.to_string(), p));
     }
 

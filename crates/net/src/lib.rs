@@ -8,7 +8,10 @@
 //! [`banditware_serve::Engine`] with the same seed and schedule, because
 //! floats travel as raw IEEE-754 bits and the server feeds coalesced bursts
 //! to the same `recommend_batch_frame`/`record_batch_frame` entry points
-//! the in-process path uses.
+//! the in-process path uses. An engine opened with
+//! [`banditware_serve::Engine::open`] is served as it is: its records are
+//! logged before they are acknowledged, one WAL group commit per coalesced
+//! record group (`tests/durable_tcp.rs` reopens one after a served stream).
 //!
 //! ```text
 //!  client                    server (epoll reactor loops)

@@ -152,8 +152,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Set the WAL fsync policy a [`crate::DurableEngine`] built from this
-    /// builder runs with (ignored by the plain in-memory [`Engine`]). See
+    /// Set the WAL fsync policy the log runs with, read by
+    /// [`Engine::open`] (an engine from [`EngineBuilder::build`] has no
+    /// log). See
     /// the [`Durability`] table in [`crate::wal`] — the default
     /// [`Durability::Flush`] can lose acknowledged records on power
     /// failure; [`Durability::FsyncPerBatch`] cannot.

@@ -20,8 +20,16 @@
 //! locks — concurrent tenants never contend on the global allocator, only
 //! on their own stripe. `tests/shard_footprint.rs` pins the live heap a
 //! restored and served shard holds.
+//!
+//! **Optional log.** An engine opened with [`Engine::open`] also carries a
+//! per-key write-ahead log ([`crate::wal`]): every recorded observation is
+//! appended, under the same stripe lock as its in-memory apply, before the
+//! record call returns. An engine from [`EngineBuilder::build`] has no log
+//! and its record path does nothing more than the shard's own.
 
 use crate::builder::{build_policy, EngineBuilder};
+use crate::error::{ServeError, ServeResult};
+use crate::wal::{push_wal_line, Wal};
 use banditware_core::persist::{self, Checkpoint, HistorySnapshot};
 use banditware_core::{
     ArmSpec, BanditConfig, BanditWare, CoreError, FeatureFrame, Observation, Policy,
@@ -78,6 +86,20 @@ pub struct Engine {
     specs: Vec<ArmSpec>,
     n_features: usize,
     config: BanditConfig,
+    /// The per-key write-ahead log, present only on an engine opened with
+    /// [`Engine::open`].
+    pub(crate) log: Option<Wal>,
+}
+
+impl std::fmt::Debug for Engine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Engine")
+            .field("policy", &self.policy_name)
+            .field("stripes", &self.stripes.len())
+            .field("dir", &self.dir())
+            .field("durability", &self.durability())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Engine {
@@ -95,6 +117,7 @@ impl Engine {
             specs: b.specs,
             n_features: b.n_features,
             config: b.config,
+            log: None,
         }
     }
 
@@ -236,15 +259,49 @@ impl Engine {
     }
 
     /// Record the runtime for an in-flight ticket of `key`. Tickets may be
-    /// recorded in any order.
+    /// recorded in any order. With a log, the observation is appended to
+    /// the key's WAL under the same stripe lock as the in-memory apply,
+    /// flushed (and fsynced, per the [`crate::Durability`] policy) before
+    /// returning.
+    ///
+    /// Failure semantics with a log: validation and lock failures happen
+    /// *before* the in-memory apply, so the ticket stays open and the call
+    /// is cleanly retryable. An **append IO failure** (disk full, EIO)
+    /// happens after it: the observation is live in the serving state but
+    /// not in the log — the error tells the caller durability was not
+    /// achieved, and a crash before the next successful
+    /// [`Engine::compact`] loses that one record.
     ///
     /// # Errors
     /// [`CoreError::UnknownTicket`] for a ticket not in flight on this key
-    /// (including keys that were never touched); policy validation
-    /// otherwise.
-    pub fn record(&self, key: &str, ticket: Ticket, runtime: f64) -> Result<()> {
-        self.with_existing_shard_mut(key, |shard| shard.record_ticket(ticket, runtime))
-            .ok_or(CoreError::UnknownTicket { ticket: ticket.id() })?
+    /// (including keys that were never touched); policy validation and
+    /// [`CoreError::Io`] otherwise (all via [`ServeError::Core`]);
+    /// [`ServeError::LockPoisoned`].
+    pub fn record(&self, key: &str, ticket: Ticket, runtime: f64) -> ServeResult<()> {
+        self.with_existing_shard_mut(key, |shard| -> ServeResult<()> {
+            let Some(log) = &self.log else {
+                return Ok(shard.record_ticket(ticket, runtime)?);
+            };
+            let round = shard
+                .in_flight_round(ticket)
+                .ok_or(CoreError::UnknownTicket { ticket: ticket.id() })?;
+            // The line is written before the apply, while the round is
+            // still open; a successful record takes sequence number
+            // `rounds()`.
+            let mut line = String::new();
+            push_wal_line(&mut line, shard.rounds(), ticket, &round, runtime);
+            // Only touch the filesystem once the ticket is known to be
+            // real: a stray record must not mint a phantom tenant
+            // directory that recovery would then report as a key.
+            let wal = log.key_wal(key)?;
+            // Acquire (and, if poisoned, heal) the appender BEFORE the
+            // in-memory apply: a lock failure must leave the ticket open
+            // and retryable.
+            let mut appender = Wal::lock_wal(&wal)?;
+            shard.record_ticket(ticket, runtime)?;
+            appender.append(&line, 1)
+        })
+        .ok_or(ServeError::Core(CoreError::UnknownTicket { ticket: ticket.id() }))?
     }
 
     /// Record a batch of outcomes for `key` under one stripe lock
@@ -254,15 +311,50 @@ impl Engine {
     /// for the linear families), bitwise identical to recording the rounds
     /// one at a time — see [`BanditWare::record_batch_frame`].
     ///
+    /// With a log, the whole group is **one** WAL append + flush: the
+    /// logged absorption ([`BanditWare::record_batch_frame_logged`]) builds
+    /// the group-commit buffer in the same critical section as the
+    /// in-memory apply, one line per absorbed round in frame row order, so
+    /// the log bytes are identical to recording the rounds one at a time,
+    /// and every absorbed round is in the flushed group even when a later
+    /// round fails numerically.
+    ///
     /// # Errors
-    /// [`CoreError::UnknownTicket`] / [`CoreError::InvalidRuntime`]; policy
-    /// validation otherwise.
-    pub fn record_batch_frame(&self, key: &str, outcomes: &[(Ticket, f64)]) -> Result<()> {
+    /// [`CoreError::UnknownTicket`] / [`CoreError::InvalidRuntime`] /
+    /// [`CoreError::InvalidParameter`] for a duplicated ticket; policy
+    /// validation and [`CoreError::Io`] otherwise (all via
+    /// [`ServeError::Core`]); [`ServeError::LockPoisoned`].
+    pub fn record_batch_frame(&self, key: &str, outcomes: &[(Ticket, f64)]) -> ServeResult<()> {
         let Some(&(first, _)) = outcomes.first() else {
             return Ok(());
         };
-        self.with_existing_shard_mut(key, |shard| shard.record_batch_frame(outcomes))
-            .ok_or(CoreError::UnknownTicket { ticket: first.id() })?
+        self.with_existing_shard_mut(key, |shard| -> ServeResult<()> {
+            let Some(log) = &self.log else {
+                return Ok(shard.record_batch_frame(outcomes)?);
+            };
+            // Atomic request validation first: a malformed request must not
+            // materialize WAL state for the key on disk.
+            shard.validate_record_batch(outcomes)?;
+            // Acquire (healing if poisoned) the appender before absorbing
+            // anything — a lock failure must not leave absorbed rounds
+            // missing from the log.
+            let wal = log.key_wal(key)?;
+            let mut appender = Wal::lock_wal(&wal)?;
+            let mut group = String::new();
+            let mut n_records = 0u64;
+            let result =
+                shard.record_batch_frame_logged(outcomes, |seq, ticket, round, runtime| {
+                    push_wal_line(&mut group, seq, ticket, round, runtime);
+                    n_records += 1;
+                });
+            // Flush whatever was absorbed even on a mid-batch policy
+            // failure, so the log never lags the in-memory state.
+            if !group.is_empty() {
+                appender.append(&group, n_records)?;
+            }
+            Ok(result?)
+        })
+        .ok_or(ServeError::Core(CoreError::UnknownTicket { ticket: first.id() }))?
     }
 
     /// Abandon an in-flight round of `key`. Returns whether a round was
@@ -416,7 +508,7 @@ mod tests {
         assert_eq!(tb.id(), 0);
         assert!(matches!(
             e.record("tenant-b", Ticket::from_id(99), 5.0),
-            Err(CoreError::UnknownTicket { ticket: 99 })
+            Err(ServeError::Core(CoreError::UnknownTicket { ticket: 99 }))
         ));
         e.record("tenant-a", ta, 5.0).unwrap();
         e.record("tenant-b", tb, 7.0).unwrap();
@@ -431,7 +523,7 @@ mod tests {
     fn unknown_key_record_is_unknown_ticket() {
         let e = engine();
         let err = e.record("ghost", Ticket::from_id(0), 1.0).unwrap_err();
-        assert!(matches!(err, CoreError::UnknownTicket { ticket: 0 }));
+        assert!(matches!(err, ServeError::Core(CoreError::UnknownTicket { ticket: 0 })));
         assert!(e.record_batch_frame("ghost", &[(Ticket::from_id(3), 1.0)]).is_err());
         assert!(e.record_batch_frame("ghost", &[]).is_ok(), "empty batch is a no-op");
         assert!(!e.drop_ticket("ghost", Ticket::from_id(0)));

@@ -13,8 +13,9 @@
 use banditware_core::CoreError;
 use std::fmt;
 
-/// Errors produced by the durable serving layer ([`crate::DurableEngine`])
-/// and the replication subsystem ([`crate::replicate`]).
+/// Errors produced by the serving engine ([`crate::Engine`], including the
+/// log of an [`crate::Engine::open`]-ed one) and the replication subsystem
+/// ([`crate::replicate`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
     /// A policy/validation/IO failure from the core layer.

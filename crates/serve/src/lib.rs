@@ -24,20 +24,20 @@
 //!   [`std::thread::scope`]: each worker owns a disjoint set of keys, so the
 //!   per-key round streams (and therefore every shard's final state) are
 //!   identical regardless of thread count or interleaving.
-//! * [`wal`] — crash durability: [`wal::DurableEngine`] appends every
-//!   recorded observation to a per-key segment log (group-committed per
-//!   batch, CRC32 on every line and header, fsync per the
-//!   [`wal::Durability`] policy), folds closed segments into
-//!   `banditware-history v3` statistics snapshots on
-//!   [`wal::DurableEngine::compact`], and recovers in O(m²) + O(WAL tail) —
+//! * [`wal`] — crash durability: an engine opened with
+//!   [`Engine::open`] appends every recorded observation to a per-key
+//!   segment log (group-committed per batch, CRC32 on every line and
+//!   header, fsync per the [`wal::Durability`] policy), folds closed
+//!   segments into `banditware-history v3` statistics snapshots on
+//!   [`Engine::compact`], and recovers in O(m²) + O(WAL tail) —
 //!   independent of how many rounds a tenant ever ran.
 //! * [`replicate`] — warm standbys: [`replicate::Replicator`] ships a
 //!   primary's compacted snapshots and sealed, checksummed WAL segments
 //!   through a [`replicate::SegmentTransport`] to follower directories; a
 //!   [`replicate::FollowerEngine`] applies them through the same recovery
 //!   path, tracks per-key applied-sequence watermarks, serves read-only
-//!   predictions, and [`replicate::FollowerEngine::promote`]s into a full
-//!   [`wal::DurableEngine`] on failover.
+//!   predictions, and [`replicate::FollowerEngine::promote`]s into an
+//!   [`Engine::open`]-ed engine on failover.
 //! * [`error`] — [`error::ServeError`]: the core errors plus the failure
 //!   modes only a durable, replicated engine has (corruption with file +
 //!   line + checksums, manifest violations, transport failures, healed
@@ -61,4 +61,11 @@ pub use replicate::{
     CatchUpReport, FollowerEngine, FsTransport, Replicator, SegmentTransport, ShipReport,
 };
 pub use stress::{run_stress, StressPlan, StressReport};
-pub use wal::{Durability, DurableEngine, RecoveryReport, WalOptions};
+pub use wal::{Durability, RecoveryReport, WalOptions};
+
+/// Compatibility shim: the durable engine is [`Engine`] opened with
+/// [`Engine::open`]. Kept only because the benchmark (`bwbench/`) still
+/// names it; delete it, with the doc-hidden `Engine::engine`, at the next
+/// change to the benchmark.
+#[doc(hidden)]
+pub type DurableEngine = Engine;

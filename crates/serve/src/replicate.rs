@@ -3,7 +3,7 @@
 //! A production deployment of the paper's always-on learning loop cannot
 //! have a single engine be both the learner and the only copy of its
 //! sufficient statistics. This module ships a primary
-//! [`DurableEngine`]'s durable state — compacted `snapshot.v3` files plus
+//! [`Engine::open`]-ed engine's durable state — compacted `snapshot.v3` files plus
 //! sealed, checksummed WAL segments, exactly as advertised by each key's
 //! `MANIFEST` — to one or more follower directories, and runs a
 //! [`FollowerEngine`] over the replica that can take over on failover.
@@ -32,8 +32,8 @@
 //!   the next sequence number expected — serves read-only, exploit-only
 //!   predictions (no RNG is consumed, no ticket opened: the follower's
 //!   state stays byte-identical to what replication delivered), and
-//!   [`FollowerEngine::promote`]s into a full [`DurableEngine`] by
-//!   reopening the replica through standard recovery.
+//!   [`FollowerEngine::promote`]s into a logged [`Engine`] by reopening
+//!   the replica through standard recovery ([`Engine::open`]).
 //!
 //! ## Corruption
 //!
@@ -60,7 +60,7 @@ use crate::engine::Engine;
 use crate::error::{ServeError, ServeResult};
 use crate::wal::{
     decode_key, encode_key, io_err, read_manifest, replay_segment, segment_index, segment_name,
-    DurableEngine, FileMeta, RecoveryReport, ReplayStats, WalOptions, MANIFEST_FILE, SNAPSHOT_FILE,
+    FileMeta, RecoveryReport, ReplayStats, WalOptions, MANIFEST_FILE, SNAPSHOT_FILE,
 };
 use banditware_core::{persist, Recommendation};
 use std::collections::{BTreeSet, HashMap};
@@ -217,10 +217,13 @@ impl Replicator {
     /// # Errors
     /// [`ServeError::Corrupt`] when a source file fails its own manifest
     /// checksum (primary bit-rot — nothing is shipped for that key);
-    /// [`ServeError::Transport`] on delivery failures.
-    pub fn ship_all(&self, primary: &DurableEngine, seal_active: bool) -> ServeResult<ShipReport> {
+    /// [`ServeError::Transport`] on delivery failures;
+    /// [`banditware_core::CoreError::InvalidParameter`] (via
+    /// [`ServeError::Core`]) when `primary` has no log.
+    pub fn ship_all(&self, primary: &Engine, seal_active: bool) -> ServeResult<ShipReport> {
+        primary.log()?;
         let mut report = ShipReport::default();
-        for key in primary.engine().keys() {
+        for key in primary.keys() {
             self.ship_key(primary, &key, seal_active, &mut report)?;
             report.keys.push(key);
         }
@@ -233,7 +236,7 @@ impl Replicator {
     /// See [`Replicator::ship_all`].
     pub fn ship_key(
         &self,
-        primary: &DurableEngine,
+        primary: &Engine,
         key: &str,
         seal_active: bool,
         report: &mut ShipReport,
@@ -597,7 +600,7 @@ impl FollowerEngine {
     }
 
     /// Fail over: consume the follower and reopen the replica directory as
-    /// a full [`DurableEngine`], through the standard recovery path — the
+    /// a logged [`Engine`], through the standard recovery path — the
     /// promoted engine trusts exactly what is on its own disk, applies it
     /// the same way a crashed primary would, and then serves (and logs)
     /// like any primary. Returns the recovery report alongside the engine;
@@ -614,10 +617,10 @@ impl FollowerEngine {
     /// # Errors
     /// [`ServeError::Manifest`] when a listed file is missing (quarantined
     /// or an interrupted ship); [`ServeError::Corrupt`] when one fails its
-    /// checksum; otherwise see [`DurableEngine::open`].
-    pub fn promote(self) -> ServeResult<(DurableEngine, RecoveryReport)> {
+    /// checksum; otherwise see [`Engine::open`].
+    pub fn promote(self) -> ServeResult<(Engine, RecoveryReport)> {
         verify_replica_integrity(&self.options.dir)?;
-        DurableEngine::open(self.builder, self.options)
+        Engine::open(self.builder, self.options)
     }
 }
 
@@ -672,7 +675,7 @@ fn quarantine(path: &Path, reason: String, report: &mut CatchUpReport) -> ServeR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use banditware_core::{ArmSpec, BanditConfig};
+    use banditware_core::{ArmSpec, BanditConfig, CoreError};
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -706,10 +709,27 @@ mod tests {
     }
 
     #[test]
+    fn plain_engine_refuses_to_ship() {
+        let replica_dir = tmp_dir("plain-primary-replica");
+        let primary = builder().build().unwrap();
+        let (t, rec) = primary.recommend("wf", &[2.0]).unwrap();
+        primary.record("wf", t, 10.0 + rec.arm as f64).unwrap();
+        let replicator = Replicator::new(FsTransport::new(&replica_dir));
+        for seal_active in [false, true] {
+            let err = replicator.ship_all(&primary, seal_active).unwrap_err();
+            assert!(
+                matches!(err, ServeError::Core(CoreError::InvalidParameter { name: "wal", .. })),
+                "{err:?}"
+            );
+        }
+        assert!(!replica_dir.exists(), "nothing was shipped");
+    }
+
+    #[test]
     fn ship_then_catch_up_then_promote_round_trip() {
         let primary_dir = tmp_dir("primary");
         let replica_dir = tmp_dir("replica");
-        let (primary, _) = DurableEngine::open(builder(), WalOptions::new(&primary_dir)).unwrap();
+        let (primary, _) = Engine::open(builder(), WalOptions::new(&primary_dir)).unwrap();
         for i in 0..30 {
             let (t, rec) = primary.recommend("wf", &[(i % 7) as f64 + 1.0]).unwrap();
             primary.record("wf", t, 10.0 + rec.arm as f64).unwrap();
@@ -743,7 +763,7 @@ mod tests {
         assert_eq!(recovery.watermarks, vec![("wf".to_string(), 30)]);
         let (t, rec) = promoted.recommend("wf", &[2.0]).unwrap();
         promoted.record("wf", t, 10.0 + rec.arm as f64).unwrap();
-        assert_eq!(promoted.engine().with_shard("wf", |s| s.rounds()).unwrap(), 31);
+        assert_eq!(promoted.with_shard("wf", |s| s.rounds()).unwrap(), 31);
         let _ = fs::remove_dir_all(&primary_dir);
         let _ = fs::remove_dir_all(&replica_dir);
     }
@@ -771,7 +791,7 @@ mod tests {
     ) -> Vec<ProbeArms> {
         let primary_dir = tmp_dir(&format!("agree-primary-{name}"));
         let replica_dir = tmp_dir(&format!("agree-replica-{name}"));
-        let (primary, _) = DurableEngine::open(builder(), WalOptions::new(&primary_dir)).unwrap();
+        let (primary, _) = Engine::open(builder(), WalOptions::new(&primary_dir)).unwrap();
         for i in 0..rounds {
             let x = [(i % 7) as f64 + 1.0];
             let (t, rec) = primary.recommend("wf", &x).unwrap();
@@ -786,13 +806,12 @@ mod tests {
             .collect();
         drop(primary);
         let (promoted, _) = follower.promote().unwrap();
-        let tolerance = promoted.engine().config().tolerance;
+        let tolerance = promoted.config().tolerance;
         let out = probes
             .iter()
             .zip(follower_arms)
             .map(|(x, follower_arm)| {
                 promoted
-                    .engine()
                     .with_shard("wf", |s| {
                         let costs: Vec<f64> = s.specs().iter().map(|sp| sp.resource_cost).collect();
                         let preds = s.policy().predict_all(x).unwrap();

@@ -11,7 +11,8 @@
 //! single-threaded legacy loop (see the crate's integration tests).
 
 use crate::engine::Engine;
-use banditware_core::{FeatureFrame, Result, Ticket};
+use crate::error::ServeResult;
+use banditware_core::{FeatureFrame, Ticket};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -86,7 +87,7 @@ pub struct StressReport {
 ///
 /// # Errors
 /// Propagates engine failures (none are expected under a valid plan).
-pub fn drive_key(engine: &Engine, plan: &StressPlan, key: &str) -> Result<usize> {
+pub fn drive_key(engine: &Engine, plan: &StressPlan, key: &str) -> ServeResult<usize> {
     let mut rng = plan.key_rng(key);
     let mut recorded = 0;
     let mut remaining = plan.rounds_per_key;

@@ -1,28 +1,30 @@
 //! Per-shard write-ahead logging with snapshot compaction: crash-recovery
 //! time independent of tenant lifetime.
 //!
-//! [`DurableEngine`] wraps an [`Engine`] with an on-disk log per tenant
-//! key. The lifecycle:
+//! [`Engine::open`] gives an [`Engine`] an on-disk log per tenant key; an
+//! engine from [`crate::EngineBuilder::build`] has none. The lifecycle:
 //!
 //! * **Append** — every recorded observation is written as one
 //!   CRC32-stamped line to the key's active segment file through a
-//!   group-commit writer: a [`DurableEngine::record_batch_frame`] appends the
-//!   whole batch with a single write. Appends happen inside the shard lock,
-//!   so the log order is exactly the shard's absorption order (each line
-//!   carries the absolute observation sequence number as a cross-check).
+//!   group-commit writer: an [`Engine::record_batch_frame`] appends the
+//!   whole batch with a single write, so each coalesced record group a
+//!   `banditware-net` server runs is one group commit. Appends happen
+//!   inside the shard lock, so the log order is exactly the shard's
+//!   absorption order (each line carries the absolute observation
+//!   sequence number as a cross-check).
 //! * **Rotate/seal** — when the active segment exceeds the configured size
 //!   threshold it is **sealed**: closed, fsynced (according to the
 //!   [`Durability`] policy), and advertised in the key's replication
 //!   `MANIFEST` with its length and whole-file CRC32. Sealed segments are
 //!   immutable — they are what [`crate::replicate::Replicator`] ships.
-//! * **Compact** ([`DurableEngine::compact`]) — the shard's complete live
+//! * **Compact** ([`Engine::compact`]) — the shard's complete live
 //!   state is serialized as a `banditware-history v3` statistics snapshot
 //!   (`snapshot.v3`, written atomically via a fsynced temp file + rename)
 //!   and **all** existing segments are deleted: the snapshot supersedes
 //!   them (the manifest records the supersession floor first, so an
 //!   interrupted deletion resumes on the next sync). Snapshot size is
 //!   O(m² + tail), not O(rounds).
-//! * **Recover** ([`DurableEngine::open`]) — for every key directory found
+//! * **Recover** ([`Engine::open`]) — for every key directory found
 //!   on disk: load `snapshot.v3` (O(m²) state restore, bitwise-faithful),
 //!   then replay the segment tail in order, verifying every line's CRC and
 //!   skipping lines the snapshot already covers. Recovery cost is
@@ -72,7 +74,7 @@ use crate::engine::Engine;
 use crate::error::{ServeError, ServeResult};
 use banditware_core::persist;
 use banditware_core::snapshot::FieldCursor;
-use banditware_core::{CoreError, Observation, Recommendation, Ticket};
+use banditware_core::{CoreError, InFlightRound, Observation, Ticket};
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io::Write;
@@ -105,7 +107,7 @@ pub enum Durability {
     FsyncPerBatch,
 }
 
-/// Tuning knobs for a [`DurableEngine`].
+/// Where an [`Engine::open`]-ed engine keeps its log, and when it rotates.
 #[derive(Debug, Clone)]
 pub struct WalOptions {
     /// Root directory; one subdirectory per tenant key.
@@ -127,7 +129,7 @@ impl WalOptions {
     }
 }
 
-/// What [`DurableEngine::open`] found and replayed on disk.
+/// What [`Engine::open`] found and replayed on disk.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Keys recovered, sorted.
@@ -431,23 +433,24 @@ fn parse_wal_line(line: &str, with_crc: bool) -> Result<WalRecord, String> {
     parse().ok_or_else(|| "unparseable record".into())
 }
 
-fn format_wal_line(
+/// Append one observation line — `round` closed with `runtime` as
+/// observation `seq` — to `out`, checksum and newline included.
+pub(crate) fn push_wal_line(
+    out: &mut String,
     seq: usize,
     ticket: Ticket,
-    arm: usize,
-    explored: bool,
+    round: &InFlightRound<'_>,
     runtime: f64,
-    features: &[f64],
-) -> String {
+) {
     use std::fmt::Write as _;
-    let mut line =
-        format!("obs,{seq},{},{arm},{},{runtime}", ticket.id(), if explored { 1 } else { 0 });
-    for f in features {
-        let _ = write!(line, ",{f}");
+    let start = out.len();
+    let explored = if round.explored { 1 } else { 0 };
+    let _ = write!(out, "obs,{seq},{},{},{explored},{runtime}", ticket.id(), round.arm);
+    for f in round.features {
+        let _ = write!(out, ",{f}");
     }
-    let _ = write!(line, ",c{:08x}", crc32(line.as_bytes()));
-    line.push('\n');
-    line
+    let crc = crc32(&out.as_bytes()[start..]);
+    let _ = writeln!(out, ",c{crc:08x}");
 }
 
 // ---------------------------------------------------------------------------
@@ -654,7 +657,7 @@ impl KeyWal {
     /// Append a pre-formatted group of `n_records` observation lines, then
     /// flush (and `fsync`, per the [`Durability`] policy) — one syscall pair
     /// per batch (the group commit).
-    fn append(&mut self, group: &str, n_records: u64) -> ServeResult<()> {
+    pub(crate) fn append(&mut self, group: &str, n_records: u64) -> ServeResult<()> {
         let io = io_err("wal-append");
         self.open_writer()?;
         // lint: allow(no-panic) -- open_writer() just populated it
@@ -995,94 +998,20 @@ pub(crate) fn recover_key_dir(
 }
 
 // ---------------------------------------------------------------------------
-// DurableEngine
+// The log of an opened Engine
 // ---------------------------------------------------------------------------
 
 type WalMap = HashMap<String, Arc<Mutex<KeyWal>>>;
 
-/// A crash-safe serving engine: an [`Engine`] whose record path appends to
-/// per-key WAL segments, with v3 snapshot compaction and
-/// history-length-independent recovery. See the module docs for the
-/// lifecycle, durability policies, and corruption handling.
-pub struct DurableEngine {
-    engine: Engine,
+/// The per-key log an [`Engine`] opened with [`Engine::open`] carries:
+/// where it lives, when it fsyncs, and one appender per key.
+pub(crate) struct Wal {
     options: WalOptions,
     durability: Durability,
     wals: RwLock<WalMap>,
 }
 
-impl std::fmt::Debug for DurableEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableEngine")
-            .field("dir", &self.options.dir)
-            .field("durability", &self.durability)
-            .finish_non_exhaustive()
-    }
-}
-
-impl DurableEngine {
-    /// Build the engine and recover every key found under `options.dir`
-    /// (snapshot restore + WAL tail replay, per key). The directory is
-    /// created if missing. The [`Durability`] policy is taken from the
-    /// builder ([`crate::EngineBuilder::durability`]).
-    ///
-    /// # Errors
-    /// [`ServeError::Corrupt`] for checksum/format violations in the log
-    /// (naming the file and line); [`ServeError::Core`] for filesystem
-    /// failures and for checkpoints that do not match the engine's policy
-    /// configuration.
-    pub fn open(
-        builder: crate::EngineBuilder,
-        options: WalOptions,
-    ) -> ServeResult<(Self, RecoveryReport)> {
-        let durability = builder.durability;
-        let engine = builder.build()?;
-        let io = io_err("wal-open");
-        fs::create_dir_all(&options.dir).map_err(&io)?;
-        let this = DurableEngine { engine, options, durability, wals: RwLock::new(HashMap::new()) };
-        let mut report = RecoveryReport::default();
-        let mut key_dirs: Vec<(String, PathBuf)> = Vec::new();
-        for entry in fs::read_dir(&this.options.dir).map_err(&io)? {
-            let entry = entry.map_err(&io)?;
-            if !entry.file_type().map_err(&io)?.is_dir() {
-                continue;
-            }
-            if let Some(key) = entry.file_name().to_str().and_then(decode_key) {
-                key_dirs.push((key, entry.path()));
-            }
-        }
-        key_dirs.sort();
-        for (key, dir) in key_dirs {
-            let (stats, snapshot_loaded) = recover_key_dir(&this.engine, &key, &dir, true)?;
-            report.replayed += stats.replayed;
-            report.skipped += stats.skipped;
-            report.torn_tail |= stats.torn_tail;
-            report.snapshots_loaded += usize::from(snapshot_loaded);
-            let watermark = this.engine.with_shard(&key, |shard| shard.rounds()).unwrap_or(0);
-            report.watermarks.push((key.clone(), watermark));
-            // Future appends continue after the highest existing segment.
-            this.key_wal(&key)?;
-            report.keys.push(key);
-        }
-        Ok((this, report))
-    }
-
-    /// The wrapped engine (read-only serving surface: histories, stats,
-    /// open tickets, non-durable recommendation paths).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Root directory of the log.
-    pub fn dir(&self) -> &Path {
-        &self.options.dir
-    }
-
-    /// The fsync policy this engine runs with.
-    pub fn durability(&self) -> Durability {
-        self.durability
-    }
-
+impl Wal {
     fn key_dir(&self, key: &str) -> PathBuf {
         self.options.dir.join(encode_key(key))
     }
@@ -1140,137 +1069,85 @@ impl DurableEngine {
             }
         }
     }
+}
 
-    /// Recommend for one workflow of `key` (not logged — see the module
-    /// docs on recommendation durability).
+impl Engine {
+    /// Build the engine with a per-key log under `options.dir` and recover
+    /// every key found there (snapshot restore + WAL tail replay, per key).
+    /// The directory is created if missing. The [`Durability`] policy is
+    /// taken from the builder ([`crate::EngineBuilder::durability`]). This
+    /// is the only way to get an engine whose records are logged;
+    /// [`crate::EngineBuilder::build`] gives one without a log.
     ///
     /// # Errors
-    /// Propagates policy validation.
-    pub fn recommend(&self, key: &str, features: &[f64]) -> ServeResult<(Ticket, Recommendation)> {
-        self.engine.recommend(key, features).map_err(Into::into)
+    /// [`ServeError::Corrupt`] for checksum/format violations in the log
+    /// (naming the file and line); [`ServeError::Core`] for filesystem
+    /// failures and for checkpoints that do not match the engine's policy
+    /// configuration.
+    pub fn open(
+        builder: crate::EngineBuilder,
+        options: WalOptions,
+    ) -> ServeResult<(Engine, RecoveryReport)> {
+        let durability = builder.durability;
+        let mut engine = builder.build()?;
+        let io = io_err("wal-open");
+        fs::create_dir_all(&options.dir).map_err(&io)?;
+        let mut key_dirs: Vec<(String, PathBuf)> = Vec::new();
+        for entry in fs::read_dir(&options.dir).map_err(&io)? {
+            let entry = entry.map_err(&io)?;
+            if !entry.file_type().map_err(&io)?.is_dir() {
+                continue;
+            }
+            if let Some(key) = entry.file_name().to_str().and_then(decode_key) {
+                key_dirs.push((key, entry.path()));
+            }
+        }
+        key_dirs.sort();
+        let log = Wal { options, durability, wals: RwLock::new(HashMap::new()) };
+        let mut report = RecoveryReport::default();
+        for (key, dir) in key_dirs {
+            let (stats, snapshot_loaded) = recover_key_dir(&engine, &key, &dir, true)?;
+            report.replayed += stats.replayed;
+            report.skipped += stats.skipped;
+            report.torn_tail |= stats.torn_tail;
+            report.snapshots_loaded += usize::from(snapshot_loaded);
+            let watermark = engine.with_shard(&key, |shard| shard.rounds()).unwrap_or(0);
+            report.watermarks.push((key.clone(), watermark));
+            // Future appends continue after the highest existing segment.
+            log.key_wal(&key)?;
+            report.keys.push(key);
+        }
+        engine.log = Some(log);
+        Ok((engine, report))
     }
 
-    /// Batched recommend for `key` over a columnar frame (not logged).
-    ///
-    /// # Errors
-    /// Propagates policy validation.
-    pub fn recommend_batch_frame(
-        &self,
-        key: &str,
-        frame: &banditware_core::FeatureFrame,
-    ) -> ServeResult<Vec<(Ticket, Recommendation)>> {
-        self.engine.recommend_batch_frame(key, frame).map_err(Into::into)
+    /// Compatibility shim: the durable engine is the engine itself. Kept
+    /// only because the benchmark (`bwbench/`) still calls it; delete it,
+    /// with the `DurableEngine` alias, at the next change to the benchmark.
+    #[doc(hidden)]
+    pub fn engine(&self) -> &Engine {
+        self
     }
 
-    /// Record one runtime and append it to the key's WAL (apply + append
-    /// under the same shard-lock critical section, flushed — and fsynced,
-    /// per the [`Durability`] policy — before returning).
-    ///
-    /// Failure semantics: validation and lock failures happen *before* the
-    /// in-memory apply, so the ticket stays open and the call is cleanly
-    /// retryable. An **append IO failure** (disk full, EIO) happens after
-    /// it: the observation is live in the serving state but not in the
-    /// log — the error tells the caller durability was not achieved, and a
-    /// crash before the next successful [`DurableEngine::compact`] loses
-    /// that one record.
-    ///
-    /// # Errors
-    /// [`CoreError::UnknownTicket`] / policy validation / [`CoreError::Io`]
-    /// (all via [`ServeError::Core`]); [`ServeError::LockPoisoned`].
-    pub fn record(&self, key: &str, ticket: Ticket, runtime: f64) -> ServeResult<()> {
-        self.engine
-            .with_existing_shard_mut(key, |shard| -> ServeResult<()> {
-                let round = shard
-                    .in_flight_round(ticket)
-                    .ok_or(CoreError::UnknownTicket { ticket: ticket.id() })?;
-                // The line is written before the apply, while the round is
-                // still open; a successful record takes sequence number
-                // `rounds()`.
-                let line = format_wal_line(
-                    shard.rounds(),
-                    ticket,
-                    round.arm,
-                    round.explored,
-                    runtime,
-                    round.features,
-                );
-                // Only touch the filesystem once the ticket is known to be
-                // real: a stray record must not mint a phantom tenant
-                // directory that recovery would then report as a key.
-                let wal = self.key_wal(key)?;
-                // Acquire (and, if poisoned, heal) the appender BEFORE the
-                // in-memory apply: a lock failure must leave the ticket
-                // open and retryable. (An IO failure inside append itself
-                // still happens after the apply — see the doc comment for
-                // those semantics.)
-                let mut appender = Self::lock_wal(&wal)?;
-                shard.record_ticket(ticket, runtime)?;
-                appender.append(&line, 1)
+    /// Root directory of the log (`None` without a log).
+    pub fn dir(&self) -> Option<&Path> {
+        self.log.as_ref().map(|log| log.options.dir.as_path())
+    }
+
+    /// The fsync policy the log runs with (`None` without a log).
+    pub fn durability(&self) -> Option<Durability> {
+        self.log.as_ref().map(|log| log.durability)
+    }
+
+    /// The engine's log, or the error a log-only call on an engine built
+    /// without one reports.
+    pub(crate) fn log(&self) -> ServeResult<&Wal> {
+        self.log.as_ref().ok_or_else(|| {
+            ServeError::Core(CoreError::InvalidParameter {
+                name: "wal",
+                detail: "this engine has no log; open it with Engine::open".to_string(),
             })
-            .ok_or(ServeError::Core(CoreError::UnknownTicket { ticket: ticket.id() }))?
-    }
-
-    /// Record a batch of outcomes with **one** WAL append + flush for the
-    /// whole group: one atomic validation pass (the core facade's
-    /// [`banditware_core::BanditWare::validate_record_batch`]), one policy
-    /// frame absorption
-    /// ([`banditware_core::BanditWare::record_batch_frame_logged`] — per-arm
-    /// grouped rank-k folds for the linear families), and every absorbed
-    /// round is in the flushed group even when a later round fails
-    /// numerically. The logged callback builds the group-commit buffer in
-    /// the same shard-lock critical section as the in-memory apply, one line
-    /// per absorbed round in frame row order, so the log bytes are identical
-    /// to recording the rounds one at a time.
-    ///
-    /// # Errors
-    /// [`CoreError::UnknownTicket`] / [`CoreError::InvalidRuntime`] /
-    /// [`CoreError::InvalidParameter`] for a duplicated ticket; policy
-    /// validation and [`CoreError::Io`] otherwise (all via
-    /// [`ServeError::Core`]); [`ServeError::LockPoisoned`].
-    pub fn record_batch_frame(&self, key: &str, outcomes: &[(Ticket, f64)]) -> ServeResult<()> {
-        let Some(&(first, _)) = outcomes.first() else {
-            return Ok(());
-        };
-        self.engine
-            .with_existing_shard_mut(key, |shard| -> ServeResult<()> {
-                // Atomic request validation first (the core facade's own
-                // check, allocation-free): a malformed request must not
-                // materialize WAL state for the key on disk.
-                shard.validate_record_batch(outcomes)?;
-                // Acquire (healing if poisoned) the appender before
-                // absorbing anything — a lock failure must not leave
-                // absorbed rounds missing from the log.
-                let wal = self.key_wal(key)?;
-                let mut appender = Self::lock_wal(&wal)?;
-                // One frame absorption, building the group-commit buffer
-                // from the logged callback; flush whatever was absorbed
-                // even on a mid-batch policy failure, so the log never
-                // lags the in-memory state.
-                let mut group = String::new();
-                let mut n_records = 0u64;
-                let result =
-                    shard.record_batch_frame_logged(outcomes, |seq, ticket, round, runtime| {
-                        group.push_str(&format_wal_line(
-                            seq,
-                            ticket,
-                            round.arm,
-                            round.explored,
-                            runtime,
-                            round.features,
-                        ));
-                        n_records += 1;
-                    });
-                if !group.is_empty() {
-                    appender.append(&group, n_records)?;
-                }
-                result.map_err(Into::into)
-            })
-            .ok_or(ServeError::Core(CoreError::UnknownTicket { ticket: first.id() }))?
-    }
-
-    /// Abandon an in-flight round (not logged; see the module docs).
-    pub fn drop_ticket(&self, key: &str, ticket: Ticket) -> bool {
-        self.engine.drop_ticket(key, ticket)
+        })
     }
 
     /// Fold everything the key's WAL holds into a fresh `snapshot.v3` and
@@ -1280,33 +1157,33 @@ impl DurableEngine {
     /// no-op.
     ///
     /// # Errors
-    /// [`CoreError::InvalidParameter`] for policies without snapshot
-    /// support; [`CoreError::Io`] on filesystem failures (via
-    /// [`ServeError::Core`]); [`ServeError::LockPoisoned`].
+    /// [`CoreError::InvalidParameter`] on an engine without a log and for
+    /// policies without snapshot support; [`CoreError::Io`] on filesystem
+    /// failures (via [`ServeError::Core`]); [`ServeError::LockPoisoned`].
     pub fn compact(&self, key: &str) -> ServeResult<()> {
-        match self.engine.with_shard(key, |shard| -> ServeResult<()> {
+        let log = self.log()?;
+        self.with_shard(key, |shard| -> ServeResult<()> {
             let mut buf = Vec::new();
             persist::save_checkpoint(shard, &mut buf)?;
             // Still inside the stripe read lock: install before any new
             // append (writers are excluded) so the snapshot supersedes
             // every segment on disk. The key has a live shard, so
             // materializing its WAL directory here is legitimate.
-            let wal = self.key_wal(key)?;
-            let result = Self::lock_wal(&wal)?.install_snapshot(&buf);
+            let wal = log.key_wal(key)?;
+            let result = Wal::lock_wal(&wal)?.install_snapshot(&buf);
             result
-        }) {
-            Some(res) => res,
-            None => Ok(()),
-        }
+        })
+        .unwrap_or(Ok(()))
     }
 
     /// Compact every key the engine currently serves; returns the keys
     /// compacted.
     ///
     /// # Errors
-    /// Stops at the first failing key.
+    /// As [`Engine::compact`]; stops at the first failing key.
     pub fn compact_all(&self) -> ServeResult<Vec<String>> {
-        let keys = self.engine.keys();
+        self.log()?;
+        let keys = self.keys();
         for key in &keys {
             self.compact(key)?;
         }
@@ -1321,8 +1198,8 @@ impl DurableEngine {
         key: &str,
         f: impl FnOnce(&mut KeyWal) -> ServeResult<R>,
     ) -> ServeResult<R> {
-        let wal = self.key_wal(key)?;
-        let mut guard = Self::lock_wal(&wal)?;
+        let wal = self.log()?.key_wal(key)?;
+        let mut guard = Wal::lock_wal(&wal)?;
         f(&mut guard)
     }
 }
@@ -1330,6 +1207,40 @@ impl DurableEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use banditware_core::ArmSpec;
+
+    /// An engine built without a log, with one recorded round on `wf`.
+    fn plain_engine() -> Engine {
+        let engine = Engine::builder(ArmSpec::unit_costs(2), 1).build().unwrap();
+        let (ticket, _) = engine.recommend("wf", &[1.0]).unwrap();
+        engine.record("wf", ticket, 5.0).unwrap();
+        engine
+    }
+
+    fn assert_no_log(err: ServeError) {
+        assert!(
+            matches!(err, ServeError::Core(CoreError::InvalidParameter { name: "wal", .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn plain_engine_refuses_compact() {
+        let engine = plain_engine();
+        assert_eq!((engine.dir(), engine.durability()), (None, None));
+        assert_no_log(engine.compact("wf").unwrap_err());
+        assert_no_log(engine.compact("ghost").unwrap_err());
+        assert!(!Path::new(&encode_key("wf")).exists(), "no key directory was created");
+        assert_eq!(engine.with_shard("wf", |s| s.rounds()), Some(1), "state untouched");
+    }
+
+    #[test]
+    fn plain_engine_refuses_compact_all() {
+        assert_no_log(plain_engine().compact_all().unwrap_err());
+        let empty = Engine::builder(ArmSpec::unit_costs(2), 1).build().unwrap();
+        assert_no_log(empty.compact_all().unwrap_err());
+        assert!(!Path::new(&encode_key("wf")).exists(), "no key directory was created");
+    }
 
     #[test]
     fn key_encoding_roundtrips_and_is_filesystem_safe() {
@@ -1351,7 +1262,9 @@ mod tests {
 
     #[test]
     fn wal_line_roundtrips_and_is_checksummed() {
-        let line = format_wal_line(17, Ticket::from_id(9), 2, true, 153.25, &[1.5, -0.25]);
+        let round = InFlightRound { arm: 2, features: &[1.5, -0.25], explored: true };
+        let mut line = String::new();
+        push_wal_line(&mut line, 17, Ticket::from_id(9), &round, 153.25);
         let trimmed = line.trim_end();
         let rec = parse_wal_line(trimmed, true).unwrap();
         assert_eq!(rec.seq, 17);

@@ -5,7 +5,7 @@
 //! [`ObservationFrame`], per-arm grouped rank-k Gram folds) leaves the
 //! policy in bit-for-bit the *same* state as recording the rounds one at a
 //! time in input order — same snapshots, same prediction bits, same
-//! histories, and (through [`DurableEngine`]) the same WAL segment bytes.
+//! histories, and (through [`Engine::open`]) the same WAL segment bytes.
 //! The twins are driven across burst sizes covering the 4-lane block tails
 //! (0–16), feature widths 0–9, and interleaved frame / single-record calls,
 //! for plain + scaled ε-greedy and LinUCB.
@@ -15,7 +15,7 @@ use banditware_core::{
     ArmEstimator, ArmSpec, BanditConfig, BanditWare, FeatureFrame, Policy, RecursiveArm, Ticket,
     Workspace,
 };
-use banditware_serve::{DurableEngine, Engine, EngineBuilder, WalOptions};
+use banditware_serve::{Engine, EngineBuilder, WalOptions};
 use std::path::{Path, PathBuf};
 
 const M: usize = 7; // deliberately not a multiple of 4: exercises kernel tails
@@ -248,7 +248,7 @@ fn probe_predictions(engine: &Engine, key: &str) -> Vec<u64> {
     bits
 }
 
-/// One `DurableEngine` recommends every round with a per-request
+/// One logged engine recommends every round with a per-request
 /// `recommend` and records it with a per-ticket `record` (one append per
 /// observation); the other recommends each burst as one frame and absorbs
 /// it with `record_batch_frame` (one grouped append per burst, grouped
@@ -259,8 +259,8 @@ fn probe_predictions(engine: &Engine, key: &str) -> Vec<u64> {
 fn durable_record_frame_wal_bytes_match_row_path() {
     let dir_rows = tmp_dir("pr8-record-rows");
     let dir_frame = tmp_dir("pr8-record-frame");
-    let (rows, _) = DurableEngine::open(builder(), WalOptions::new(&dir_rows)).unwrap();
-    let (framed, _) = DurableEngine::open(builder(), WalOptions::new(&dir_frame)).unwrap();
+    let (rows, _) = Engine::open(builder(), WalOptions::new(&dir_rows)).unwrap();
+    let (framed, _) = Engine::open(builder(), WalOptions::new(&dir_frame)).unwrap();
 
     let mut frame = FeatureFrame::new();
     for (round, &n) in BURSTS.iter().enumerate() {
@@ -298,8 +298,8 @@ fn durable_record_frame_wal_bytes_match_row_path() {
     }
 
     assert_eq!(
-        probe_predictions(rows.engine(), "w"),
-        probe_predictions(framed.engine(), "w"),
+        probe_predictions(&rows, "w"),
+        probe_predictions(&framed, "w"),
         "prediction bits diverged between durable row and frame record paths"
     );
     assert_eq!(

@@ -14,8 +14,7 @@
 
 use banditware_core::{ArmSpec, BanditConfig, Ticket};
 use banditware_serve::{
-    DurableEngine, Engine, EngineBuilder, FollowerEngine, FsTransport, Replicator, ServeResult,
-    WalOptions,
+    Engine, EngineBuilder, FollowerEngine, FsTransport, Replicator, ServeResult, WalOptions,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -52,7 +51,7 @@ fn runtime(key_idx: usize, arm: usize, x: &[f64]) -> f64 {
 /// Drive a primary through `rounds` rounds per key with compactions and
 /// ships interleaved on the given cadences.
 fn drive_primary(
-    primary: &DurableEngine,
+    primary: &Engine,
     replicator: &Replicator,
     rounds: usize,
     ship_every: usize,
@@ -92,7 +91,7 @@ fn twin_at_watermarks(policy: &str, seed: u64, watermarks: &[(String, usize)]) -
 
 /// Drive both engines through the same fresh stream; every recommendation
 /// must match bitwise (arm, exploration flag, predicted-runtime bits).
-fn assert_streams_bitwise_identical(promoted: &DurableEngine, twin: &Engine, rounds: usize) {
+fn assert_streams_bitwise_identical(promoted: &Engine, twin: &Engine, rounds: usize) {
     for i in 0..rounds {
         for (ki, key) in KEYS.iter().enumerate() {
             let x = context(ki, 9000 + i);
@@ -135,10 +134,10 @@ proptest! {
         let primary_dir = tmp_dir("prop-primary", tag);
         let replica_dir = tmp_dir("prop-replica", tag);
         let options = WalOptions::new(&primary_dir).segment_max_bytes(segment_bytes);
-        let (primary, _) = DurableEngine::open(builder(policy, seed), options).unwrap();
+        let (primary, _) = Engine::open(builder(policy, seed), options).unwrap();
         let replicator = Replicator::new(FsTransport::new(&replica_dir));
         drive_primary(&primary, &replicator, rounds, ship_every, compact_every, seal).unwrap();
-        let primary_rounds = primary.engine().stats().recorded_rounds;
+        let primary_rounds = primary.stats().recorded_rounds;
         drop(primary); // the crash
 
         let (follower, catch_up) =
@@ -162,8 +161,7 @@ proptest! {
 fn byte_flip_in_a_shipped_segment_is_quarantined_never_applied() {
     let primary_dir = tmp_dir("flip-seg-primary", 1);
     let replica_dir = tmp_dir("flip-seg-replica", 1);
-    let (primary, _) =
-        DurableEngine::open(builder("linucb", 3), WalOptions::new(&primary_dir)).unwrap();
+    let (primary, _) = Engine::open(builder("linucb", 3), WalOptions::new(&primary_dir)).unwrap();
     let replicator = Replicator::new(FsTransport::new(&replica_dir));
     drive_primary(&primary, &replicator, 30, 30, 0, true).unwrap();
 
@@ -221,8 +219,7 @@ fn byte_flip_in_a_shipped_segment_is_quarantined_never_applied() {
 fn byte_flip_in_a_shipped_snapshot_is_quarantined_never_applied() {
     let primary_dir = tmp_dir("flip-snap-primary", 1);
     let replica_dir = tmp_dir("flip-snap-replica", 1);
-    let (primary, _) =
-        DurableEngine::open(builder("linucb", 5), WalOptions::new(&primary_dir)).unwrap();
+    let (primary, _) = Engine::open(builder("linucb", 5), WalOptions::new(&primary_dir)).unwrap();
     let replicator = Replicator::new(FsTransport::new(&replica_dir));
     drive_primary(&primary, &replicator, 20, 50, 0, false).unwrap(); // no ship yet
     primary.compact_all().unwrap();
@@ -255,8 +252,7 @@ fn byte_flip_in_a_shipped_snapshot_is_quarantined_never_applied() {
 fn open_tickets_survive_failover_through_shipped_snapshots() {
     let primary_dir = tmp_dir("tickets-primary", 1);
     let replica_dir = tmp_dir("tickets-replica", 1);
-    let (primary, _) =
-        DurableEngine::open(builder("linucb", 9), WalOptions::new(&primary_dir)).unwrap();
+    let (primary, _) = Engine::open(builder("linucb", 9), WalOptions::new(&primary_dir)).unwrap();
     let replicator = Replicator::new(FsTransport::new(&replica_dir));
     drive_primary(&primary, &replicator, 12, 50, 0, false).unwrap();
     // One job per tenant is on the cluster when the snapshot is taken.
@@ -277,8 +273,7 @@ fn open_tickets_survive_failover_through_shipped_snapshots() {
     // tickets, attributed to the original arm and context.
     for (key, ticket, rt, arm, x) in held {
         promoted.record(key, ticket, rt).unwrap();
-        let last =
-            promoted.engine().with_shard(key, |s| s.history().last().unwrap().clone()).unwrap();
+        let last = promoted.with_shard(key, |s| s.history().last().unwrap().clone()).unwrap();
         assert_eq!(last.arm, arm, "{key}");
         assert_eq!(last.features, x, "{key}");
         assert_eq!(last.runtime, rt, "{key}");
@@ -300,8 +295,7 @@ fn restart_never_extends_a_sealed_shipped_segment() {
     // shipped segment — its bytes are the replication contract.
     let primary_dir = tmp_dir("restart-primary", 1);
     let replica_dir = tmp_dir("restart-replica", 1);
-    let (primary, _) =
-        DurableEngine::open(builder("linucb", 4), WalOptions::new(&primary_dir)).unwrap();
+    let (primary, _) = Engine::open(builder("linucb", 4), WalOptions::new(&primary_dir)).unwrap();
     let replicator = Replicator::new(FsTransport::new(&replica_dir));
     drive_primary(&primary, &replicator, 10, 100, 0, false).unwrap();
     replicator.ship_all(&primary, true).unwrap(); // seals + ships wal-1
@@ -309,8 +303,7 @@ fn restart_never_extends_a_sealed_shipped_segment() {
     let sealed_bytes = std::fs::read(&sealed).unwrap();
     drop(primary); // restart with no successor segment on disk
 
-    let (primary, _) =
-        DurableEngine::open(builder("linucb", 4), WalOptions::new(&primary_dir)).unwrap();
+    let (primary, _) = Engine::open(builder("linucb", 4), WalOptions::new(&primary_dir)).unwrap();
     drive_primary(&primary, &replicator, 3, 100, 0, false).unwrap();
     assert_eq!(
         std::fs::read(&sealed).unwrap(),
@@ -337,7 +330,7 @@ fn catch_up_is_incremental_across_ship_cycles() {
     let primary_dir = tmp_dir("incr-primary", 1);
     let replica_dir = tmp_dir("incr-replica", 1);
     let options = WalOptions::new(&primary_dir).segment_max_bytes(512);
-    let (primary, _) = DurableEngine::open(builder("ucb1", 2), options).unwrap();
+    let (primary, _) = Engine::open(builder("ucb1", 2), options).unwrap();
     let replicator = Replicator::new(FsTransport::new(&replica_dir));
     let (follower, _) =
         FollowerEngine::open(builder("ucb1", 2), WalOptions::new(&replica_dir)).unwrap();
@@ -388,7 +381,7 @@ fn no_seal_ship_leaves_under_two_segments_behind() {
         let primary_dir = tmp_dir("staleness-primary", rotate_bytes);
         let replica_dir = tmp_dir("staleness-replica", rotate_bytes);
         let options = WalOptions::new(&primary_dir).segment_max_bytes(rotate_bytes);
-        let (primary, _) = DurableEngine::open(builder(), options).unwrap();
+        let (primary, _) = Engine::open(builder(), options).unwrap();
         let mut rng = StdRng::seed_from_u64(71);
         for _ in 0..ROUNDS {
             let x: Vec<f64> = (0..M).map(|_| rng.gen_range(0.1..100.0)).collect();

@@ -4,7 +4,7 @@
 //! and a torn final line.
 
 use banditware_core::{ArmSpec, BanditConfig, FeatureFrame, Retention, Ticket};
-use banditware_serve::{DurableEngine, Engine, EngineBuilder, ServeError, WalOptions};
+use banditware_serve::{Engine, EngineBuilder, ServeError, WalOptions};
 use std::path::PathBuf;
 
 const N_FEATURES: usize = 2;
@@ -43,7 +43,7 @@ fn probe_predictions(engine: &Engine, key: &str) -> Vec<u64> {
 #[test]
 fn crash_and_recover_mid_flight() {
     let dir = tmp_dir("mid-flight");
-    let (engine, report) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (engine, report) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     assert!(report.keys.is_empty(), "fresh directory recovers nothing");
 
     // Two tenants, overlapping rounds, one ticket left open per tenant.
@@ -57,11 +57,11 @@ fn crash_and_recover_mid_flight() {
         let (t, _) = engine.recommend(key, &[9.0, 1.0]).unwrap();
         open.push((key, t));
     }
-    let before_a = probe_predictions(engine.engine(), "tenant-a");
-    let rounds_a = engine.engine().with_shard("tenant-a", |s| s.rounds()).unwrap();
+    let before_a = probe_predictions(&engine, "tenant-a");
+    let rounds_a = engine.with_shard("tenant-a", |s| s.rounds()).unwrap();
     drop(engine); // the crash: no graceful shutdown, no compaction
 
-    let (revived, report) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (revived, report) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     assert_eq!(report.keys, vec!["tenant-a".to_string(), "tenant-b".to_string()]);
     assert_eq!(report.snapshots_loaded, 0, "no compaction ran; pure WAL replay");
     assert_eq!(report.replayed, 50);
@@ -69,8 +69,8 @@ fn crash_and_recover_mid_flight() {
 
     // Model state is carried exactly (replay of a never-compacted log is
     // the same warm-start arithmetic the shard applied live).
-    assert_eq!(probe_predictions(revived.engine(), "tenant-a"), before_a);
-    assert_eq!(revived.engine().with_shard("tenant-a", |s| s.rounds()).unwrap(), rounds_a);
+    assert_eq!(probe_predictions(&revived, "tenant-a"), before_a);
+    assert_eq!(revived.with_shard("tenant-a", |s| s.rounds()).unwrap(), rounds_a);
 
     // Open tickets died with the process: their runtimes are rejected
     // loudly, not misattributed.
@@ -81,14 +81,14 @@ fn crash_and_recover_mid_flight() {
     // And the revived engine keeps serving + logging.
     let (t, _) = revived.recommend("tenant-a", &[2.0, 2.0]).unwrap();
     revived.record("tenant-a", t, 21.0).unwrap();
-    assert_eq!(revived.engine().with_shard("tenant-a", |s| s.rounds()).unwrap(), rounds_a + 1);
+    assert_eq!(revived.with_shard("tenant-a", |s| s.rounds()).unwrap(), rounds_a + 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn compaction_supersedes_segments_and_restores_bitwise() {
     let dir = tmp_dir("compact");
-    let (engine, _) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (engine, _) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
 
     for i in 0..40 {
         let contexts: Vec<Vec<f64>> = (0..4).map(|j| context(i * 4 + j)).collect();
@@ -117,21 +117,21 @@ fn compaction_supersedes_segments_and_restores_bitwise() {
         let (t, rec) = engine.recommend("w", &context(900 + i)).unwrap();
         engine.record("w", t, 30.0 + rec.arm as f64).unwrap();
     }
-    let before = probe_predictions(engine.engine(), "w");
-    let rounds = engine.engine().with_shard("w", |s| s.rounds()).unwrap();
+    let before = probe_predictions(&engine, "w");
+    let rounds = engine.with_shard("w", |s| s.rounds()).unwrap();
     drop(engine);
 
-    let (revived, report) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (revived, report) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     assert_eq!(report.snapshots_loaded, 1);
     assert_eq!(report.replayed, 5, "only the post-compaction tail replays");
-    assert_eq!(probe_predictions(revived.engine(), "w"), before);
-    assert_eq!(revived.engine().with_shard("w", |s| s.rounds()).unwrap(), rounds);
+    assert_eq!(probe_predictions(&revived, "w"), before);
+    assert_eq!(revived.with_shard("w", |s| s.rounds()).unwrap(), rounds);
 
     // The ticket held across compaction + crash was in the snapshot: the
     // surviving reporter can still record it, attributed to the original
     // selection.
     revived.record("w", held, 55.0).unwrap();
-    let last = revived.engine().with_shard("w", |s| s.history().last().unwrap().clone()).unwrap();
+    let last = revived.with_shard("w", |s| s.history().last().unwrap().clone()).unwrap();
     assert_eq!(last.arm, held_rec.arm);
     assert_eq!(last.features, vec![4.0, 4.0]);
     assert_eq!(last.runtime, 55.0);
@@ -142,7 +142,7 @@ fn compaction_supersedes_segments_and_restores_bitwise() {
 fn segments_rotate_at_size_threshold_and_replay_in_order() {
     let dir = tmp_dir("rotate");
     let options = WalOptions::new(&dir).segment_max_bytes(256);
-    let (engine, _) = DurableEngine::open(builder(), options.clone()).unwrap();
+    let (engine, _) = Engine::open(builder(), options.clone()).unwrap();
     for i in 0..60 {
         let (t, rec) = engine.recommend("k", &context(i)).unwrap();
         engine.record("k", t, 5.0 + rec.arm as f64).unwrap();
@@ -155,11 +155,11 @@ fn segments_rotate_at_size_threshold_and_replay_in_order() {
         .count();
     assert!(n_segments > 3, "256-byte threshold must rotate: {n_segments} segments");
 
-    let before = probe_predictions(engine.engine(), "k");
+    let before = probe_predictions(&engine, "k");
     drop(engine);
-    let (revived, report) = DurableEngine::open(builder(), options).unwrap();
+    let (revived, report) = Engine::open(builder(), options).unwrap();
     assert_eq!(report.replayed, 60);
-    assert_eq!(probe_predictions(revived.engine(), "k"), before);
+    assert_eq!(probe_predictions(&revived, "k"), before);
     // Appends after recovery land in the highest segment (no index reuse
     // that would shadow older records).
     let (t, _) = revived.recommend("k", &context(999)).unwrap();
@@ -170,7 +170,7 @@ fn segments_rotate_at_size_threshold_and_replay_in_order() {
 #[test]
 fn torn_final_line_is_discarded_not_fatal() {
     let dir = tmp_dir("torn");
-    let (engine, _) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (engine, _) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     for i in 0..10 {
         let (t, rec) = engine.recommend("k", &context(i)).unwrap();
         engine.record("k", t, 5.0 + rec.arm as f64).unwrap();
@@ -185,10 +185,10 @@ fn torn_final_line_is_discarded_not_fatal() {
     assert!(!truncated.ends_with('\n'));
     std::fs::write(&seg, truncated).unwrap();
 
-    let (revived, report) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (revived, report) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     assert!(report.torn_tail, "torn tail detected");
     assert_eq!(report.replayed, 9, "the 9 intact records replay");
-    assert_eq!(revived.engine().with_shard("k", |s| s.rounds()).unwrap(), 9);
+    assert_eq!(revived.with_shard("k", |s| s.rounds()).unwrap(), 9);
 
     // Corruption anywhere else IS fatal: garble a middle line.
     drop(revived);
@@ -196,7 +196,7 @@ fn torn_final_line_is_discarded_not_fatal() {
     let garbled = text.replacen("obs,3,", "xxx,3,", 1);
     assert_ne!(garbled, text);
     std::fs::write(&seg, garbled).unwrap();
-    assert!(DurableEngine::open(builder(), WalOptions::new(&dir)).is_err());
+    assert!(Engine::open(builder(), WalOptions::new(&dir)).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -207,7 +207,7 @@ fn crc_bad_final_line_is_truncated_before_new_appends() {
     // after it would turn it into permanent mid-file corruption that fails
     // every later recovery.
     let dir = tmp_dir("bad-tail-append");
-    let (engine, _) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (engine, _) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     for i in 0..8 {
         let (t, rec) = engine.recommend("k", &context(i)).unwrap();
         engine.record("k", t, 5.0 + rec.arm as f64).unwrap();
@@ -222,7 +222,7 @@ fn crc_bad_final_line_is_truncated_before_new_appends() {
     assert_ne!(garbled_last, last);
     std::fs::write(&seg, text.replacen(&last, &garbled_last, 1)).unwrap();
 
-    let (revived, report) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (revived, report) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     assert!(report.torn_tail, "damaged final line tolerated as torn");
     assert_eq!(report.replayed, 7);
     // Keep serving: the append path must truncate the damaged line first.
@@ -233,10 +233,10 @@ fn crc_bad_final_line_is_truncated_before_new_appends() {
     drop(revived);
 
     // The next recovery is clean — no mid-file corruption, nothing torn.
-    let (again, report) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (again, report) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     assert!(!report.torn_tail, "damaged line was truncated, not buried");
     assert_eq!(report.replayed, 12);
-    assert_eq!(again.engine().with_shard("k", |s| s.rounds()).unwrap(), 12);
+    assert_eq!(again.with_shard("k", |s| s.rounds()).unwrap(), 12);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -251,7 +251,7 @@ fn advertised_sealed_segment_gets_no_torn_tail_tolerance() {
     let dir = tmp_dir("sealed-tail");
     let options = WalOptions::new(&dir).segment_max_bytes(200);
     let b = || builder().durability(Durability::FsyncPerRotation);
-    let (engine, _) = DurableEngine::open(b(), options.clone()).unwrap();
+    let (engine, _) = Engine::open(b(), options.clone()).unwrap();
     // Record until the first rotation seals + advertises wal-1; stop there
     // so no successor file exists (it is created lazily on next append).
     let manifest = dir.join("kk").join("MANIFEST");
@@ -274,7 +274,7 @@ fn advertised_sealed_segment_gets_no_torn_tail_tolerance() {
     assert_ne!(garbled, last);
     std::fs::write(&seg, text.replacen(&last, &garbled, 1)).unwrap();
 
-    let err = DurableEngine::open(b(), options).unwrap_err();
+    let err = Engine::open(b(), options).unwrap_err();
     assert!(
         matches!(err, ServeError::Corrupt { .. }),
         "durable acknowledged record must not be silently discarded: {err:?}"
@@ -288,7 +288,7 @@ fn bit_flip_in_a_float_field_is_a_precise_checksum_error() {
     // a runtime/feature field still parses as a valid record. The per-line
     // CRC rejects it with the file, the line, and both checksums.
     let dir = tmp_dir("bitflip");
-    let (engine, _) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (engine, _) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     for i in 0..10 {
         let (t, rec) = engine.recommend("k", &context(i)).unwrap();
         engine.record("k", t, 5.0 + rec.arm as f64).unwrap();
@@ -306,7 +306,7 @@ fn bit_flip_in_a_float_field_is_a_precise_checksum_error() {
     let garbled = text.replacen(&line, &garbled_line, 1);
     std::fs::write(&seg, garbled).unwrap();
 
-    let err = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap_err();
+    let err = Engine::open(builder(), WalOptions::new(&dir)).unwrap_err();
     match &err {
         ServeError::Corrupt { path, line, detail } => {
             assert!(path.ends_with("wal-1.log"), "{path}");
@@ -326,7 +326,7 @@ fn durability_knob_controls_what_the_manifest_advertises() {
         let dir = tmp_dir(name);
         let options = WalOptions::new(&dir).segment_max_bytes(512);
         let b = builder().durability(durability);
-        let (engine, _) = DurableEngine::open(b, options).unwrap();
+        let (engine, _) = Engine::open(b, options).unwrap();
         for i in 0..40 {
             let (t, rec) = engine.recommend("k", &context(i)).unwrap();
             engine.record("k", t, 5.0 + rec.arm as f64).unwrap();
@@ -356,20 +356,20 @@ fn bounded_retention_keeps_snapshots_small() {
     let dir = tmp_dir("retention");
     let options = WalOptions::new(&dir);
     let b = || builder().retention(Retention::Tail(4));
-    let (engine, _) = DurableEngine::open(b(), options.clone()).unwrap();
+    let (engine, _) = Engine::open(b(), options.clone()).unwrap();
     for i in 0..200 {
         let (t, rec) = engine.recommend("big", &context(i)).unwrap();
         engine.record("big", t, 5.0 + rec.arm as f64).unwrap();
     }
     engine.compact("big").unwrap();
     let snapshot_len = std::fs::metadata(dir.join("kbig").join("snapshot.v3")).unwrap().len();
-    let before = probe_predictions(engine.engine(), "big");
+    let before = probe_predictions(&engine, "big");
     drop(engine);
 
     // Run the same workload 5× longer: the snapshot must not grow with
     // history length (policy state + bounded tail only).
     let dir2 = tmp_dir("retention-long");
-    let (engine, _) = DurableEngine::open(b(), WalOptions::new(&dir2)).unwrap();
+    let (engine, _) = Engine::open(b(), WalOptions::new(&dir2)).unwrap();
     for i in 0..1000 {
         let (t, rec) = engine.recommend("big", &context(i)).unwrap();
         engine.record("big", t, 5.0 + rec.arm as f64).unwrap();
@@ -383,12 +383,12 @@ fn bounded_retention_keeps_snapshots_small() {
     drop(engine);
 
     // And the short one restores exactly.
-    let (revived, report) = DurableEngine::open(b(), options).unwrap();
+    let (revived, report) = Engine::open(b(), options).unwrap();
     assert_eq!(report.snapshots_loaded, 1);
     assert_eq!(report.replayed, 0);
-    assert_eq!(probe_predictions(revived.engine(), "big"), before);
-    assert_eq!(revived.engine().with_shard("big", |s| s.rounds()).unwrap(), 200);
-    assert!(revived.engine().with_shard("big", |s| s.history().len()).unwrap() <= 4);
+    assert_eq!(probe_predictions(&revived, "big"), before);
+    assert_eq!(revived.with_shard("big", |s| s.rounds()).unwrap(), 200);
+    assert!(revived.with_shard("big", |s| s.history().len()).unwrap() <= 4);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir2);
 }
@@ -399,7 +399,7 @@ fn zero_byte_segment_still_gets_its_header() {
     // empty wal-N.log; the next appender must write the magic line anyway
     // or the following recovery rejects the segment.
     let dir = tmp_dir("zero-byte");
-    let (engine, _) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (engine, _) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     let (t, _) = engine.recommend("k", &context(0)).unwrap();
     let seg = dir.join("kk").join("wal-1.log");
     std::fs::create_dir_all(seg.parent().unwrap()).unwrap();
@@ -408,7 +408,7 @@ fn zero_byte_segment_still_gets_its_header() {
     let text = std::fs::read_to_string(&seg).unwrap();
     assert!(text.starts_with("banditware-wal v2,1,"), "header written into empty segment");
     drop(engine);
-    let (_revived, report) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (_revived, report) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     assert_eq!(report.replayed, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -416,20 +416,20 @@ fn zero_byte_segment_still_gets_its_header() {
 #[test]
 fn stray_records_do_not_mint_phantom_tenant_dirs() {
     let dir = tmp_dir("phantom");
-    let (engine, _) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (engine, _) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     // Record against keys that never recommended: rejected AND no
     // directory appears on disk.
     assert!(engine.record("typo-key", Ticket::from_id(0), 1.0).unwrap_err().is_unknown_ticket());
     assert!(engine.record_batch_frame("typo-batch", &[(Ticket::from_id(0), 1.0)]).is_err());
     // A real key with an unknown ticket: shard exists, ticket doesn't —
     // still no WAL dir until a record succeeds.
-    engine.engine().register("real").unwrap();
+    engine.register("real").unwrap();
     assert!(engine.record("real", Ticket::from_id(7), 1.0).is_err());
     assert!(!dir.join("ktypo-key").exists());
     assert!(!dir.join("ktypo-batch").exists());
     assert!(!dir.join("kreal").exists());
     drop(engine);
-    let (_revived, report) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (_revived, report) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     assert!(report.keys.is_empty(), "no phantom tenants recovered: {:?}", report.keys);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -437,7 +437,7 @@ fn stray_records_do_not_mint_phantom_tenant_dirs() {
 #[test]
 fn batch_record_is_one_group_commit_and_validates_atomically() {
     let dir = tmp_dir("batch");
-    let (engine, _) = DurableEngine::open(builder(), WalOptions::new(&dir)).unwrap();
+    let (engine, _) = Engine::open(builder(), WalOptions::new(&dir)).unwrap();
     let contexts: Vec<Vec<f64>> = (0..6).map(context).collect();
     let issued =
         engine.recommend_batch_frame("k", &FeatureFrame::from_rows(&contexts).unwrap()).unwrap();
@@ -447,7 +447,7 @@ fn batch_record_is_one_group_commit_and_validates_atomically() {
     assert!(engine.record_batch_frame("k", &[(t0, 5.0), (Ticket::from_id(99), 5.0)]).is_err());
     assert!(engine.record_batch_frame("k", &[(t0, 5.0), (t0, 6.0)]).is_err());
     assert!(engine.record_batch_frame("k", &[(t0, 5.0), (t1, f64::NAN)]).is_err());
-    assert_eq!(engine.engine().with_shard("k", |s| s.rounds()).unwrap(), 0);
+    assert_eq!(engine.with_shard("k", |s| s.rounds()).unwrap(), 0);
     let seg = dir.join("kk").join("wal-1.log");
     assert!(!seg.exists(), "no observation lines before a valid record");
 

@@ -1,9 +1,9 @@
 //! Kill a serving engine mid-flight and restore it — twice.
 //!
-//! Phase 1 serves three tenants through a `DurableEngine` (every recorded
-//! runtime is appended to a per-tenant WAL segment) and then "crashes":
-//! the engine is dropped with rounds still in flight and no shutdown
-//! hook. Phase 2 reopens the directory — pure WAL replay — verifies the
+//! Phase 1 serves three tenants through an `Engine::open`-ed engine
+//! (every recorded runtime is appended to a per-tenant WAL segment) and
+//! then "crashes": the engine is dropped with rounds still in flight and
+//! no shutdown hook. Phase 2 reopens the directory — pure WAL replay — verifies the
 //! models survived bit-for-bit, shows that tickets never covered by a
 //! snapshot are rejected loudly (the caller resubmits), leaves fresh jobs
 //! in flight, and compacts everything into `banditware-history v3`
@@ -52,7 +52,7 @@ fn main() {
     let options = WalOptions::new(&dir).segment_max_bytes(16 * 1024);
 
     // ---- Phase 1: serve, then die without warning. ----
-    let (engine, _) = DurableEngine::open(builder(), options.clone()).expect("open");
+    let (engine, _) = Engine::open(builder(), options.clone()).expect("open");
     let mut survivors = Vec::new();
     for (ti, key) in TENANTS.iter().enumerate() {
         for i in 0..400 {
@@ -64,8 +64,7 @@ fn main() {
         let (ticket, rec) = engine.recommend(key, &[333.0]).expect("recommend");
         survivors.push((*key, ticket, rec.arm));
     }
-    let fingerprints: Vec<Vec<u64>> =
-        TENANTS.iter().map(|k| model_bits(engine.engine(), k)).collect();
+    let fingerprints: Vec<Vec<u64>> = TENANTS.iter().map(|k| model_bits(&engine, k)).collect();
     println!(
         "phase 1: served {} rounds across {} tenants, crashing now (3 jobs in flight)",
         3 * 400,
@@ -76,7 +75,7 @@ fn main() {
     // ---- Phase 2: recover from the raw WAL, finish the surviving jobs,
     // compact. ----
     let start = Instant::now();
-    let (engine, report) = DurableEngine::open(builder(), options.clone()).expect("reopen");
+    let (engine, report) = Engine::open(builder(), options.clone()).expect("reopen");
     let wal_recovery = start.elapsed();
     println!(
         "phase 2: recovered {} tenants from the WAL in {:.2?} ({} records replayed)",
@@ -85,7 +84,7 @@ fn main() {
         report.replayed
     );
     for (ti, key) in TENANTS.iter().enumerate() {
-        assert_eq!(model_bits(engine.engine(), key), fingerprints[ti], "{key}: model drifted");
+        assert_eq!(model_bits(&engine, key), fingerprints[ti], "{key}: model drifted");
     }
     println!("         model fingerprints identical to the moment of the crash");
     // The phase-1 in-flight jobs were never snapshotted: their runtime
@@ -114,20 +113,19 @@ fn main() {
          captured by the snapshots)",
         compacted.len()
     );
-    let fingerprints: Vec<Vec<u64>> =
-        TENANTS.iter().map(|k| model_bits(engine.engine(), k)).collect();
+    let fingerprints: Vec<Vec<u64>> = TENANTS.iter().map(|k| model_bits(&engine, k)).collect();
     drop(engine); // crash again
 
     // ---- Phase 3: recovery is now snapshot-shaped — state, not history. ----
     let start = Instant::now();
-    let (engine, report) = DurableEngine::open(builder(), options).expect("reopen");
+    let (engine, report) = Engine::open(builder(), options).expect("reopen");
     let snap_recovery = start.elapsed();
     println!(
         "phase 3: recovered from snapshots in {:.2?} ({} snapshots, {} WAL records left to replay)",
         snap_recovery, report.snapshots_loaded, report.replayed
     );
     for (ti, key) in TENANTS.iter().enumerate() {
-        assert_eq!(model_bits(engine.engine(), key), fingerprints[ti], "{key}: model drifted");
+        assert_eq!(model_bits(&engine, key), fingerprints[ti], "{key}: model drifted");
     }
     // The jobs held across the crash finished on the cluster meanwhile;
     // their tickets came back out of the snapshots and record normally.
@@ -135,7 +133,7 @@ fn main() {
         engine.record(key, ticket, rt).expect("snapshotted ticket records after crash");
     }
     println!("         3 jobs held across the crash recorded against their original tickets");
-    let stats = engine.engine().stats();
+    let stats = engine.stats();
     println!(
         "         {} tenants, {} recorded rounds, {} in flight — serving continues",
         stats.keys, stats.recorded_rounds, stats.in_flight

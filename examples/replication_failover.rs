@@ -1,13 +1,14 @@
 //! Kill a primary mid-stream, promote its follower, and prove the
 //! promoted engine is exactly the engine you would have had anyway.
 //!
-//! A primary `DurableEngine` serves two tenants while a `Replicator` ships
-//! its durable state — a compacted `snapshot.v3` plus sealed, checksummed
-//! WAL segments — into a follower directory. The primary then dies without
+//! A primary engine opened with a WAL (`Engine::open`) serves two tenants
+//! while a `Replicator` ships its durable state — a compacted
+//! `snapshot.v3` plus sealed, checksummed WAL segments — into a follower
+//! directory. The primary then dies without
 //! warning, mid-stream: everything after the last ship is lost with it.
 //! The `FollowerEngine` catches up from the replica, reports its per-key
-//! applied-sequence **watermarks**, and promotes into a full
-//! `DurableEngine` through the standard recovery path.
+//! applied-sequence **watermarks**, and promotes into a logged `Engine`
+//! through the standard recovery path.
 //!
 //! The acceptance gate: drive the promoted engine and a **never-crashed
 //! twin** (a same-seed engine fed exactly the watermark prefix of the same
@@ -52,7 +53,7 @@ fn runtime(tenant_idx: usize, arm: usize, x: f64) -> f64 {
 /// Drive both engines through the same fresh request stream and return the
 /// two bitwise recommendation fingerprints (FNV-1a over arm / explored /
 /// predicted-runtime bits).
-fn race(promoted: &DurableEngine, twin: &Engine, rounds: usize) -> (u64, u64) {
+fn race(promoted: &Engine, twin: &Engine, rounds: usize) -> (u64, u64) {
     let fnv = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
     let (mut fp_promoted, mut fp_twin) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
     for (ti, key) in TENANTS.iter().enumerate() {
@@ -85,7 +86,7 @@ fn main() {
     let options = WalOptions::new(&primary_dir).segment_max_bytes(8 * 1024);
 
     // ---- The primary serves; the replicator ships twice; then it dies. ----
-    let (primary, _) = DurableEngine::open(builder(), options).expect("open primary");
+    let (primary, _) = Engine::open(builder(), options).expect("open primary");
     let replicator = Replicator::new(FsTransport::new(&replica_dir));
     for i in 0..CRASH {
         for (ti, key) in TENANTS.iter().enumerate() {
@@ -156,7 +157,7 @@ fn main() {
         "post-promotion fingerprint over {} rounds: {fp_promoted:016x} == twin {fp_twin:016x}",
         120 * TENANTS.len()
     );
-    let stats = promoted.engine().stats();
+    let stats = promoted.stats();
     println!(
         "promoted engine serving on: {} tenants, {} recorded rounds — failover lost only the \
          {} unshipped rounds per tenant",

@@ -387,7 +387,7 @@ fn cmd_inspect(args: &[String]) -> Result<String, String> {
 }
 
 /// Fold every tenant's WAL segments in a serving directory into v3
-/// snapshots (the offline counterpart of `DurableEngine::compact`).
+/// snapshots (the offline counterpart of `Engine::compact`).
 fn cmd_compact(args: &[String]) -> Result<String, String> {
     let a = app(args.first().ok_or("compact: missing application")?)?;
     let dir = args.get(1).ok_or("compact: missing WAL directory")?;
@@ -398,7 +398,7 @@ fn cmd_compact(args: &[String]) -> Result<String, String> {
         .policy(policy_name.clone())
         .config(BanditConfig::paper().with_seed(seed));
     let (engine, report) =
-        DurableEngine::open(builder, WalOptions::new(dir)).map_err(|e| e.to_string())?;
+        Engine::open(builder, WalOptions::new(dir)).map_err(|e| e.to_string())?;
     let keys = engine.compact_all().map_err(|e| e.to_string())?;
     Ok(format!(
         "recovered {} tenant(s) from {dir} ({} snapshot(s) loaded, {} WAL record(s) replayed), \
@@ -431,7 +431,7 @@ fn cmd_replicate(args: &[String]) -> Result<String, String> {
     let seal = args.iter().any(|arg| arg == "--seal");
     let builder = serving_builder(&a, args)?;
     let (primary, recovery) =
-        DurableEngine::open(builder, WalOptions::new(primary_dir)).map_err(|e| e.to_string())?;
+        Engine::open(builder, WalOptions::new(primary_dir)).map_err(|e| e.to_string())?;
     let replicator = Replicator::new(FsTransport::new(follower_dir));
     let report = replicator.ship_all(&primary, seal).map_err(|e| e.to_string())?;
     Ok(format!(
@@ -461,7 +461,7 @@ fn cmd_promote(args: &[String]) -> Result<String, String> {
         ));
     }
     let (promoted, recovery) = follower.promote().map_err(|e| e.to_string())?;
-    let stats = promoted.engine().stats();
+    let stats = promoted.stats();
     Ok(format!(
         "promoted {follower_dir}: {} tenant(s), {} recorded round(s), {} open ticket(s); \
          watermarks {:?}",
@@ -772,7 +772,7 @@ mod tests {
         let specs = specs_from_hardware(&synthetic_hardware());
         let n_features = 1;
         let builder = Engine::builder(specs, n_features);
-        let (engine, _) = DurableEngine::open(builder, WalOptions::new(&dir)).unwrap();
+        let (engine, _) = Engine::open(builder, WalOptions::new(&dir)).unwrap();
         for i in 0..12 {
             let (t, _) = engine.recommend("wf", &[100.0 + i as f64]).unwrap();
             engine.record("wf", t, 50.0 + i as f64).unwrap();
@@ -810,7 +810,7 @@ mod tests {
         // reconstructs: cycles hardware, seed 0, epsilon-greedy).
         let specs = specs_from_hardware(&synthetic_hardware());
         let builder = Engine::builder(specs, 1).config(BanditConfig::paper().with_seed(0));
-        let (engine, _) = DurableEngine::open(builder, WalOptions::new(&primary)).unwrap();
+        let (engine, _) = Engine::open(builder, WalOptions::new(&primary)).unwrap();
         for i in 0..15 {
             let (t, _) = engine.recommend("wf", &[100.0 + i as f64]).unwrap();
             engine.record("wf", t, 50.0 + i as f64).unwrap();

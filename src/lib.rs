@@ -92,8 +92,8 @@ pub mod prelude {
     pub use banditware_eval::{MatchedSet, RoundSeries};
     pub use banditware_net::{NetClient, NetError, NetServer, ServerConfig};
     pub use banditware_serve::{
-        build_policy, policy_names, Durability, DurableEngine, Engine, FollowerEngine, FsTransport,
-        Replicator, ServeError, StressPlan, WalOptions,
+        build_policy, policy_names, Durability, Engine, FollowerEngine, FsTransport, Replicator,
+        ServeError, StressPlan, WalOptions,
     };
     pub use banditware_workloads::hardware::{
         gpu_hardware, matmul_hardware, ndp_hardware, synthetic_hardware,
