@@ -46,7 +46,7 @@ echo "==> bitwise suites under --release (simd twins, frame equivalence, alloc p
 cargo test --release -q -p banditware-linalg simd
 cargo test --release -q -p banditware-core --test frame_equivalence --test alloc_free --test workspace
 cargo test --release -q -p banditware-serve --test record_frame_equivalence --test engine_equivalence \
-    --test shard_footprint
+    --test shard_footprint --test alloc_free
 cargo test --release -q -p banditware-net --test durable_tcp
 
 echo "==> cargo build --examples --release (examples smoke check)"
@@ -106,7 +106,7 @@ cargo run --release --example replication_failover >/dev/null
 # completion. The binary runs every gate and exits 1 if any failed. (The
 # follower-staleness bound is a count, not a timing, so it is a test in
 # crates/serve/tests/replication.rs.)
-echo "==> perf gates (refit/record, frame/rows, push_block, restore, checkpoint parse, net throughput, 1024-conn fan-out)"
+echo "==> perf gates (refit/record, frame/rows, push_block, restore, checkpoint parse, net throughput, 1024-conn fan-out, CRC dispatch)"
 cargo run --release -p banditware-bench --bin perf_gates
 
 echo "==> all green"

@@ -11,6 +11,7 @@
 //! | `checkpoint_parse_over_float_parse` | `load_checkpoint` of 1024 m=7 tenant checkpoints / `str::parse::<f64>` of their numeric fields | ≤ 2 |
 //! | `rounds_per_s_8_conns` | pipelined recommend→record rounds/s over 8 loopback connections | ≥ 50 000 |
 //! | `fanout_1024_rounds_served` | rounds answered when one client thread drives 1024 connections | all of them |
+//! | `crc_dispatch_over_table` | host-dispatched CRC-32 / the slicing-by-8 table body, over the four payloads of an m=7 wire round | ≤ 1.05 |
 //!
 //! Each ratio gate is measured as [`PAIRS`] back-to-back pairs, reference
 //! side first, and keeps the pair with the lowest `new / reference`: both
@@ -39,6 +40,7 @@ use banditware_core::{
 };
 use banditware_linalg::{LinearFit, Matrix, NormalEquations, SolveScratch, UpdatableCholesky};
 use banditware_net::{NetClient, NetServer, Response, ServerConfig};
+use banditware_serve::crc::{crc32, crc32_table};
 use banditware_serve::Engine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -395,6 +397,21 @@ fn fanout_rounds_served(connections: usize, waves: usize) -> f64 {
     served as f64
 }
 
+/// The payload sizes of one `paper-tenants` round on the wire: a
+/// recommend request at m=7, its reply, a record request and its reply.
+const WIRE_PAYLOADS: [usize; 4] = [80, 50, 38, 9];
+
+/// ns to checksum each of the [`WIRE_PAYLOADS`] once with `crc`.
+fn bench_crc(crc: fn(&[u8]) -> u32) -> f64 {
+    let bytes: Vec<u8> = (0..256u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+    let payloads: Vec<&[u8]> = WIRE_PAYLOADS.iter().map(|&n| &bytes[..n]).collect();
+    median_ns_per_op(15, 20_000, || {
+        for p in &payloads {
+            std::hint::black_box(crc(std::hint::black_box(p)));
+        }
+    })
+}
+
 const FANOUT_CONNECTIONS: usize = 1024;
 const FANOUT_WAVES: usize = 16;
 
@@ -429,7 +446,7 @@ impl fmt::Display for Bar {
 type Gate = (&'static str, Bar, fn() -> f64);
 
 fn main() {
-    let gates: [Gate; 8] = [
+    let gates: [Gate; 9] = [
         ("refit_over_record", Bar::AtLeast(8.0), || {
             1.0 / paired_ratio(PAIRS, || bench_record(64), || bench_refactor(65))
         }),
@@ -475,6 +492,9 @@ fn main() {
             Bar::AtLeast((FANOUT_CONNECTIONS * FANOUT_WAVES) as f64),
             || fanout_rounds_served(FANOUT_CONNECTIONS, FANOUT_WAVES),
         ),
+        ("crc_dispatch_over_table", Bar::AtMost(1.05), || {
+            paired_ratio(PAIRS, || bench_crc(crc32), || bench_crc(crc32_table))
+        }),
     ];
     let mut failed = 0;
     for (name, bar, gate) in gates {

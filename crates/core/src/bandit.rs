@@ -29,6 +29,7 @@ use crate::tickets::TicketTable;
 use crate::workspace::{Burst, Workspace};
 use crate::{CoreError, Result};
 use std::mem::take;
+use std::sync::Arc;
 
 /// The largest feature magnitude the recommender accepts at ingress. At
 /// this bound even 2⁵³ rows of `x²` sum to a finite Gram entry, so no
@@ -211,7 +212,9 @@ impl History {
 #[derive(Debug, Clone)]
 pub struct BanditWare<P: Policy> {
     policy: P,
-    specs: Vec<ArmSpec>,
+    /// Arm metadata; recommenders built from one table (an engine's
+    /// tenants) share it, so reading it is a cache hit for all of them.
+    specs: Arc<[ArmSpec]>,
     history: History,
     tickets: TicketTable,
     next_ticket: u64,
@@ -223,7 +226,8 @@ impl<P: Policy> BanditWare<P> {
     ///
     /// # Panics
     /// Panics on an arm-count mismatch (construction-time programmer error).
-    pub fn new(policy: P, specs: Vec<ArmSpec>) -> Self {
+    pub fn new(policy: P, specs: impl Into<Arc<[ArmSpec]>>) -> Self {
+        let specs = specs.into();
         assert_eq!(policy.n_arms(), specs.len(), "policy arms != specs");
         BanditWare {
             policy,
@@ -591,13 +595,14 @@ impl<P: Policy> BanditWare<P> {
     ) -> Result<()> {
         self.validate_in(outcomes, pos, &mut ws.sorted)?;
         let BanditWare { policy, history, tickets, legacy_pending, .. } = self;
-        let nf = policy.n_features();
-        let result = if pos.iter().all(|&at| tickets.round(at).features.len() == nf) {
-            obs.begin(outcomes.len(), nf);
-            for (i, (&at, &(_, runtime))) in pos.iter().zip(outcomes).enumerate() {
-                let round = tickets.round(at);
-                obs.set_row(i, round.arm, round.features, runtime, round.explored)?;
-            }
+        obs.begin(outcomes.len(), policy.n_features());
+        // Staging fails only on a row whose remembered width is not the
+        // policy's.
+        let staged = pos.iter().zip(outcomes).enumerate().try_for_each(|(i, (&at, &(_, y)))| {
+            let round = tickets.round(at);
+            obs.set_row(i, round.arm, round.features, y, round.explored)
+        });
+        let result = if staged.is_ok() {
             policy.observe_frame_with(obs, absorbed, ws)
         } else {
             // Ragged remembered widths: absorb row by row up to the first

@@ -209,11 +209,16 @@ impl ArmEstimator for WindowedArm {
     fn update(&mut self, x: &[f64], runtime: f64) -> Result<()> {
         validate(x, self.n_features, runtime)?;
         Workspace::with(|ws| {
+            // A full window forgets its oldest row and reuses its buffer.
+            let mut row = Vec::new();
             if self.window.len() == self.capacity {
                 let (old_x, old_y) = self.window.pop_front().expect("window is full");
                 self.acc.forget(&old_x, old_y, &mut ws.aug)?;
+                row = old_x;
             }
-            self.window.push_back((x.to_vec(), runtime));
+            row.clear();
+            row.extend_from_slice(x);
+            self.window.push_back((row, runtime));
             self.acc.push_with(x, runtime, &mut ws.aug)?;
             self.total_seen += 1;
             self.acc.solve_into(0.0, &mut ws.solve, &mut self.current)?;

@@ -298,49 +298,31 @@ impl<A: ArmEstimator> Policy for DecayingEpsilonGreedy<A> {
         // The grouping buffers leave the workspace while the arms, which
         // take it for their panel and solve scratch, absorb.
         let mut g = std::mem::take(&mut ws.grouping);
-        let Grouping { offsets: group_offsets, cursor: group_cursor, rows: group_rows, block, ys } =
-            &mut g;
-        // Group rows by arm with a stable counting sort: per-arm row order
-        // equals frame row order, so each arm's estimator sees the exact
-        // observation sequence the row loop feeds it — arm updates commute
-        // across arms (disjoint state), which is what makes the grouped
-        // absorption bitwise-identical on success.
-        group_offsets.clear();
-        group_offsets.resize(n_arms + 1, 0);
-        for &a in frame.arms() {
-            group_offsets[a + 1] += 1;
-        }
-        for a in 0..n_arms {
-            group_offsets[a + 1] += group_offsets[a];
-        }
-        group_rows.clear();
-        group_rows.resize(n, 0);
-        group_cursor.clear();
-        group_cursor.extend_from_slice(&group_offsets[..n_arms]);
-        for (r, &a) in frame.arms().iter().enumerate() {
-            group_rows[group_cursor[a]] = r as u32;
-            group_cursor[a] += 1;
-        }
+        let Grouping { block, ys } = &mut g;
         let mut result = Ok(());
         let mut n_absorbed = 0usize;
         for (a, arm) in arms.iter_mut().enumerate() {
-            let grp = &group_rows[group_offsets[a]..group_offsets[a + 1]];
-            if grp.is_empty() {
+            // Stage this arm's rows once, in frame row order, as augmented
+            // rows `[1, x]`: each arm's estimator sees the exact observation
+            // sequence the row loop feeds it — arm updates commute across
+            // arms (disjoint state), which is what makes the grouped
+            // absorption bitwise-identical on success.
+            block.clear();
+            ys.clear();
+            for (r, _) in frame.arms().iter().enumerate().filter(|&(_, &ra)| ra == a) {
+                block.push(1.0);
+                block.extend_from_slice(frame.row(r));
+                ys.push(frame.outcome(r));
+            }
+            if ys.is_empty() {
                 continue;
             }
-            // Stage this arm's rows once, as augmented rows `[1, x]`:
-            // one contiguous copy per frame row.
-            block.clear();
-            for &r in grp {
-                block.push(1.0);
-                block.extend_from_slice(frame.row(r as usize));
-            }
-            ys.clear();
-            ys.extend(grp.iter().map(|&r| frame.outcome(r as usize)));
             let mut sub = 0;
             let res = arm.absorb_rows(block, ys, ws, &mut sub);
-            for &r in &grp[..sub] {
-                absorbed[r as usize] = true;
+            // The arm absorbed its first `sub` rows.
+            let mine = absorbed.iter_mut().zip(frame.arms()).filter(|&(_, &ra)| ra == a);
+            for (flag, _) in mine.take(sub) {
+                *flag = true;
             }
             n_absorbed += sub;
             if let Err(e) = res {

@@ -92,11 +92,6 @@ pub(crate) struct Burst {
 /// ([`crate::DecayingEpsilonGreedy`]'s `observe_frame_with`).
 #[derive(Debug, Default)]
 pub(crate) struct Grouping {
-    /// Counting-sort offsets and cursors.
-    pub(crate) offsets: Vec<usize>,
-    pub(crate) cursor: Vec<usize>,
-    /// Frame rows grouped by arm.
-    pub(crate) rows: Vec<u32>,
     /// One arm's block as augmented rows `[1, x]`, and its outcomes.
     pub(crate) block: Vec<f64>,
     pub(crate) ys: Vec<f64>,

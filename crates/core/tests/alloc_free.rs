@@ -9,7 +9,7 @@
 
 use banditware_core::arm::{ArmEstimator, RecursiveArm};
 use banditware_core::boltzmann::Boltzmann;
-use banditware_core::drift::DiscountedArm;
+use banditware_core::drift::{DiscountedArm, WindowedArm};
 use banditware_core::linucb::LinUcb;
 use banditware_core::objective::{BudgetedEpsilonGreedy, Objective};
 use banditware_core::scaler::ScaledPolicy;
@@ -101,6 +101,20 @@ fn steady_state_record_path_is_allocation_free() {
         arm.update(&x, 42.0).unwrap();
     });
     assert_eq!(n, 0, "DiscountedArm::update allocated {n} times in 100 steady-state rounds");
+
+    // --- WindowedArm (the sliding-window path): a full window forgets its
+    // oldest row and reuses that row's buffer for the new one. ---
+    let mut arm = WindowedArm::new(M, 64).unwrap();
+    for round in 0..200 {
+        fill_context(&mut x, round);
+        arm.update(&x, 10.0 + (round % 13) as f64).unwrap();
+    }
+    let n = count_allocs(100, |round| {
+        fill_context(&mut x, 200 + round);
+        arm.update(&x, 42.0).unwrap();
+    });
+    assert_eq!(n, 0, "WindowedArm::update allocated {n} times in 100 steady-state rounds");
+    assert_eq!(arm.window_len(), 64);
 
     // --- ε-greedy select+observe (the serving default, Algorithm 1). ---
     let mut policy = DecayingEpsilonGreedy::<RecursiveArm>::new(

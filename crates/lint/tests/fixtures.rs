@@ -88,4 +88,14 @@ fn workspace_self_scan_has_zero_findings() {
         "dispatch site justification: {:?}",
         linalg[0].justification
     );
+    // `serve`'s one unsafe site is the CRC-32 dispatch into the carry-less
+    // multiply body, justified the same way.
+    let serve: Vec<_> = inventory.iter().filter(|s| s.file.starts_with("crates/serve/")).collect();
+    assert_eq!(serve.len(), 1, "serve unsafe sites: {serve:?}");
+    assert_eq!(serve[0].file, "crates/serve/src/crc.rs");
+    assert!(
+        serve[0].justification.contains("is_x86_feature_detected"),
+        "CRC dispatch site justification: {:?}",
+        serve[0].justification
+    );
 }

@@ -481,6 +481,9 @@ pub(crate) struct KeyWal {
     /// lets the per-ship refresh skip re-reading an unchanged snapshot.
     // lint: allow(determinism) -- mtime change-detection cache, never serialized
     snapshot_stat: Option<(u64, std::time::SystemTime)>,
+    /// The text of the group being appended, reused across appends so a
+    /// warm logged record formats without allocating.
+    group: String,
 }
 
 impl KeyWal {
@@ -528,6 +531,7 @@ impl KeyWal {
             active_records: 0,
             manifest,
             snapshot_stat: None,
+            group: String::new(),
         })
     }
 
@@ -654,10 +658,23 @@ impl KeyWal {
         Ok(())
     }
 
-    /// Append a pre-formatted group of `n_records` observation lines, then
-    /// flush (and `fsync`, per the [`Durability`] policy) — one syscall pair
-    /// per batch (the group commit).
-    pub(crate) fn append(&mut self, group: &str, n_records: u64) -> ServeResult<()> {
+    /// Append one group of observation lines, then flush (and `fsync`, per
+    /// the [`Durability`] policy) — one syscall pair per batch (the group
+    /// commit). `fill` writes the lines into the appender's reused buffer
+    /// and returns how many it wrote; a group of none appends nothing.
+    pub(crate) fn append_group(
+        &mut self,
+        fill: impl FnOnce(&mut String) -> u64,
+    ) -> ServeResult<()> {
+        let mut group = std::mem::take(&mut self.group);
+        group.clear();
+        let n_records = fill(&mut group);
+        let result = if n_records > 0 { self.append(&group, n_records) } else { Ok(()) };
+        self.group = group;
+        result
+    }
+
+    fn append(&mut self, group: &str, n_records: u64) -> ServeResult<()> {
         let io = io_err("wal-append");
         self.open_writer()?;
         // lint: allow(no-panic) -- open_writer() just populated it
