@@ -34,19 +34,22 @@ echo "==> cargo test --workspace -q (unit + proptest + integration, all crates)"
 cargo test --workspace -q
 
 # The bitwise suites once more on the opt-level-3 build that serves: the
-# dispatched kernels' twin-vs-baseline tests, frame-vs-per-row
+# whole linalg suite (the dispatched kernels' twin-vs-baseline tests and
+# the packed-layout kernels they compile, `proptest_push_block` at m=64
+# with its factor-failure cases), frame-vs-per-row
 # equivalence, the zero-allocation pins, the record-frame equivalence,
 # the facade-vs-engine frame contract (engine bursts vs per-row
 # `recommend_ticketed`), interleaved shards on one thread's workspace vs
 # each shard alone, the per-shard live-heap bound, and the durable TCP
 # gate (a stream served by an `Engine::open`-ed engine, dropped without
-# compacting and reopened, equals its in-process twin). The workspace run
-# above builds them under the test profile only.
-echo "==> bitwise suites under --release (simd twins, frame equivalence, alloc pins, workspace sharing, shard footprint, facade-vs-engine, durable TCP)"
-cargo test --release -q -p banditware-linalg simd
+# compacting and reopened, equals its in-process twin), and the v3
+# checkpoint round trips with their pinned served-shard digests. The
+# workspace run above builds them under the test profile only.
+echo "==> bitwise suites under --release (linalg incl. simd twins, frame equivalence, alloc pins, workspace sharing, shard footprint, facade-vs-engine, snapshots, durable TCP)"
+cargo test --release -q -p banditware-linalg
 cargo test --release -q -p banditware-core --test frame_equivalence --test alloc_free --test workspace
 cargo test --release -q -p banditware-serve --test record_frame_equivalence --test engine_equivalence \
-    --test shard_footprint --test alloc_free
+    --test shard_footprint --test alloc_free --test snapshot_roundtrip
 cargo test --release -q -p banditware-net --test durable_tcp
 
 echo "==> cargo build --examples --release (examples smoke check)"

@@ -19,11 +19,13 @@ use banditware_core::{
     Policy, Recommendation, Retention, Ticket,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Heap blocks allocated and not yet freed.
+static LIVE_BLOCKS: AtomicI64 = AtomicI64::new(0);
 
 // Counting requires delegating to the system allocator, which is inherently
 // `unsafe`; the arithmetic around it is a single relaxed atomic increment.
@@ -31,11 +33,13 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BLOCKS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
 
@@ -45,6 +49,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BLOCKS.fetch_sub(1, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -71,6 +76,30 @@ fn count_allocs(rounds: usize, mut op: impl FnMut(usize)) -> u64 {
         op(round);
     }
     allocations() - before
+}
+
+/// A fitted `RecursiveArm` at the paper's width owns three heap blocks (its
+/// packed statistics, its packed factor and its weights) and stays small
+/// inline.
+fn recursive_arm_holds_three_heap_blocks() {
+    const M: usize = 7;
+    let mut x = vec![0.0; M];
+    let mut train = |arm: &mut RecursiveArm| {
+        for round in 0..50 {
+            fill_context(&mut x, round);
+            arm.update(&x, 10.0 + (round % 13) as f64).unwrap();
+        }
+    };
+    // The first arm warms this thread's workspace.
+    train(&mut RecursiveArm::new(M));
+    let before = LIVE_BLOCKS.load(Ordering::Relaxed);
+    let mut arm = RecursiveArm::new(M);
+    train(&mut arm);
+    let held = LIVE_BLOCKS.load(Ordering::Relaxed) - before;
+    assert_eq!(held, 3, "a fitted m={M} RecursiveArm holds {held} heap blocks");
+    let inline = std::mem::size_of::<RecursiveArm>();
+    assert!(inline < 150, "a RecursiveArm is {inline} bytes inline");
+    drop(arm);
 }
 
 fn steady_state_record_path_is_allocation_free() {
@@ -509,9 +538,10 @@ fn bandit_batch_round_is_allocation_free() {
 
 fn main() {
     for (name, section) in [
+        ("recursive_arm_holds_three_heap_blocks", recursive_arm_holds_three_heap_blocks as fn()),
         (
             "steady_state_record_path_is_allocation_free",
-            steady_state_record_path_is_allocation_free as fn(),
+            steady_state_record_path_is_allocation_free,
         ),
         ("read_path_is_allocation_free", read_path_is_allocation_free),
         ("budgeted_exploit_select_is_allocation_free", budgeted_exploit_select_is_allocation_free),

@@ -215,7 +215,8 @@ fn solve_spd_into(l: &Matrix, b: &[f64], x: &mut [f64]) -> Result<()> {
 pub struct FactorParts {
     /// System dimension.
     pub dim: usize,
-    /// `Lᵀ` of the unit-triangular `L`, row-major, `dim × dim`.
+    /// `Lᵀ` of the unit-triangular `L`, row-major, `dim × dim`: 1.0 on the
+    /// diagonal and 0 below it.
     pub lt: Vec<f64>,
     /// The positive diagonal `D`.
     pub d: Vec<f64>,
@@ -223,6 +224,13 @@ pub struct FactorParts {
     /// restore — they are state, not cache; see
     /// [`UpdatableCholesky::to_parts`]).
     pub dinv: Vec<f64>,
+}
+
+/// Offset of row `k ≤ n` of a packed strict upper triangle of order `n`
+/// (row `k` holds columns `k+1..n`).
+#[inline(always)]
+fn strict_row_start(n: usize, k: usize) -> usize {
+    k * (2 * n + 1 - k) / 2 - k
 }
 
 /// A Cholesky factor maintained under rank-1 modifications — the O(m²)
@@ -247,24 +255,25 @@ pub struct FactorParts {
 ///
 /// **Representation.** Internally the factor is the root-free `A = LDLᵀ`
 /// with unit-triangular `L` and positive diagonal `D` (the
-/// Gill–Golub–Murray–Saunders form), stored as `Lᵀ` row-major so column `k`
-/// of `L` is a contiguous row slice. This is deliberate hot-path
-/// engineering: the rank-1 sweep needs **no square roots and one division
-/// per column** (a Givens-based `cholupdate` keeps a serialized
-/// sqrt+divide dependency chain that dominates its runtime at bandit
-/// dimensions), the substitutions are division-free against cached `1/dᵢ`,
-/// and `scale` touches only `D` — O(m) instead of O(m²). The classic
-/// Cholesky factor is materialized on demand as `L·√D`.
+/// Gill–Golub–Murray–Saunders form). One buffer holds it: the strict upper
+/// triangle of `Lᵀ` packed row by row (row `k` is column `k` of `L` below
+/// its diagonal, `m−1−k` contiguous values), then `D`, then `1/dᵢ`. The
+/// unit diagonal and the zeros below it are implicit and exported on
+/// demand. This is deliberate hot-path engineering: the rank-1 sweep needs
+/// **no square roots and one division per column** (a Givens-based
+/// `cholupdate` keeps a serialized sqrt+divide dependency chain that
+/// dominates its runtime at bandit dimensions), the substitutions are
+/// division-free against cached `1/dᵢ`, and `scale` touches only `D` —
+/// O(m) instead of O(m²). The classic Cholesky factor is materialized on
+/// demand as `L·√D`.
 #[derive(Debug, Clone)]
 pub struct UpdatableCholesky {
-    /// `Lᵀ` of the unit-triangular `L`, row-major (row `k` = column `k` of
-    /// `L`; diagonal entries are exactly 1 and never read).
-    lt: Matrix,
-    /// The positive diagonal `D`.
-    d: Vec<f64>,
-    /// Cached reciprocals `1/dᵢ` (FP division doesn't pipeline; the hot
-    /// loops multiply by these instead).
-    dinv: Vec<f64>,
+    /// System dimension `n`.
+    dim: usize,
+    /// The strict upper triangle of `Lᵀ` (`n(n−1)/2` values, packed rows),
+    /// then `D` (`n`), then the cached reciprocals `1/dᵢ` (`n`; FP
+    /// division doesn't pipeline, so the hot loops multiply by these).
+    buf: Vec<f64>,
 }
 
 impl UpdatableCholesky {
@@ -284,50 +293,69 @@ impl UpdatableCholesky {
     pub fn from_factor(l: Matrix) -> Self {
         assert_eq!(l.rows(), l.cols(), "factor must be square");
         let n = l.rows();
-        let mut this =
-            UpdatableCholesky { lt: Matrix::zeros(n, n), d: vec![0.0; n], dinv: vec![0.0; n] };
+        let mut this = UpdatableCholesky { dim: n, buf: vec![0.0; strict_row_start(n, n) + 2 * n] };
         this.absorb_cholesky(&l);
         this
+    }
+
+    /// The packed strict upper triangle of `Lᵀ`, `D` and `1/dᵢ`.
+    #[inline(always)]
+    fn split(&self) -> (&[f64], &[f64], &[f64]) {
+        let (lt, diag) = self.buf.split_at(strict_row_start(self.dim, self.dim));
+        let (d, dinv) = diag.split_at(self.dim);
+        (lt, d, dinv)
+    }
+
+    /// [`UpdatableCholesky::split`], mutably.
+    #[inline(always)]
+    fn split_mut(&mut self) -> (&mut [f64], &mut [f64], &mut [f64]) {
+        let (lt, diag) = self.buf.split_at_mut(strict_row_start(self.dim, self.dim));
+        let (d, dinv) = diag.split_at_mut(self.dim);
+        (lt, d, dinv)
     }
 
     /// Load `L_c` (classic Cholesky factor) into the `LDLᵀ` buffers:
     /// `dⱼ = L_c[j][j]²`, `L[i][j] = L_c[i][j]/L_c[j][j]`.
     fn absorb_cholesky(&mut self, l: &Matrix) {
-        let n = l.rows();
+        let n = self.dim;
+        let (lt, d, dinv) = self.split_mut();
         for j in 0..n {
             let pivot = l[(j, j)];
             let inv_pivot = 1.0 / pivot;
-            self.d[j] = pivot * pivot;
-            self.dinv[j] = inv_pivot * inv_pivot;
-            let row = self.lt.row_mut(j);
-            row[j] = 1.0;
-            for i in j + 1..n {
-                row[i] = l[(i, j)] * inv_pivot;
+            d[j] = pivot * pivot;
+            dinv[j] = inv_pivot * inv_pivot;
+            let row = &mut lt[strict_row_start(n, j)..strict_row_start(n, j + 1)];
+            for (i, v) in (j + 1..n).zip(row) {
+                *v = l[(i, j)] * inv_pivot;
             }
         }
     }
 
     /// System dimension.
     pub fn dim(&self) -> usize {
-        self.lt.rows()
+        self.dim
     }
 
     /// The classic lower-triangular Cholesky factor `L·√D`, materialized
     /// from the internal root-free storage.
     pub fn l(&self) -> Matrix {
-        let n = self.lt.rows();
+        let n = self.dim;
+        let (lt, d, _) = self.split();
         let mut out = Matrix::zeros(n, n);
         for j in 0..n {
-            let root = self.d[j].sqrt();
-            for i in j..n {
-                out[(i, j)] = self.lt[(j, i)] * root;
+            let root = d[j].sqrt();
+            out[(j, j)] = root;
+            let row = &lt[strict_row_start(n, j)..strict_row_start(n, j + 1)];
+            for (i, &v) in (j + 1..n).zip(row) {
+                out[(i, j)] = v * root;
             }
         }
         out
     }
 
-    /// Export the exact internal representation — `Lᵀ` (row-major), `D`,
-    /// and the cached reciprocals `1/dᵢ` — for checkpointing.
+    /// Export the exact internal representation — `Lᵀ` (row-major, unit
+    /// diagonal and zeros below it written out), `D`, and the cached
+    /// reciprocals `1/dᵢ` — for checkpointing.
     ///
     /// All three buffers are part of the snapshot on purpose: `dinv` is
     /// maintained *incrementally* (each update/scale multiplies it in
@@ -336,20 +364,26 @@ impl UpdatableCholesky {
     /// [`UpdatableCholesky::from_parts`] therefore reproduces every future
     /// solve, update, and downdate bit for bit.
     pub fn to_parts(&self) -> FactorParts {
-        FactorParts {
-            dim: self.lt.rows(),
-            lt: self.lt.as_slice().to_vec(),
-            d: self.d.clone(),
-            dinv: self.dinv.clone(),
+        let n = self.dim;
+        let (packed, d, dinv) = self.split();
+        let mut lt = vec![0.0; n * n];
+        for k in 0..n {
+            lt[k * n + k] = 1.0;
+            lt[k * n + k + 1..(k + 1) * n]
+                .copy_from_slice(&packed[strict_row_start(n, k)..strict_row_start(n, k + 1)]);
         }
+        FactorParts { dim: n, lt, d: d.to_vec(), dinv: dinv.to_vec() }
     }
 
     /// Rebuild a factor from [`UpdatableCholesky::to_parts`] output.
     ///
     /// # Errors
     /// [`LinalgError::ShapeMismatch`] when the buffer lengths are
-    /// inconsistent with `dim`, [`LinalgError::NotPositiveDefinite`] when a
-    /// stored pivot is not a positive finite number.
+    /// inconsistent with `dim`, or when `Lᵀ` is not unit upper triangular
+    /// (a diagonal entry other than 1.0, or a nonzero entry below the
+    /// diagonal: the packed form cannot hold either);
+    /// [`LinalgError::NotPositiveDefinite`] when a stored pivot is not a
+    /// positive finite number.
     pub fn from_parts(parts: &FactorParts) -> Result<Self> {
         let n = parts.dim;
         let Some(square) = n.checked_mul(n) else {
@@ -365,16 +399,32 @@ impl UpdatableCholesky {
                 parts.dinv.len()
             )));
         }
+        for (i, row) in parts.lt.chunks_exact(n.max(1)).enumerate() {
+            if row[i] != 1.0 {
+                return Err(LinalgError::ShapeMismatch(format!(
+                    "factor parts: Lᵀ[{i}][{i}] is {}, not 1",
+                    row[i]
+                )));
+            }
+            if let Some(j) = row[..i].iter().position(|&v| v != 0.0) {
+                return Err(LinalgError::ShapeMismatch(format!(
+                    "factor parts: Lᵀ[{i}][{j}] below the diagonal is {}, not 0",
+                    row[j]
+                )));
+            }
+        }
         for (i, &d) in parts.d.iter().enumerate() {
             if !(d.is_finite() && d > 0.0) {
                 return Err(LinalgError::NotPositiveDefinite { index: i, value: d });
             }
         }
-        Ok(UpdatableCholesky {
-            lt: Matrix::from_vec(n, n, parts.lt.clone())?,
-            d: parts.d.clone(),
-            dinv: parts.dinv.clone(),
-        })
+        let mut buf = Vec::with_capacity(strict_row_start(n, n) + 2 * n);
+        for (k, row) in parts.lt.chunks_exact(n.max(1)).enumerate() {
+            buf.extend_from_slice(&row[k + 1..]);
+        }
+        buf.extend_from_slice(&parts.d);
+        buf.extend_from_slice(&parts.dinv);
+        Ok(UpdatableCholesky { dim: n, buf })
     }
 
     /// Re-factorize from scratch (the fallback after a failed
@@ -422,17 +472,19 @@ impl UpdatableCholesky {
     /// compiles at its instruction set.
     #[inline(always)]
     pub(crate) fn rank_one_inline(&mut self, work: &mut [f64], alpha: f64) -> Result<()> {
-        let n = self.lt.rows();
+        let n = self.dim;
         if work.len() != n {
             return Err(LinalgError::ShapeMismatch(format!(
                 "rank-1 factor update: vector of length {} against {n}x{n} factor",
                 work.len()
             )));
         }
+        let (lt, d, dinv) = self.split_mut();
         let mut a = alpha;
+        let mut rows = lt;
         for j in 0..n {
             let p = work[j];
-            let d_old = self.d[j];
+            let d_old = d[j];
             let d_new = d_old + a * p * p;
             // A pivot collapsing below this relative floor (only reachable
             // on the downdate side) means the result is numerically
@@ -443,8 +495,8 @@ impl UpdatableCholesky {
             let inv_new = 1.0 / d_new;
             let b = p * a * inv_new;
             a *= d_old * inv_new;
-            self.d[j] = d_new;
-            self.dinv[j] = inv_new;
+            d[j] = d_new;
+            dinv[j] = inv_new;
             // Deliberately left in pairwise scalar form: the loop
             // vectorizer turns this exact shape into packed multiply,
             // subtract, multiply, add — 2-lane SSE2 in the baseline x86-64
@@ -453,8 +505,9 @@ impl UpdatableCholesky {
             // explicit `[f64; 4]` block variant measured 30–45% *slower*
             // (the unrolled body falls back to the weaker SLP vectorizer).
             // See `cholupdate_m64` in the README's "Perf trajectory" table.
-            let row = self.lt.row_mut(j);
-            for (lji, wi) in row[j + 1..].iter_mut().zip(&mut work[j + 1..]) {
+            let (row, rest) = rows.split_at_mut(n - 1 - j);
+            rows = rest;
+            for (lji, wi) in row.iter_mut().zip(&mut work[j + 1..]) {
                 *wi -= p * *lji;
                 *lji += b * *wi;
             }
@@ -486,7 +539,7 @@ impl UpdatableCholesky {
     /// is shorter (the factor is untouched in that case).
     #[inline(always)]
     pub(crate) fn update_panel(&mut self, rows: &[f64], work: &mut [f64]) -> Result<usize> {
-        let n = self.lt.rows();
+        let n = self.dim;
         if rows.len() != 4 * n || work.len() < 4 * n {
             return Err(LinalgError::ShapeMismatch(format!(
                 "panel factor update: {} values (work {}) against 4 rows of a {n}x{n} factor",
@@ -499,13 +552,15 @@ impl UpdatableCholesky {
         let (w0, rest) = work.split_at_mut(n);
         let (w1, rest) = rest.split_at_mut(n);
         let (w2, w3) = rest.split_at_mut(n);
+        let (lt, d, dinv) = self.split_mut();
+        let mut tail = lt;
         let mut a = [1.0f64; 4];
         let mut live = 4;
         for j in 0..n {
             let p = [w0[j], w1[j], w2[j], w3[j]];
             let mut b = [0.0f64; 4];
             for q in 0..live {
-                let d_old = self.d[j];
+                let d_old = d[j];
                 let d_new = d_old + a[q] * p[q] * p[q];
                 if d_new <= d_old * 1e-13 {
                     live = q;
@@ -514,13 +569,14 @@ impl UpdatableCholesky {
                 let inv_new = 1.0 / d_new;
                 b[q] = p[q] * a[q] * inv_new;
                 a[q] *= d_old * inv_new;
-                self.d[j] = d_new;
-                self.dinv[j] = inv_new;
+                d[j] = d_new;
+                dinv[j] = inv_new;
             }
             if live == 0 {
                 return Ok(0);
             }
-            let row = &mut self.lt.row_mut(j)[j + 1..];
+            let (row, rest) = tail.split_at_mut(n - 1 - j);
+            tail = rest;
             if live == 4 {
                 for ((((l, x0), x1), x2), x3) in row
                     .iter_mut()
@@ -563,7 +619,8 @@ impl UpdatableCholesky {
     pub fn scale(&mut self, gamma: f64) {
         assert!(gamma.is_finite() && gamma > 0.0, "scale factor {gamma} outside (0, ∞)");
         let inv = 1.0 / gamma;
-        for (d, di) in self.d.iter_mut().zip(&mut self.dinv) {
+        let (_, d, dinv) = self.split_mut();
+        for (d, di) in d.iter_mut().zip(dinv) {
             *d *= gamma;
             *di *= inv;
         }
@@ -599,46 +656,46 @@ impl UpdatableCholesky {
     /// its instruction set.
     #[inline(always)]
     pub(crate) fn solve_in_place_inline(&self, bx: &mut [f64]) -> Result<()> {
-        let n = self.lt.rows();
+        let n = self.dim;
         if bx.len() != n {
             return Err(LinalgError::ShapeMismatch(format!(
                 "solve_in_place: buffer of length {} against {n}x{n} system",
                 bx.len()
             )));
         }
-        // `L z = b` with unit L, column-oriented (column k of L is row k of
-        // Lᵀ, contiguous): division-free. Rows run in rank-4 panels: a 4×4
-        // unit-triangular head solved in the exact scalar order, then one
-        // fused pass applying all four column updates to the remainder.
-        // Every element still receives its four `+= (-y_k)·l` updates in
-        // ascending-k order, so the result is bitwise identical to four
-        // sequential `axpy` sweeps — it just loads `bx` once instead of
-        // four times. The fused pass vectorizes across elements as
-        // separate packed multiplies and adds: 2 lanes (SSE2) in the
-        // baseline build, 4 (AVX2) in the dispatched refit twin; Rust
-        // never contracts them into FMAs.
+        let (lt, _, dinv) = self.split();
+        // `L z = b` with unit L, column-oriented (column k of L is packed
+        // row k of Lᵀ, contiguous): division-free. Rows run in rank-4
+        // panels: a 4×4 unit-triangular head solved in the exact scalar
+        // order, then one fused pass applying all four column updates to
+        // the remainder. Every element still receives its four
+        // `+= (-y_k)·l` updates in ascending-k order, so the result is
+        // bitwise identical to four sequential `axpy` sweeps — it just
+        // loads `bx` once instead of four times. The fused pass vectorizes
+        // across elements as separate packed multiplies and adds: 2 lanes
+        // (SSE2) in the baseline build, 4 (AVX2) in the dispatched refit
+        // twin; Rust never contracts them into FMAs.
         let mut k = 0;
+        let mut tail = lt;
         while k + 4 <= n {
-            let r0 = self.lt.row(k);
-            let r1 = self.lt.row(k + 1);
-            let r2 = self.lt.row(k + 2);
-            let r3 = self.lt.row(k + 3);
+            // Packed rows k..k+4 hold columns k+1.., k+2.., k+3.., k+4...
+            let (r0, rest) = tail.split_at(n - 1 - k);
+            let (r1, rest) = rest.split_at(n - 2 - k);
+            let (r2, rest) = rest.split_at(n - 3 - k);
+            let (r3, rest) = rest.split_at(n - 4 - k);
+            tail = rest;
             let n0 = -bx[k];
-            bx[k + 1] += n0 * r0[k + 1];
-            bx[k + 2] += n0 * r0[k + 2];
-            bx[k + 3] += n0 * r0[k + 3];
+            bx[k + 1] += n0 * r0[0];
+            bx[k + 2] += n0 * r0[1];
+            bx[k + 3] += n0 * r0[2];
             let n1 = -bx[k + 1];
-            bx[k + 2] += n1 * r1[k + 2];
-            bx[k + 3] += n1 * r1[k + 3];
+            bx[k + 2] += n1 * r1[0];
+            bx[k + 3] += n1 * r1[1];
             let n2 = -bx[k + 2];
-            bx[k + 3] += n2 * r2[k + 3];
+            bx[k + 3] += n2 * r2[0];
             let n3 = -bx[k + 3];
-            for ((((b, &l0), &l1), &l2), &l3) in bx[k + 4..]
-                .iter_mut()
-                .zip(&r0[k + 4..])
-                .zip(&r1[k + 4..])
-                .zip(&r2[k + 4..])
-                .zip(&r3[k + 4..])
+            for ((((b, &l0), &l1), &l2), &l3) in
+                bx[k + 4..].iter_mut().zip(&r0[3..]).zip(&r1[2..]).zip(&r2[1..]).zip(r3)
             {
                 let mut v = *b;
                 v += n0 * l0;
@@ -650,17 +707,23 @@ impl UpdatableCholesky {
             k += 4;
         }
         while k < n {
+            let (row, rest) = tail.split_at(n - 1 - k);
+            tail = rest;
             let yk = bx[k];
-            crate::vector::axpy(-yk, &self.lt.row(k)[k + 1..], &mut bx[k + 1..]);
+            crate::vector::axpy(-yk, row, &mut bx[k + 1..]);
             k += 1;
         }
         // `D y = z`: one pipelined multiply per component.
-        for (x, di) in bx.iter_mut().zip(&self.dinv) {
+        for (x, di) in bx.iter_mut().zip(dinv) {
             *x *= di;
         }
-        // `Lᵀ x = y` with unit Lᵀ, row-oriented contiguous dots.
+        // `Lᵀ x = y` with unit Lᵀ, row-oriented contiguous dots over the
+        // packed rows, last row first.
+        let mut end = lt.len();
         for i in (0..n).rev() {
-            bx[i] -= crate::vector::dot(&self.lt.row(i)[i + 1..], &bx[i + 1..]);
+            let start = end - (n - 1 - i);
+            bx[i] -= crate::vector::dot(&lt[start..end], &bx[i + 1..]);
+            end = start;
         }
         Ok(())
     }
@@ -856,6 +919,34 @@ mod tests {
         assert!(up.update(&[1.0]).is_err());
         assert!(up.downdate(&[1.0]).is_err());
         assert!(up.solve_in_place(&mut [1.0]).is_err());
+    }
+
+    #[test]
+    fn parts_export_a_unit_upper_triangle_and_round_trip() {
+        let mut f = UpdatableCholesky::decompose(&spd3()).unwrap();
+        f.update(&[0.5, -1.0, 2.0]).unwrap();
+        let parts = f.to_parts();
+        for i in 0..3 {
+            assert_eq!(parts.lt[i * 3 + i], 1.0);
+            assert!(parts.lt[i * 3..i * 3 + i].iter().all(|&v| v == 0.0));
+        }
+        assert_eq!(UpdatableCholesky::from_parts(&parts).unwrap().to_parts(), parts);
+    }
+
+    #[test]
+    fn from_parts_refuses_a_diagonal_other_than_one() {
+        let mut parts = UpdatableCholesky::decompose(&spd3()).unwrap().to_parts();
+        parts.lt[4] = 1.0 + f64::EPSILON;
+        let err = UpdatableCholesky::from_parts(&parts).unwrap_err();
+        assert!(matches!(&err, LinalgError::ShapeMismatch(m) if m.contains("Lᵀ[1][1]")), "{err}");
+    }
+
+    #[test]
+    fn from_parts_refuses_an_entry_below_the_diagonal() {
+        let mut parts = UpdatableCholesky::decompose(&spd3()).unwrap().to_parts();
+        parts.lt[7] = 1e-300;
+        let err = UpdatableCholesky::from_parts(&parts).unwrap_err();
+        assert!(matches!(&err, LinalgError::ShapeMismatch(m) if m.contains("Lᵀ[2][1]")), "{err}");
     }
 
     /// A well-conditioned SPD factor of dimension `n` and four update rows.

@@ -23,46 +23,54 @@ use crate::simd::{self, Isa};
 use crate::vector;
 use crate::Result;
 
-/// Rank-1 Gram update `ZᵀZ ← ZᵀZ + sign·z·zᵀ`, maintaining **only the
-/// upper triangle** (including the diagonal) in rank-4 row panels.
+/// Offset of row `i ≤ n` of a packed upper triangle (diagonal included) of
+/// order `n`: row `i` holds columns `i..n`.
+#[inline(always)]
+fn upper_row_start(n: usize, i: usize) -> usize {
+    i * (2 * n + 1 - i) / 2
+}
+
+/// Rank-1 Gram update `ZᵀZ ← ZᵀZ + sign·z·zᵀ` on the packed upper triangle
+/// (diagonal included; see the `stats` field), in rank-4 row panels.
 ///
 /// The full-matrix formulation is store-bandwidth-bound — measured, a
 /// rank-4 full-row kernel is no faster than row-at-a-time `axpy` — so the
-/// real win is halving the traffic: the lower triangle is never written
-/// (see the `ztz` field invariant). Each upper element still receives
-/// exactly its one product `sign·zᵢ·zⱼ`, bitwise identical to what the
-/// full update produced (IEEE multiplication commutes bit-for-bit, so the
-/// mirrored element's history is the same).
+/// real win is halving the traffic: the lower triangle is never stored.
+/// Each upper element receives exactly its one product `sign·zᵢ·zⱼ`,
+/// bitwise identical to what the full update produced (IEEE
+/// multiplication commutes bit-for-bit, so the mirrored element's history
+/// is the same).
 #[inline]
-fn gram_rank_one(ztz: &mut Matrix, z: &[f64], sign: f64) {
+fn gram_rank_one(ztz: &mut [f64], z: &[f64], sign: f64) {
     let n = z.len();
-    let data = ztz.as_mut_slice();
+    let mut rows = ztz;
     let mut i = 0;
     while i + 4 <= n {
-        let (_, rest) = data.split_at_mut(i * n);
-        let (r0, rest) = rest.split_at_mut(n);
-        let (r1, rest) = rest.split_at_mut(n);
-        let (r2, rest) = rest.split_at_mut(n);
-        let (r3, _) = rest.split_at_mut(n);
+        // Packed rows i..i+4 start at columns i, i+1, i+2, i+3.
+        let (r0, rest) = rows.split_at_mut(n - i);
+        let (r1, rest) = rest.split_at_mut(n - i - 1);
+        let (r2, rest) = rest.split_at_mut(n - i - 2);
+        let (r3, rest) = rest.split_at_mut(n - i - 3);
+        rows = rest;
         let (a0, a1, a2, a3) = (sign * z[i], sign * z[i + 1], sign * z[i + 2], sign * z[i + 3]);
         // Triangular head columns i..i+4, then one fused pass over the
         // shared suffix i+4.. for all four rows.
-        r0[i] += a0 * z[i];
-        r0[i + 1] += a0 * z[i + 1];
-        r0[i + 2] += a0 * z[i + 2];
-        r0[i + 3] += a0 * z[i + 3];
-        r1[i + 1] += a1 * z[i + 1];
-        r1[i + 2] += a1 * z[i + 2];
-        r1[i + 3] += a1 * z[i + 3];
-        r2[i + 2] += a2 * z[i + 2];
-        r2[i + 3] += a2 * z[i + 3];
-        r3[i + 3] += a3 * z[i + 3];
+        r0[0] += a0 * z[i];
+        r0[1] += a0 * z[i + 1];
+        r0[2] += a0 * z[i + 2];
+        r0[3] += a0 * z[i + 3];
+        r1[0] += a1 * z[i + 1];
+        r1[1] += a1 * z[i + 2];
+        r1[2] += a1 * z[i + 3];
+        r2[0] += a2 * z[i + 2];
+        r2[1] += a2 * z[i + 3];
+        r3[0] += a3 * z[i + 3];
         for ((((&zj, e0), e1), e2), e3) in z[i + 4..]
             .iter()
-            .zip(&mut r0[i + 4..])
-            .zip(&mut r1[i + 4..])
-            .zip(&mut r2[i + 4..])
-            .zip(&mut r3[i + 4..])
+            .zip(&mut r0[4..])
+            .zip(&mut r1[3..])
+            .zip(&mut r2[2..])
+            .zip(&mut r3[1..])
         {
             *e0 += a0 * zj;
             *e1 += a1 * zj;
@@ -72,7 +80,9 @@ fn gram_rank_one(ztz: &mut Matrix, z: &[f64], sign: f64) {
         i += 4;
     }
     while i < n {
-        vector::axpy(sign * z[i], &z[i..], &mut data[i * n + i..(i + 1) * n]);
+        let (row, rest) = rows.split_at_mut(n - i);
+        rows = rest;
+        vector::axpy(sign * z[i], &z[i..], row);
         i += 1;
     }
 }
@@ -88,7 +98,7 @@ fn gram_rank_one(ztz: &mut Matrix, z: &[f64], sign: f64) {
 const TILE_MIN_ROWS: usize = 2;
 
 /// `ZᵀZ += BᵀB` over augmented rows `zrows` (row `r` is
-/// `zrows[r·n .. (r+1)·n]`), maintaining only the upper triangle, in 4×4
+/// `zrows[r·n .. (r+1)·n]`) on the packed upper triangle, in 4×4
 /// register tiles: a tile's entries stay in registers while every row
 /// streams past, so the Gram matrix is loaded and stored once per block
 /// instead of once per row. Every entry accumulates its products `zᵢ·zⱼ` in
@@ -96,24 +106,25 @@ const TILE_MIN_ROWS: usize = 2;
 /// `1.0·zᵢ` factor is bitwise `zᵢ`) — so the result is bit for bit the
 /// same.
 #[inline(always)]
-fn gram_fold_tiled(ztz: &mut Matrix, zrows: &[f64]) {
-    let n = ztz.rows();
-    let data = ztz.as_mut_slice();
+fn gram_fold_tiled(ztz: &mut [f64], n: usize, zrows: &[f64]) {
     let full = n - n % 4;
     for i in (0..full).step_by(4) {
-        gram_tile::<true>(data, zrows, n, i, i);
+        gram_tile::<true>(ztz, zrows, n, i, i);
         for j in (i + 4..full).step_by(4) {
-            gram_tile::<false>(data, zrows, n, i, j);
+            gram_tile::<false>(ztz, zrows, n, i, j);
         }
     }
     // The last `n mod 4` columns, row by row (each entry still sums in row
-    // order).
+    // order). Column `j` steps down the packed rows: entry `(i, j)` is
+    // `n − 1 − i` values after `(i − 1, j)`.
     if full < n {
         for z in zrows.chunks_exact(n) {
             for j in full..n {
                 let zj = z[j];
+                let mut at = j;
                 for (i, &zi) in z[..=j].iter().enumerate() {
-                    data[i * n + j] += zi * zj;
+                    ztz[at] += zi * zj;
+                    at += n - 1 - i;
                 }
             }
         }
@@ -121,13 +132,17 @@ fn gram_fold_tiled(ztz: &mut Matrix, zrows: &[f64]) {
 }
 
 /// One 4×4 tile of [`gram_fold_tiled`] at Gram rows `i..i+4`, columns
-/// `j..j+4`; a diagonal tile (`DIAG`, `i == j`) keeps only its upper
+/// `j..j+4`; a diagonal tile (`DIAG`, `i == j`) holds only its upper
 /// triangle.
 #[inline(always)]
-fn gram_tile<const DIAG: bool>(data: &mut [f64], zrows: &[f64], n: usize, i: usize, j: usize) {
+fn gram_tile<const DIAG: bool>(ztz: &mut [f64], zrows: &[f64], n: usize, i: usize, j: usize) {
+    // Packed offset of entry `(i + a, j + lo)`, the first one tile row `a`
+    // holds.
+    let at = |a: usize, lo: usize| upper_row_start(n, i + a) + j + lo - (i + a);
     let mut acc = [[0.0f64; 4]; 4];
     for (a, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&data[(i + a) * n + j..(i + a) * n + j + 4]);
+        let lo = if DIAG { a } else { 0 };
+        row[lo..].copy_from_slice(&ztz[at(a, lo)..at(a, 4)]);
     }
     for z in zrows.chunks_exact(n) {
         let (zi, zj) = (&z[i..i + 4], &z[j..j + 4]);
@@ -139,7 +154,7 @@ fn gram_tile<const DIAG: bool>(data: &mut [f64], zrows: &[f64], n: usize, i: usi
     }
     for (a, row) in acc.iter().enumerate() {
         let lo = if DIAG { a } else { 0 };
-        data[(i + a) * n + j + lo..(i + a) * n + j + 4].copy_from_slice(&row[lo..]);
+        ztz[at(a, lo)..at(a, 4)].copy_from_slice(&row[lo..]);
     }
 }
 
@@ -175,6 +190,15 @@ fn factor_rows(
         }
     }
     Ok(None)
+}
+
+/// The three segments of a `dim`-wide accumulator's `stats` buffer: the
+/// packed upper triangle of `ZᵀZ`, `Zᵀy` and the baked regularizer.
+#[inline(always)]
+fn split_stats(stats: &mut [f64], dim: usize) -> (&mut [f64], &mut [f64], &mut [f64]) {
+    let (ztz, rest) = stats.split_at_mut(upper_row_start(dim, dim));
+    let (zty, reg) = rest.split_at_mut(dim);
+    (ztz, zty, reg)
 }
 
 /// Stage the augmented vector `z = [1, x]` in `aug`.
@@ -303,19 +327,24 @@ impl SolveScratch {
 
 /// The incrementally maintained factor: `L` with `LLᵀ = ZᵀZ + R`, where
 /// `R = λ·diag(0, 1, …, 1)` plus the jitter baked in by a fallback
-/// re-factorization (if one was ever needed).
+/// re-factorization (if one was ever needed). `R` itself lives in the
+/// accumulator's `stats` buffer.
 #[derive(Debug, Clone)]
 struct IncrementalFactor {
     chol: UpdatableCholesky,
     /// The ridge the factor was built for; a solve with a different λ
     /// re-factorizes.
     lambda: f64,
-    /// The baked diagonal regularizer `R` in the original space (length
-    /// `dim`). Rank-1 updates leave it untouched; `discount` scales it by
-    /// γ alongside the factor. Enables the O(m) residual recovery
-    /// `RSS = yᵀy − cᵀ(Zᵀy) − cᵀRc` in place of the old O(m²) quadratic
-    /// pass (since `(ZᵀZ + R)c = Zᵀy` implies `cᵀZᵀZc = cᵀZᵀy − cᵀRc`).
-    reg: Vec<f64>,
+}
+
+/// Write the baked diagonal regularizer of a fresh factor:
+/// `reg[i] = (i == 0 ? 0 : λ) + jitter·sᵢ²` for the Jacobi scales `sᵢ` the
+/// factor was built under (any jitter applied in the scaled space maps back
+/// through those frozen scales).
+fn bake_reg(reg: &mut [f64], lambda: f64, jitter: f64, scales: &[f64]) {
+    for (i, (r, &si)) in reg.iter_mut().zip(scales).enumerate() {
+        *r = if i == 0 { 0.0 } else { lambda } + jitter * si * si;
+    }
 }
 
 /// Running normal-equations accumulator for a linear model with intercept.
@@ -326,16 +355,22 @@ struct IncrementalFactor {
 pub struct NormalEquations {
     /// Augmented dimension (`n_features + 1`).
     dim: usize,
-    /// `ZᵀZ`, symmetric `dim × dim`. **Invariant:** only the upper triangle
-    /// (`j ≥ i`, diagonal included) is maintained by `push`/`forget` —
-    /// halving the store traffic of the hottest record-path loop. The lower
-    /// triangle is unspecified; readers go through
-    /// [`NormalEquations::ztz_at`] (or mirror on export) and bulk
-    /// whole-buffer operations (scale, add, zero) are still safe because
-    /// they keep the upper triangle correct.
-    ztz: Matrix,
-    /// `Zᵀy`.
-    zty: Vec<f64>,
+    /// The statistics in one buffer, three segments:
+    /// * `ZᵀZ`, symmetric `dim × dim`, of which **only the upper triangle**
+    ///   (`j ≥ i`, diagonal included) is stored, packed by rows: row `i`
+    ///   holds `(ZᵀZ)[i][i..]` from offset `upper_row_start(dim, i)`,
+    ///   `dim(dim+1)/2` values in all. Storing half the matrix halves the
+    ///   store traffic of the hottest record-path loop; readers of a lower
+    ///   element go through [`NormalEquations::ztz_at`] (or mirror on
+    ///   export).
+    /// * `Zᵀy` (`dim`).
+    /// * The live factor's baked diagonal regularizer `R` in the original
+    ///   space (`dim`; meaningful only while `factor` is `Some`). Rank-1
+    ///   updates leave it untouched; `discount` scales it by γ alongside
+    ///   the factor. It enables the O(m) residual recovery
+    ///   `RSS = yᵀy − cᵀ(Zᵀy) − cᵀRc` (since `(ZᵀZ + R)c = Zᵀy` implies
+    ///   `cᵀZᵀZc = cᵀZᵀy − cᵀRc`).
+    stats: Vec<f64>,
     /// `Σ y²`, used to recover the residual sum of squares.
     yty: f64,
     /// Observation count.
@@ -352,12 +387,29 @@ impl NormalEquations {
         let dim = n_features + 1;
         NormalEquations {
             dim,
-            ztz: Matrix::zeros(dim, dim),
-            zty: vec![0.0; dim],
+            stats: vec![0.0; upper_row_start(dim, dim) + 2 * dim],
             yty: 0.0,
             n: 0,
             factor: None,
         }
+    }
+
+    /// Length of the packed `ZᵀZ` segment of `stats`.
+    #[inline(always)]
+    fn tri(&self) -> usize {
+        upper_row_start(self.dim, self.dim)
+    }
+
+    /// `Zᵀy`.
+    #[inline(always)]
+    fn zty(&self) -> &[f64] {
+        &self.stats[self.tri()..self.tri() + self.dim]
+    }
+
+    /// The live factor's baked regularizer `R`.
+    #[inline(always)]
+    fn reg(&self) -> &[f64] {
+        &self.stats[self.tri() + self.dim..]
     }
 
     /// Number of raw features.
@@ -397,8 +449,9 @@ impl NormalEquations {
         // (each entry still receives the single product z_i·z_j, so the
         // statistics are bit-identical to the triangular formulation).
         stage_aug(x, aug);
-        gram_rank_one(&mut self.ztz, aug, 1.0);
-        vector::axpy(y, aug, &mut self.zty);
+        let (ztz, zty, _) = split_stats(&mut self.stats, self.dim);
+        gram_rank_one(ztz, aug, 1.0);
+        vector::axpy(y, aug, zty);
         self.yty += y * y;
         self.n += 1;
         // Keep the live factor live: adding zzᵀ is a rank-1 cholupdate,
@@ -483,15 +536,16 @@ impl NormalEquations {
             None => k,
         };
         let (zrows, ys) = (&zrows[..rows * dim], &ys[..rows]);
+        let (ztz, zty, _) = split_stats(&mut self.stats, self.dim);
         if rows >= TILE_MIN_ROWS {
-            gram_fold_tiled(&mut self.ztz, zrows);
+            gram_fold_tiled(ztz, dim, zrows);
         } else {
             for z in zrows.chunks_exact(dim) {
-                gram_rank_one(&mut self.ztz, z, 1.0);
+                gram_rank_one(ztz, z, 1.0);
             }
         }
         for (z, &y) in zrows.chunks_exact(dim).zip(ys) {
-            vector::axpy(y, z, &mut self.zty);
+            vector::axpy(y, z, zty);
             self.yty += y * y;
         }
         self.n += rows;
@@ -547,8 +601,9 @@ impl NormalEquations {
             return Err(LinalgError::InsufficientData { have: 0, need: 1 });
         }
         stage_aug(x, aug);
-        gram_rank_one(&mut self.ztz, aug, -1.0);
-        vector::axpy(-y, aug, &mut self.zty);
+        let (ztz, zty, _) = split_stats(&mut self.stats, self.dim);
+        gram_rank_one(ztz, aug, -1.0);
+        vector::axpy(-y, aug, zty);
         self.yty -= y * y;
         self.n -= 1;
         if let Some(f) = &mut self.factor {
@@ -573,14 +628,10 @@ impl NormalEquations {
                 other.dim - 1
             )));
         }
-        // In-place element-wise adds (same dims checked above): the
-        // allocating `Matrix::add` built a whole fresh Gram matrix per
-        // merge. Both sides maintain the upper triangle, so the sum does
-        // too.
-        for (a, &b) in self.ztz.as_mut_slice().iter_mut().zip(other.ztz.as_slice()) {
-            *a += b;
-        }
-        for (a, b) in self.zty.iter_mut().zip(&other.zty) {
+        // In-place element-wise adds of the `ZᵀZ` and `Zᵀy` segments (same
+        // dims checked above).
+        let sums = self.tri() + self.dim;
+        for (a, &b) in self.stats[..sums].iter_mut().zip(&other.stats[..sums]) {
             *a += b;
         }
         self.yty += other.yty;
@@ -622,7 +673,7 @@ impl NormalEquations {
                     Isa::for_dim(self.dim),
                     self,
                     &f.chol,
-                    &f.reg,
+                    self.reg(),
                     &mut scratch,
                     &mut out,
                 )?;
@@ -630,7 +681,9 @@ impl NormalEquations {
             _ => {
                 // `&self` receiver: compute the factor without caching it
                 // (mutating entry points cache; see `solve_into`).
-                let (chol, reg) = self.fresh_factor(lambda, &mut scratch)?;
+                let (chol, jitter) = self.fresh_factor(lambda, &mut scratch)?;
+                let mut reg = vec![0.0; self.dim];
+                bake_reg(&mut reg, lambda, jitter, &scratch.scales);
                 simd::solve_from_factor(
                     Isa::for_dim(self.dim),
                     self,
@@ -676,12 +729,13 @@ impl NormalEquations {
         }
         let needs_refactor = !matches!(&self.factor, Some(f) if f.lambda == lambda);
         if needs_refactor {
-            let (chol, reg) = self.fresh_factor(lambda, scratch)?;
-            self.factor = Some(IncrementalFactor { chol, lambda, reg });
+            let (chol, jitter) = self.fresh_factor(lambda, scratch)?;
+            bake_reg(split_stats(&mut self.stats, self.dim).2, lambda, jitter, &scratch.scales);
+            self.factor = Some(IncrementalFactor { chol, lambda });
         }
         // lint: allow(no-panic) -- factor refreshed on the branch above
         let f = self.factor.as_ref().expect("factor refreshed above");
-        simd::solve_from_factor(Isa::for_dim(self.dim), self, &f.chol, &f.reg, scratch, out)
+        simd::solve_from_factor(Isa::for_dim(self.dim), self, &f.chol, self.reg(), scratch, out)
     }
 
     /// True when a live factor for `lambda` exists, i.e. the next
@@ -695,11 +749,8 @@ impl NormalEquations {
     /// what full maintenance would have stored there).
     #[inline]
     fn ztz_at(&self, i: usize, j: usize) -> f64 {
-        if j >= i {
-            self.ztz[(i, j)]
-        } else {
-            self.ztz[(j, i)]
-        }
+        let (i, j) = if j >= i { (i, j) } else { (j, i) };
+        self.stats[upper_row_start(self.dim, i) + j - i]
     }
 
     /// Build the factor `L` with `LLᵀ = ZᵀZ + λ·diag(0,1,…,1)` from
@@ -709,21 +760,21 @@ impl NormalEquations {
     /// scaling — `chol(D A D) = D·chol(A)` for diagonal `D` — so that later
     /// rank-1 updates need no knowledge of the (per-push changing) scales.
     ///
-    /// Also returns the baked diagonal regularizer `R` in the original
-    /// space (`reg[i] = (i == 0 ? 0 : λ) + jitter·sᵢ²` — any jitter applied
-    /// in the scaled space maps back through the frozen scales), which the
-    /// O(m) residual recovery in [`NormalEquations::solve_from_factor_kernel`]
-    /// needs on every subsequent solve.
+    /// Also returns the jitter applied in the scaled space, from which
+    /// [`bake_reg`] derives the diagonal regularizer `R` (under the scales
+    /// left in `scratch`) that the O(m) residual recovery in
+    /// [`NormalEquations::solve_from_factor_kernel`] needs on every
+    /// subsequent solve.
     fn fresh_factor(
         &self,
         lambda: f64,
         scratch: &mut SolveScratch,
-    ) -> Result<(UpdatableCholesky, Vec<f64>)> {
+    ) -> Result<(UpdatableCholesky, f64)> {
         scratch.resize(self.dim);
         // Jacobi scale factors s_i = sqrt((ZᵀZ)_ii); zero-variance columns
         // keep scale 1 so the scaled system stays well-defined.
         for (i, s) in scratch.scales.iter_mut().enumerate() {
-            let d = self.ztz[(i, i)];
+            let d = self.ztz_at(i, i);
             *s = if d > 0.0 { d.sqrt() } else { 1.0 };
         }
         let scales = &scratch.scales;
@@ -744,15 +795,13 @@ impl NormalEquations {
             }
         };
         let mut l = ch.into_l();
-        let mut reg = vec![0.0; self.dim];
         for i in 0..self.dim {
             let si = scratch.scales[i];
-            reg[i] = if i == 0 { 0.0 } else { lambda } + jitter * si * si;
             for j in 0..=i {
                 l[(i, j)] *= si;
             }
         }
-        Ok((UpdatableCholesky::from_factor(l), reg))
+        Ok((UpdatableCholesky::from_factor(l), jitter))
     }
 
     /// Refit from an existing factor: O(m²) substitution + the O(m) RSS
@@ -767,7 +816,8 @@ impl NormalEquations {
         out: &mut LinearFit,
     ) -> Result<()> {
         scratch.resize(self.dim);
-        scratch.coeffs.copy_from_slice(&self.zty);
+        let zty = self.zty();
+        scratch.coeffs.copy_from_slice(zty);
         chol.solve_in_place_inline(&mut scratch.coeffs)?;
         let coeffs = &scratch.coeffs;
         out.intercept = coeffs[0];
@@ -782,7 +832,7 @@ impl NormalEquations {
         for (&ri, &ci) in reg.iter().zip(coeffs.iter()) {
             reg_quad += ri * ci * ci;
         }
-        out.residual_ss = (self.yty - vector::dot(coeffs, &self.zty) - reg_quad).max(0.0);
+        out.residual_ss = (self.yty - vector::dot(coeffs, zty) - reg_quad).max(0.0);
         out.n_obs = self.n;
         Ok(())
     }
@@ -794,7 +844,7 @@ impl NormalEquations {
             n_features: self.dim - 1,
             n: self.n,
             yty: self.yty,
-            zty: self.zty.clone(),
+            zty: self.zty().to_vec(),
             // Export mirrors the maintained upper triangle into a full
             // symmetric matrix — bitwise the matrix full maintenance kept.
             ztz: {
@@ -809,7 +859,7 @@ impl NormalEquations {
             factor: self.factor.as_ref().map(|f| NeqFactorState {
                 lambda: f.lambda,
                 parts: f.chol.to_parts(),
-                reg: f.reg.clone(),
+                reg: self.reg().to_vec(),
             }),
         }
     }
@@ -853,27 +903,28 @@ impl NormalEquations {
                 Some(IncrementalFactor {
                     chol: UpdatableCholesky::from_parts(&f.parts)?,
                     lambda: f.lambda,
-                    reg: f.reg.clone(),
                 })
             }
             None => None,
         };
-        Ok(NormalEquations {
-            dim,
-            ztz: Matrix::from_vec(dim, dim, state.ztz.clone())?,
-            zty: state.zty.clone(),
-            yty: state.yty,
-            n: state.n,
-            factor,
-        })
+        // Pack the upper triangle (the lower one is its mirror on export).
+        let mut stats = Vec::with_capacity(upper_row_start(dim, dim) + 2 * dim);
+        for (i, row) in state.ztz.chunks_exact(dim).enumerate() {
+            stats.extend_from_slice(&row[i..]);
+        }
+        stats.extend_from_slice(&state.zty);
+        match &state.factor {
+            Some(f) => stats.extend_from_slice(&f.reg),
+            None => stats.resize(stats.len() + dim, 0.0),
+        }
+        Ok(NormalEquations { dim, stats, yty: state.yty, n: state.n, factor })
     }
 
     /// Reset to the empty state. The incremental factor is dropped; the
     /// next solve falls back to a full re-factorization (of whatever is
     /// pushed afterwards).
     pub fn clear(&mut self) {
-        self.ztz.reset_zeroed(self.dim, self.dim);
-        self.zty.iter_mut().for_each(|v| *v = 0.0);
+        self.stats.fill(0.0);
         self.yty = 0.0;
         self.n = 0;
         self.factor = None;
@@ -896,8 +947,8 @@ impl NormalEquations {
         if gamma == 1.0 {
             return;
         }
-        self.ztz.scale_mut(gamma);
-        for v in &mut self.zty {
+        let (ztz, zty, reg) = split_stats(&mut self.stats, self.dim);
+        for v in ztz.iter_mut().chain(zty) {
             *v *= gamma;
         }
         self.yty *= gamma;
@@ -910,7 +961,7 @@ impl NormalEquations {
                 f.chol.scale(gamma);
                 // The baked jitter diagonal scales with the factor too:
                 // L ← √γ·L represents γ·(ZᵀZ + R), i.e. R ← γ·R.
-                for r in &mut f.reg {
+                for r in reg {
                     *r *= gamma;
                 }
             }

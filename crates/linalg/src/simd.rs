@@ -22,6 +22,9 @@
 //! `dot_cols_block`) are `#[inline(always)]`, so they compile inside the
 //! twin; the small `#[inline]` ones (`gram_rank_one` for a
 //! one-row block, `vector::dot`, `vector::axpy`) are inlined there too.
+//! These kernels walk each arm's packed buffers: the upper triangle of
+//! `ZᵀZ` and the strict upper triangle of `Lᵀ`, stored row by row, so
+//! every row they sweep is one contiguous slice, as in a full matrix.
 //! The public `UpdatableCholesky::update` and `solve_in_place` call the
 //! forced bodies but are not forced themselves: forcing them changed the
 //! code every other caller got, and that code measured slower. One-row

@@ -197,19 +197,16 @@ pub fn check_files(cdir: &str, files: &[&SourceFile], findings: &mut Vec<Finding
 
     // Declared identifier -> lock class.
     let mut ident_class: BTreeMap<String, (String, Quality)> = BTreeMap::new();
-    let mut bind =
-        |name: &str, class: String, q: Quality, map: &mut BTreeMap<String, (String, Quality)>| {
-            let slot = map.entry(name.to_string()).or_insert_with(|| (class.clone(), q));
-            if q > slot.1 {
-                *slot = (class, q);
-            }
-        };
     for file in files {
         for decl in symbols::decls(file) {
             if let Some((class, q)) =
                 resolve_class(&file.lexed.tokens, decl.window, &names, cdir, &decl.name)
             {
-                bind(&decl.name, class, q, &mut ident_class);
+                let slot =
+                    ident_class.entry(decl.name.clone()).or_insert_with(|| (class.clone(), q));
+                if q > slot.1 {
+                    *slot = (class, q);
+                }
             }
         }
     }
@@ -266,27 +263,32 @@ pub fn check_files(cdir: &str, files: &[&SourceFile], findings: &mut Vec<Finding
         lock_fn_names.entry(name.clone()).or_insert_with(|| class.clone());
     }
 
-    // `let`/`for` bindings of lock handles (e.g. `let wal = self.key_wal(k)?`).
-    for _ in 0..2 {
-        for file in files {
-            propagate_lock_bindings(file, &lock_fn_names, &mut ident_class, &mut bind);
-        }
-    }
+    // `let`/`for` bindings of lock handles, per function body (parallel
+    // to `defs`).
+    let locals: Vec<BTreeMap<String, String>> = defs
+        .iter()
+        .map(|(fi, def)| match def.body {
+            Some(body) => local_lock_bindings(files[*fi], body, &lock_fn_names, &ident_class),
+            None => BTreeMap::new(),
+        })
+        .collect();
 
     // Direct acquisition classes and resolved callees per function key.
     let mut direct: BTreeMap<FnKey, BTreeSet<String>> = BTreeMap::new();
     let mut calls: BTreeMap<FnKey, BTreeSet<FnKey>> = BTreeMap::new();
-    for (fi, def) in &defs {
+    for ((fi, def), locals) in defs.iter().zip(&locals) {
         let file = files[*fi];
         let Some(body) = def.body else { continue };
         let mut d: BTreeSet<String> = BTreeSet::new();
         let mut c: BTreeSet<FnKey> = BTreeSet::new();
-        scan_body(file, body, def, &ident_class, &lock_fns, &types_of, &known, |kind| match kind {
-            Scanned::Direct { class, .. } => {
-                d.insert(class);
-            }
-            Scanned::Call { keys, .. } => {
-                c.extend(keys);
+        scan_body(file, body, def, &ident_class, locals, &lock_fns, &types_of, &known, |kind| {
+            match kind {
+                Scanned::Direct { class, .. } => {
+                    d.insert(class);
+                }
+                Scanned::Call { keys, .. } => {
+                    c.extend(keys);
+                }
             }
         });
         for key in def_keys(def) {
@@ -322,41 +324,43 @@ pub fn check_files(cdir: &str, files: &[&SourceFile], findings: &mut Vec<Finding
     // Per-body events, then acquired-while-held edges.
     let mut edges: BTreeMap<(String, String), (String, u32)> = BTreeMap::new();
     let mut self_loops: BTreeSet<(String, String, u32)> = BTreeSet::new();
-    for (fi, def) in &defs {
+    for ((fi, def), locals) in defs.iter().zip(&locals) {
         let file = files[*fi];
         let Some(body) = def.body else { continue };
         let tokens = &file.lexed.tokens;
         let mut events: Vec<Event> = Vec::new();
-        scan_body(file, body, def, &ident_class, &lock_fns, &types_of, &known, |kind| match kind {
-            Scanned::Direct { at, class } => {
-                events.push(Event {
-                    at,
-                    until: symbols::hold_end(tokens, at),
-                    classes: vec![class],
-                    line: tokens[at].line,
-                });
-            }
-            Scanned::Call { at, keys } => {
-                let mut classes: BTreeSet<String> = BTreeSet::new();
-                for key in &keys {
-                    if let Some(extra) = effects.get(key) {
-                        classes.extend(extra.iter().cloned());
+        scan_body(file, body, def, &ident_class, locals, &lock_fns, &types_of, &known, |kind| {
+            match kind {
+                Scanned::Direct { at, class } => {
+                    events.push(Event {
+                        at,
+                        until: symbols::hold_end(tokens, at),
+                        classes: vec![class],
+                        line: tokens[at].line,
+                    });
+                }
+                Scanned::Call { at, keys } => {
+                    let mut classes: BTreeSet<String> = BTreeSet::new();
+                    for key in &keys {
+                        if let Some(extra) = effects.get(key) {
+                            classes.extend(extra.iter().cloned());
+                        }
                     }
+                    if classes.is_empty() {
+                        return;
+                    }
+                    let until = if keys.iter().any(|k| guard_fns.contains(k)) {
+                        symbols::hold_end(tokens, at)
+                    } else {
+                        call_extent(tokens, at)
+                    };
+                    events.push(Event {
+                        at,
+                        until,
+                        classes: classes.into_iter().collect(),
+                        line: tokens[at].line,
+                    });
                 }
-                if classes.is_empty() {
-                    return;
-                }
-                let until = if keys.iter().any(|k| guard_fns.contains(k)) {
-                    symbols::hold_end(tokens, at)
-                } else {
-                    call_extent(tokens, at)
-                };
-                events.push(Event {
-                    at,
-                    until,
-                    classes: classes.into_iter().collect(),
-                    line: tokens[at].line,
-                });
             }
         });
         for a in &events {
@@ -456,6 +460,7 @@ fn scan_body(
     body: (usize, usize),
     def: &symbols::FnDef,
     ident_class: &BTreeMap<String, (String, Quality)>,
+    locals: &BTreeMap<String, String>,
     lock_fns: &BTreeMap<FnKey, String>,
     types_of: &BTreeMap<String, String>,
     known: &BTreeSet<FnKey>,
@@ -472,7 +477,10 @@ fn scan_body(
         if LOCK_METHODS.contains(&name) && method && called {
             let Some(base) = symbols::receiver_base(tokens, i - 1) else { continue };
             let base_name = tokens[base].text.as_str();
-            let mut class = ident_class.get(base_name).map(|(c, _)| c.clone());
+            let mut class = ident_class
+                .get(base_name)
+                .map(|(c, _)| c.clone())
+                .or_else(|| locals.get(base_name).cloned());
             if class.is_none() && tokens.get(base + 1).is_some_and(|n| n.is_punct('(')) {
                 // Receiver is a helper call: `self.stripe(key).write()`.
                 class = call_keys(tokens, base, &def.owners, types_of)
@@ -518,61 +526,75 @@ fn call_extent(tokens: &[Token], at: usize) -> usize {
     tokens.len()
 }
 
-fn propagate_lock_bindings(
+/// The `let`/`for` bindings of lock handles in one function body (e.g.
+/// `let wal = self.key_wal(k)?` binds `wal` to `key_wal`'s class): a
+/// binding takes the class of the first identifier on its right-hand side
+/// that is a declared lock, an earlier binding of the same body, or a lock
+/// helper. The bindings are scoped to the body, so a local elsewhere that
+/// shares a name with one (a hasher `h` calling `.write(`) is not a lock.
+/// Two sweeps let a binding feed a later one that textually precedes it.
+fn local_lock_bindings(
     file: &SourceFile,
+    body: (usize, usize),
     lock_fns: &BTreeMap<String, String>,
-    ident_class: &mut BTreeMap<String, (String, Quality)>,
-    bind: &mut impl FnMut(&str, String, Quality, &mut BTreeMap<String, (String, Quality)>),
-) {
-    let tokens = &file.lexed.tokens;
-    let mut new_binds: Vec<(String, String)> = Vec::new();
-    for (i, t) in file.active_tokens() {
-        let (binding_at, stop): (usize, char) = if t.is_ident("let") {
-            if i > 0 && (tokens[i - 1].is_ident("if") || tokens[i - 1].is_ident("while")) {
+    ident_class: &BTreeMap<String, (String, Quality)>,
+) -> BTreeMap<String, String> {
+    let tokens = &file.lexed.tokens[..body.1];
+    let mut locals: BTreeMap<String, String> = BTreeMap::new();
+    for _ in 0..2 {
+        let mut new_binds: Vec<(String, String)> = Vec::new();
+        for (i, t) in
+            file.active_tokens().skip_while(|(i, _)| *i < body.0).take_while(|(i, _)| *i < body.1)
+        {
+            let (binding_at, stop): (usize, char) = if t.is_ident("let") {
+                if i > 0 && (tokens[i - 1].is_ident("if") || tokens[i - 1].is_ident("while")) {
+                    continue;
+                }
+                (i + 1, ';')
+            } else if t.is_ident("for") {
+                (i + 1, '{')
+            } else {
+                continue;
+            };
+            let mut b = binding_at;
+            if tokens.get(b).is_some_and(|t| t.is_ident("mut")) {
+                b += 1;
+            }
+            let Some(name_tok) = tokens.get(b) else { continue };
+            if name_tok.kind != TokKind::Ident {
                 continue;
             }
-            (i + 1, ';')
-        } else if t.is_ident("for") {
-            (i + 1, '{')
-        } else {
-            continue;
-        };
-        let mut b = binding_at;
-        if tokens.get(b).is_some_and(|t| t.is_ident("mut")) {
-            b += 1;
-        }
-        let Some(name_tok) = tokens.get(b) else { continue };
-        if name_tok.kind != TokKind::Ident {
-            continue;
-        }
-        let mut depth = 0i32;
-        let mut k = b + 1;
-        let mut class = None;
-        while k < tokens.len() && class.is_none() {
-            let t = &tokens[k];
-            if t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') {
-                depth -= 1;
-            } else if depth == 0 && t.is_punct(stop) {
-                break;
-            } else if depth <= 0 && (t.is_punct(';') || t.is_punct('{') || t.is_punct('}')) {
-                break;
-            } else if t.kind == TokKind::Ident {
-                class = ident_class
-                    .get(&t.text)
-                    .map(|(c, _)| c.clone())
-                    .or_else(|| lock_fns.get(&t.text).cloned());
+            let mut depth = 0i32;
+            let mut k = b + 1;
+            let mut class = None;
+            while k < tokens.len() && class.is_none() {
+                let t = &tokens[k];
+                if t.is_punct('(') || t.is_punct('[') {
+                    depth += 1;
+                } else if t.is_punct(')') || t.is_punct(']') {
+                    depth -= 1;
+                } else if depth == 0 && t.is_punct(stop) {
+                    break;
+                } else if depth <= 0 && (t.is_punct(';') || t.is_punct('{') || t.is_punct('}')) {
+                    break;
+                } else if t.kind == TokKind::Ident {
+                    class = ident_class
+                        .get(&t.text)
+                        .map(|(c, _)| c.clone())
+                        .or_else(|| locals.get(&t.text).cloned())
+                        .or_else(|| lock_fns.get(&t.text).cloned());
+                }
+                k += 1;
             }
-            k += 1;
+            if let Some(class) = class {
+                new_binds.push((name_tok.text.clone(), class));
+            }
         }
-        if let Some(class) = class {
-            new_binds.push((name_tok.text.clone(), class));
+        for (name, class) in new_binds {
+            locals.entry(name).or_insert(class);
         }
     }
-    for (name, class) in new_binds {
-        bind(&name, class, Quality::Fallback, ident_class);
-    }
+    locals
 }
 
 /// Find elementary cycles in the edge set (small graphs: DFS per node).
@@ -734,6 +756,29 @@ impl S {
         let findings = run("crates/x", &[("crates/x/src/lib.rs", src)]);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("cycle"));
+    }
+
+    #[test]
+    fn let_bindings_are_scoped_to_their_function() {
+        // `f` binds `h` to a lock; `g`'s `h` is a hasher whose `.write(`
+        // is no acquisition, so `g` holds one `a` lock, not two.
+        let src = "\
+struct S { a: RwLock<Alpha> }
+impl S {
+    fn f(&self) { let h = self.a.write(); h.touch(); }
+    fn g(&self) { let g = self.a.write(); let mut h = Fnv::default(); h.write(b\"k\"); use_both(g, h); }
+}
+";
+        let findings = run("crates/x", &[("crates/x/src/lib.rs", src)]);
+        assert!(findings.is_empty(), "{findings:?}");
+        // Within one function the binding still counts.
+        let src = "\
+struct S { a: RwLock<Alpha> }
+impl S { fn f(&self) { let h = self.a.write(); let k = h; let g = k.write(); use_both(g, h); } }
+";
+        let findings = run("crates/x", &[("crates/x/src/lib.rs", src)]);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("already held"), "{findings:?}");
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl Hasher for Fnv1a {
 
 fn fnv1a(key: &str) -> u64 {
     let mut h = Fnv1a::default();
-    Hasher::write(&mut h, key.as_bytes());
+    h.write(key.as_bytes());
     h.0
 }
 

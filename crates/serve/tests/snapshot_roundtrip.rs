@@ -7,8 +7,8 @@ use banditware_core::persist::{
     load_checkpoint, load_snapshot, restore_checkpoint, restore_snapshot, save_checkpoint,
     save_history, Checkpoint,
 };
-use banditware_core::{ArmSpec, BanditConfig, BanditWare, Policy, Retention, Ticket};
-use banditware_serve::{build_policy, policy_names};
+use banditware_core::{ArmSpec, BanditConfig, BanditWare, FeatureFrame, Policy, Retention, Ticket};
+use banditware_serve::{build_policy, policy_names, Engine};
 use proptest::prelude::*;
 
 const N_ARMS: usize = 3;
@@ -234,4 +234,79 @@ fn v1_and_v2_fixtures_still_restore() {
             assert_eq!(t.id(), 6);
         }
     }
+}
+
+/// FNV-1a (64-bit) of a byte string.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Serve a fixed-seed ε-greedy stream of `steps` bursts per key through an
+/// `Engine` over `m` features and `arms` arms, and digest each key's v3
+/// checkpoint bytes.
+fn served_checkpoint_digests(m: usize, arms: usize, steps: usize) -> Vec<u64> {
+    let specs = (0..arms).map(|a| ArmSpec::new(a, format!("arm-{a}"), (1 << a) as f64)).collect();
+    let engine = Engine::builder(specs, m)
+        .policy("epsilon-greedy")
+        .config(BanditConfig::paper().with_epsilon0(0.5).with_seed(23))
+        .retention(Retention::Tail(16))
+        .build()
+        .unwrap();
+    let keys = ["tenant-a", "tenant-b", "tenant-c"];
+    // Burst sizes cover the one-row path, the 4-row panels and their
+    // remainders.
+    let bursts = [1, 2, 5, 3, 8, 4, 1, 9];
+    for step in 0..steps {
+        for (k, key) in keys.iter().enumerate() {
+            let rows = bursts[(step + k) % bursts.len()];
+            let xs: Vec<Vec<f64>> = (0..rows)
+                .map(|r| {
+                    let s = (step * 31 + k * 7 + r) as u64;
+                    (0..m)
+                        .map(|j| ((s * 2_654_435_761 + j as u64 * 97) % 1000) as f64 / 100.0 + 1.0)
+                        .collect()
+                })
+                .collect();
+            let frame = FeatureFrame::from_rows(&xs).unwrap();
+            let recs = engine.recommend_batch_frame(key, &frame).unwrap();
+            let outcomes: Vec<(Ticket, f64)> = recs
+                .iter()
+                .zip(&xs)
+                .map(|((t, rec), x)| {
+                    (*t, 20.0 + 3.0 * rec.arm as f64 * x[0] + x.iter().sum::<f64>() * 0.5)
+                })
+                .collect();
+            engine.record_batch_frame(key, &outcomes).unwrap();
+        }
+    }
+    keys.iter()
+        .map(|key| {
+            let mut bytes = Vec::new();
+            engine.save_shard_checkpoint(key, &mut bytes).unwrap();
+            fnv1a64(&bytes)
+        })
+        .collect()
+}
+
+/// The exported checkpoint bytes of served ε-greedy shards, at the paper's
+/// width (m=7, three arms) and the wide shape (m=64, four arms), match
+/// digests recorded with the full-matrix arm layout. The packed layout
+/// must export exactly what that one did: the mirrored `ZᵀZ`, and `Lᵀ`
+/// with a unit diagonal and zeros below it.
+#[test]
+fn served_checkpoint_bytes_match_the_full_layout() {
+    let got = served_checkpoint_digests(7, 3, 40);
+    assert_eq!(
+        got,
+        [0x9ea9_9958_323c_7f90, 0xaa30_7abc_526c_ad9a, 0x17b2_bd08_9f5a_fb91],
+        "m=7 checkpoint digests"
+    );
+    let got = served_checkpoint_digests(64, 4, 60);
+    assert_eq!(
+        got,
+        [0xa081_ee01_f4d7_e75b, 0x432f_3aec_67d7_7fd1, 0xa47a_be4b_9909_f438],
+        "m=64 checkpoint digests"
+    );
 }
